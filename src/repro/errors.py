@@ -147,22 +147,6 @@ class FaultPlanError(ReproError):
     """A fault-injection plan is malformed (unknown point, bad format)."""
 
 
-class CheckpointError(ReproError, ValueError):
-    """A grid checkpoint file is unusable (corrupted or wrong format).
-
-    Carries the offending ``path`` so a failed ``--resume`` names the
-    file to inspect or delete instead of surfacing a bare
-    ``JSONDecodeError`` from deep inside the loader.  Also a
-    :class:`ValueError` so pre-existing callers that caught the format
-    mismatch as one keep working.
-    """
-
-    def __init__(self, path, reason):
-        self.path = path
-        self.reason = reason
-        super().__init__(f"checkpoint {path}: {reason}")
-
-
 class CampaignSpecError(ReproError, ValueError):
     """A campaign spec is malformed (unknown workload/system, bad
     format tag, invalid knob values)."""

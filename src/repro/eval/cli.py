@@ -22,7 +22,6 @@ Regenerate any paper artifact without pytest::
     python -m repro.eval.cli replay results/fuzz/racy-flag-....json
     python -m repro.eval.cli replay results/chaos/histogramfs-....json
     python -m repro.eval.cli submit --workloads histogram,histogramfs
-    python -m repro.eval.cli submit --workloads reverse --tenant acme
     python -m repro.eval.cli serve --once
     python -m repro.eval.cli serve --drain
     python -m repro.eval.cli status
@@ -237,13 +236,8 @@ def build_parser():
                        help="per-cell wall-clock timeout in seconds")
     serve.add_argument("--drain", action="store_true",
                        help="graceful shutdown: accept no new inbox "
-                            "work, finish resumed campaigns and "
-                            "parked retries, flush the supervision "
-                            "record, exit")
-    serve.add_argument("--no-resilience", action="store_true",
-                       help="disable the supervision layer (no "
-                            "retries, no quarantine, no tenant "
-                            "quotas; PR 8 fail-fast semantics)")
+                            "work, finish interrupted campaigns, "
+                            "flush the supervision record, exit")
 
     submit = sub.add_parser(
         "submit", help="submit a campaign spec (a JSON file, or "
@@ -268,9 +262,6 @@ def build_parser():
     submit.add_argument("--priority", type=int, default=0,
                         help="lower runs sooner")
     submit.add_argument("--name", default="")
-    submit.add_argument("--tenant", default="",
-                        help="submitting tenant (quota + fairness "
-                             "identity under the resilience layer)")
     submit.add_argument("--run", action="store_true",
                         help="process the campaign inline instead of "
                              "spooling it for a running server")
@@ -328,8 +319,6 @@ def _campaign_summary(state):
             f"{counts.get('retried', 0)} retried")
     if counts.get("quarantined"):
         line += f", {counts['quarantined']} quarantined"
-    if counts.get("hung"):
-        line += f", {counts['hung']} hung"
     return line + ")"
 
 
@@ -343,18 +332,16 @@ def _service_command(args):
 
     if args.command == "serve":
         service = CampaignService(root=args.root, jobs=args.jobs,
-                                  timeout=args.timeout,
-                                  resilience=not args.no_resilience)
+                                  timeout=args.timeout)
         done = asyncio.run(service.serve(once=args.once,
                                          poll=args.poll,
                                          drain=args.drain))
         for job in done:
             print(_campaign_summary(job.to_dict()))
-        if service.resilience is not None:
-            held = service.resilience.quarantine.digests()
-            if held:
-                print(f"{len(held)} digest(s) in quarantine; "
-                      f"see `quarantine list`")
+        held = service.resilience.quarantine.digests()
+        if held:
+            print(f"{len(held)} digest(s) in quarantine; "
+                  f"see `quarantine list`")
         failed = sum(1 for job in done if job.status != "completed")
         return 1 if failed else 0
 
@@ -377,8 +364,7 @@ def _service_command(args):
                 workloads=tuple(args.workloads.split(",")),
                 systems=tuple(args.systems.split(",")),
                 kind=args.kind, scale=args.scale, seeds=seeds,
-                priority=args.priority, name=args.name,
-                tenant=args.tenant)
+                priority=args.priority, name=args.name)
         if args.run:
             service = CampaignService(root=args.root, jobs=args.jobs)
             job = service.run_spec(spec,

@@ -732,39 +732,43 @@ def repair_compare(scale=0.1, workloads=None):
 
 
 def resilience_chaos(scale=0.05, jobs=None, root=None):
-    """SLO-gated chaos drill for the service resilience layer.
+    """SLO-gated chaos drill for the service's failure policy.
 
-    Runs the same multi-tenant campaign mix twice under a supervised
+    Runs the same campaign mix twice through a
     :class:`~repro.service.CampaignService`: once *chaotic* — two
     poison cells that fail deterministically on every attempt, one
-    cell whose pool worker is hard-killed mid-shard, a corrupted grid
-    checkpoint, and an inbox flood past the flooding tenant's quota —
-    and once fault-free.  The SLO gate then demands what the
-    resilience layer promises:
+    cell whose pool worker is hard-killed mid-shard, and one store
+    entry that is well-formed but whose payload fails its checksum —
+    and once fault-free.  The SLO gate then demands what the policy
+    promises:
 
     - every campaign reaches ``completed`` and every non-quarantined
-      cell is harness-ok (retries absorbed the kill + corruption);
+      cell is harness-ok (the dead worker's cells ran in the parent,
+      the tampered entry was evicted and recomputed);
     - every result the chaotic run cached is byte-identical to the
       fault-free run's entry for the same digest;
     - the quarantine contains *exactly* the injected poison cells;
     - ``service.retry`` / ``service.quarantined`` match the injected
-      poison count, and the flood shows up as tenant backpressure.
+      poison count (one replay each; the dead worker's recovery is not
+      a replay);
+    - the store evicted exactly the tampered entry (a positive
+      control: the integrity check really ran).
 
-    The determinism design carries the gate: attempt counts live in
-    the ``repro-service-state/1`` supervision record (host-dependent
-    timings/crash evidence live in the health sidecar), so the
-    recorded state is identical across ``REPRO_JOBS`` settings.
+    The supervision record (``repro-service-state/1``) is the sorted
+    quarantine set, and a poison cell's quarantine entry records the
+    same attempt and replay at any job count, so both are
+    byte-identical across ``REPRO_JOBS`` settings.
     """
     import asyncio
     import hashlib
+    import json
     import os
     import shutil
-    import warnings
 
     from repro.eval.report import results_dir
     from repro.faults.harness import HARNESS_FAULTS_ENV, HarnessFaultPlan
-    from repro.service import (CampaignService, CampaignSpec,
-                               ResiliencePolicy, cell_digest)
+    from repro.service import CampaignService, CampaignSpec, cell_digest
+    from repro.service.store import write_json
 
     base = root or os.path.join(results_dir(), "resilience-chaos")
     chaotic_root = os.path.join(base, "chaotic")
@@ -776,21 +780,16 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
         "acme-grid": CampaignSpec(
             workloads=("histogram", "reverse"),
             systems=("pthreads", "tmi-protect"), scale=scale,
-            name="acme-grid", tenant="acme"),
+            name="acme-grid"),
         "bolt-grid": CampaignSpec(
             workloads=("histogramfs",),
             systems=("pthreads", "tmi-protect"), scale=scale,
-            name="bolt-grid", tenant="bolt", priority=1),
+            name="bolt-grid", priority=1),
         "acme-chaos": CampaignSpec(
             workloads=("histogramfs",), systems=("tmi-protect",),
             kind="chaos", seeds=(1, 2), scale=scale,
-            name="acme-chaos", tenant="acme"),
+            name="acme-chaos"),
     }
-    flood_spec = CampaignSpec(workloads=("histogram",), scale=scale,
-                              name="flood", tenant="bolt")
-    flood_ids = [f"flood-{n}" for n in range(1, 5)]
-    for cid in flood_ids:
-        specs[cid] = flood_spec
 
     # fault targets, named by cell digest (the store/quarantine key)
     acme_cells = specs["acme-grid"].cells()
@@ -801,28 +800,21 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
         cell_digest(bolt_cells[1]):
             "injected poison: histogramfs/tmi-protect"}
     kill = (cell_digest(acme_cells[1]),)
-
-    policy = ResiliencePolicy(max_attempts=2, crash_threshold=2,
-                              jitter_rounds=1, tenant_max_queued=2,
-                              tenant_weights={"acme": 2, "bolt": 1})
+    tampered = acme_cells[0]
 
     def run_once(service_root, chaotic):
-        service = CampaignService(root=service_root, jobs=jobs,
-                                  resilience=policy)
+        service = CampaignService(root=service_root, jobs=jobs)
         for cid, spec in specs.items():
             service.reserve_campaign_id(spec, campaign_id=cid)
         if chaotic:
-            # corrupt one in-flight checkpoint; fallback_fresh must
-            # absorb it (warned, then recomputed)
-            ckpt = os.path.join(service_root, "checkpoints",
-                                "campaign-acme-grid.json")
-            os.makedirs(os.path.dirname(ckpt), exist_ok=True)
-            with open(ckpt, "w") as fh:
-                fh.write('{"format": "repro-grid-checkpoint/1", tru')
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            asyncio.run(service.serve(once=True))
-            asyncio.run(service.serve(drain=True))
+            # a well-formed entry whose payload no longer matches its
+            # checksum: the store must evict it and the cell re-run
+            path = service.store.put(tampered, "ok", {"cycles": 1})
+            with open(path) as fh:
+                entry = json.load(fh)
+            entry["result"]["summary"]["cycles"] = 2
+            write_json(path, entry)
+        asyncio.run(service.serve(once=True))
         return service
 
     plan_path = os.path.join(base, "harness-faults.json")
@@ -870,9 +862,6 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
 
     quarantined_digests = chaotic.resilience.quarantine.digests()
     counters = chaotic.metrics_snapshot()["counters"]
-    tenant_backpressure = sum(
-        v for k, v in counters.items()
-        if k.startswith("service.tenant.backpressure"))
 
     slo = {
         "campaigns_completed_nonquarantined_ok": all_ok,
@@ -883,7 +872,7 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
             counters.get("service.retry", 0) == len(poison),
         "quarantined_metric_matches_poison":
             counters.get("service.quarantined", 0) == len(poison),
-        "flood_hit_tenant_quota": tenant_backpressure > 0,
+        "tampered_entry_evicted": chaotic.store.evictions == 1,
     }
     slo_ok = all(slo.values())
 
@@ -896,16 +885,15 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
             "killed": list(kill),
             "quarantined": quarantined_digests,
             "retries": counters.get("service.retry", 0),
-            "tenant_backpressure": tenant_backpressure,
+            "evictions": chaotic.store.evictions,
             "supervision_state": state_path,
             "supervision_state_sha256": state_sha,
             "payload_bytes_checked": len(expected)}
 
-    rows = [(cid, specs[cid].tenant, c["status"], c["cells"],
-             c["ok"], c["quarantined"])
+    rows = [(cid, c["status"], c["cells"], c["ok"], c["quarantined"])
             for cid, c in sorted(campaigns.items())]
     text = format_table(
-        ["campaign", "tenant", "status", "cells", "ok", "quarantined"],
+        ["campaign", "status", "cells", "ok", "quarantined"],
         rows, title="Resilience chaos drill (chaotic run)")
     text += "\n\nSLO gate:\n"
     for key in sorted(slo):

@@ -14,12 +14,17 @@ to the serial in-process loop, which is also the configuration to use
 when bisecting determinism bugs.
 
 The grid is hardened against worker failure
-(:func:`run_cells_recorded`): a cell that blows past its wall-clock
-timeout is recorded as ``timeout`` instead of wedging the experiment,
-and a :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
-segfaulted or was OOM-killed) no longer aborts the grid — the cells
-that never finished are re-run serially in the parent and surfaced
-with ``retried=True``.
+(:func:`run_cells_recorded`), with one failure policy for pooled and
+serial runs alike.  A cell that blows past its wall-clock timeout is
+recorded as ``timeout`` instead of wedging the experiment.  A cell
+whose attempt raised is replayed exactly once, serially in the parent:
+every cell is a deterministic simulation, so the replay tells a
+harness fault (it succeeds) from a poison cell (it raises again).  A
+:class:`~concurrent.futures.process.BrokenProcessPool` (a worker
+segfaulted or was OOM-killed) no longer aborts the grid: the cells the
+pool never finished run in the parent, surfaced with ``retried=True``.
+That recovery is not a replay; a recovered cell that raises gets its
+one replay like any other.
 """
 
 import os
@@ -61,18 +66,21 @@ def job_count(jobs=None):
 class CellRecord:
     """Harness-level outcome of one grid cell.
 
-    ``status`` is ``ok`` (the worker returned a
+    ``status`` is ``ok`` (the cell returned a
     :class:`~repro.eval.runner.RunOutcome` — which may itself report a
-    simulated hang or failure), ``failed`` (the worker raised or
-    died), or ``timeout`` (the cell exceeded its wall-clock budget).
-    ``retried`` marks cells that were re-run serially after a broken
-    pool or a worker exception.
+    simulated hang or failure), ``failed`` (the cell raised on its
+    attempt and again on its replay; ``error`` carries both), or
+    ``timeout`` (the cell exceeded its wall-clock budget).
+    ``retried`` marks cells that ran again in the parent, after a
+    raise or a dead worker; ``replayed`` marks the ones that ran again
+    because their attempt raised.
     """
 
     cell: dict
     status: str
     outcome: object = None
     retried: bool = False
+    replayed: bool = False
     error: str = ""
 
 
@@ -101,37 +109,22 @@ def _run_serial(cell, retried=False):
                       retried=retried)
 
 
-def run_cells_recorded(cells, jobs=None, timeout=None):
-    """Run every cell, never abort the grid; returns
-    :class:`CellRecord` objects in input order.
+def _run_pooled(cells, jobs, timeout):
+    """One attempt per cell across a process pool.
 
-    ``timeout`` (seconds of host wall-clock, pooled execution only)
-    bounds each cell from the moment the parent starts waiting on it;
-    a cell that exceeds it is recorded as ``timeout`` and is *not*
-    retried (it would exceed the budget serially too).  A broken pool
-    or a raising worker marks the affected cells for a serial re-run
-    in the parent, surfaced with ``retried=True``.
+    Returns records in input order, with None for the cells a dead
+    worker never finished; returns None when no pool can be created
+    (restricted environments), so the caller runs everything serially.
     """
-    cells = list(cells)
-    jobs = job_count(jobs)
-    records = [None] * len(cells)
-    if jobs <= 1 or len(cells) <= 1:
-        for index, cell in enumerate(cells):
-            records[index] = _run_serial(cell)
-        return records
     try:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells)))
+        pool = ProcessPoolExecutor(max_workers=jobs)
         futures = [pool.submit(_run_cell, cell) for cell in cells]
     except (OSError, PermissionError):
-        # no subprocesses available (restricted environments): degrade
-        # to the serial path rather than failing the experiment
-        for index, cell in enumerate(cells):
-            records[index] = _run_serial(cell)
-        return records
+        return None
+    records = [None] * len(cells)
     timed_out = False
     try:
-        for index, future in enumerate(futures):
-            cell = cells[index]
+        for index, (cell, future) in enumerate(zip(cells, futures)):
             try:
                 outcome = future.result(timeout=timeout)
             except _FutureTimeout:
@@ -141,16 +134,11 @@ def run_cells_recorded(cells, jobs=None, timeout=None):
                     cell=dict(cell), status=CELL_TIMEOUT,
                     error=f"exceeded {timeout}s wall-clock budget")
             except BrokenExecutor:
-                # the pool is gone (a worker segfaulted / was killed);
-                # every unfinished cell stays None and is re-run
-                # serially below
-                break
+                break  # the pool is gone; the rest stay None
             except Exception as exc:  # noqa: BLE001 - worker raised
-                records[index] = _run_serial(cell, retried=True)
-                if records[index].status == CELL_FAILED:
-                    records[index].error = (
-                        f"{type(exc).__name__}: {exc}; serial retry: "
-                        f"{records[index].error}")
+                records[index] = CellRecord(
+                    cell=dict(cell), status=CELL_FAILED,
+                    error=f"{type(exc).__name__}: {exc}")
             else:
                 records[index] = CellRecord(cell=dict(cell),
                                             status=CELL_OK,
@@ -159,9 +147,38 @@ def run_cells_recorded(cells, jobs=None, timeout=None):
         # don't block on a wedged worker: timed-out cells may still be
         # burning CPU inside it
         pool.shutdown(wait=not timed_out, cancel_futures=True)
+    return records
+
+
+def run_cells_recorded(cells, jobs=None, timeout=None):
+    """Run every cell, never abort the grid; returns
+    :class:`CellRecord` objects in input order.
+
+    ``timeout`` (seconds of host wall-clock, pooled execution only)
+    bounds each cell from the moment the parent starts waiting on it;
+    a cell that exceeds it is recorded as ``timeout`` and is *not*
+    re-run (it would exceed the budget serially too).  Cells a dead
+    worker never finished run in the parent (``retried=True``).  A
+    cell whose attempt raised is replayed exactly once, serially in
+    the parent (``retried`` and ``replayed``); if the replay raises
+    too, the cell is ``failed`` with both errors.
+    """
+    cells = list(cells)
+    jobs = min(job_count(jobs), len(cells))
+    pooled = _run_pooled(cells, jobs, timeout) if jobs > 1 else None
+    records = []
     for index, cell in enumerate(cells):
-        if records[index] is None:
-            records[index] = _run_serial(cell, retried=True)
+        record = pooled[index] if pooled is not None else None
+        if record is None:
+            # a serial run, or a cell lost with a dead worker
+            record = _run_serial(cell, retried=pooled is not None)
+        if record.status == CELL_FAILED:
+            replay = _run_serial(cell, retried=True)
+            replay.replayed = True
+            if replay.status == CELL_FAILED:
+                replay.error = f"{record.error}; replay: {replay.error}"
+            record = replay
+        records.append(record)
     return records
 
 
@@ -174,8 +191,8 @@ def run_cells(cells, jobs=None, timeout=None):
     execute across a :class:`ProcessPoolExecutor`; the outcomes (and
     every simulated cycle/HITM count inside them) are identical to the
     serial loop's.  A broken pool is recovered by re-running only the
-    unfinished cells serially; a cell that fails even serially (or
-    times out) raises — callers wanting per-cell failure records use
+    unfinished cells serially; a cell that fails its replay (or times
+    out) raises — callers wanting per-cell failure records use
     :func:`run_cells_recorded`.
     """
     records = run_cells_recorded(cells, jobs=jobs, timeout=timeout)

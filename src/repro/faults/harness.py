@@ -15,10 +15,11 @@ the one channel that reaches pool worker processes — and
 workload runs:
 
 - ``poison`` digests raise :class:`PoisonError` in every process, so
-  the cell fails identically under pooled and serial execution;
+  the cell fails its attempt and its one replay identically under
+  pooled and serial execution;
 - ``kill`` digests call ``os._exit`` *only in a worker process* (the
   plan records the arming process's pid), so pooled execution loses a
-  worker — and the hardened grid's serial re-run in the parent then
+  worker — and the hardened grid's re-run in the parent then
   succeeds — while serial execution never fires the kill.  Either
   way the cell's final result is its one deterministic value.
 """

@@ -19,7 +19,7 @@ from repro.service.spec import CampaignSpec
 
 
 class ServiceClient:
-    """A tenant handle on one service root."""
+    """A client handle on one service root."""
 
     def __init__(self, root=None):
         # the service object doubles as the directory-layout oracle;

@@ -8,29 +8,29 @@ service and client restarts::
 
     <root>/inbox/<id>.json        client-submitted campaign specs
     <root>/campaigns/<id>.json    per-campaign state (repro-campaign/1)
-    <root>/checkpoints/           grid checkpoints for in-flight shards
     <root>/store/                 content-addressed cell results
+    <root>/quarantine/            poison cells (repro-quarantine/1)
+    <root>/service-state.json     supervision record
 
-``serve`` polls the inbox, enqueues new specs, and drains the
-scheduler; ``serve(once=True)`` processes everything currently
-submitted and returns (the CI smoke mode).  On startup the service
-re-enqueues every campaign whose state file says it never finished, so
-a killed service picks up exactly where its checkpoints left off.
+``serve`` resumes interrupted campaigns, accepts the inbox, and
+drains the scheduler; ``serve(once=True)`` processes everything
+currently submitted and returns (the CI smoke mode).  The store is
+the only checkpoint: a campaign whose state file says it never
+finished is resubmitted, and the cells the store already holds come
+back as cache hits, so a killed service picks up where it left off.
 """
 
 import asyncio
 import itertools
+import json
 import os
 
+from repro.errors import CampaignSpecError
 from repro.eval.report import results_dir
-from repro.service.arrival import make_arrival
-from repro.service.resilience import (RETRYING, ResiliencePolicy,
-                                      ResilienceSupervisor)
 from repro.service.scheduler import (CAMPAIGN_FORMAT, COMPLETED,
-                                     FAILED, PENDING, RUNNING,
-                                     CampaignScheduler)
+                                     FAILED, CampaignScheduler)
 from repro.service.spec import CampaignSpec
-from repro.service.store import ResultStore, cell_digest
+from repro.service.store import cell_digest, write_json
 
 __all__ = ["CampaignService", "CAMPAIGN_FORMAT"]
 
@@ -38,40 +38,39 @@ __all__ = ["CampaignService", "CAMPAIGN_FORMAT"]
 #: two reservations overlap in one process (``id()`` can be reused).
 _RESERVE_SEQ = itertools.count(1)
 
+#: Terminal campaign statuses (query helpers/tests import these).
+TERMINAL = (COMPLETED, FAILED)
+
 
 class CampaignService:
     """A file-rooted campaign service instance.
 
     ``root`` defaults under ``results/`` (``REPRO_RESULTS_DIR`` aware);
     tests point it at a tmpdir.  ``jobs``/``timeout`` forward to the
-    hardened grid pool per shard.
+    hardened grid pool per shard; ``metrics`` is an optional shared
+    :class:`~repro.obs.MetricsRegistry`.  The one failure policy (one
+    replay, then quarantine) is always on: ``resilience`` accepts only
+    ``True``, because the mode a falsy value selected no longer exists.
     """
 
-    def __init__(self, root=None, jobs=None, timeout=None,
-                 shard_cells=None, queue_limit=64, metrics=None,
-                 resilience=None):
+    def __init__(self, root=None, jobs=None, timeout=None, metrics=None,
+                 resilience=True):
+        if resilience is not True:
+            raise TypeError(
+                f"CampaignService(resilience={resilience!r}): the "
+                f"failure policy is always on; the only accepted "
+                f"value is True")
         self.root = root or os.path.join(results_dir(), "service")
         self.inbox_dir = os.path.join(self.root, "inbox")
-        self.campaigns_dir = os.path.join(self.root, "campaigns")
-        self.store = ResultStore(os.path.join(self.root, "store"))
-        #: Optional supervision layer.  ``resilience`` accepts a
-        #: :class:`~repro.service.resilience.ResiliencePolicy` (custom
-        #: knobs) or any truthy value (default policy); falsy keeps
-        #: the PR 8 fail-fast semantics.  The supervisor's state lives
-        #: under the service root, so a restarted service resumes
-        #: retry counts and the quarantine set.
-        self.resilience = None
-        if resilience:
-            policy = resilience if isinstance(
-                resilience, ResiliencePolicy) else None
-            self.resilience = ResilienceSupervisor(
-                self.root, policy=policy)
-        self.scheduler = CampaignScheduler(
-            store=self.store, state_dir=self.campaigns_dir,
-            checkpoint_dir=os.path.join(self.root, "checkpoints"),
-            jobs=jobs, timeout=timeout, shard_cells=shard_cells,
-            queue_limit=queue_limit, metrics=metrics,
-            resilience=self.resilience)
+        self.scheduler = CampaignScheduler(self.root, jobs=jobs,
+                                           timeout=timeout,
+                                           metrics=metrics)
+        self.campaigns_dir = self.scheduler.state_dir
+        self.store = self.scheduler.store
+        self.resilience = self.scheduler.resilience
+        #: Campaigns this process has seen finish; their state files
+        #: are not re-read by :meth:`resume_incomplete`.
+        self._finished = set()
         for directory in (self.inbox_dir, self.campaigns_dir):
             os.makedirs(directory, exist_ok=True)
 
@@ -89,22 +88,24 @@ class CampaignService:
                          f"{campaign_id}.json.rejected"))
         return any(os.path.exists(path) for path in paths)
 
-    def new_campaign_id(self, spec):
-        """A fresh campaign id: spec name/digest plus a run ordinal.
-
-        Resubmitting an identical spec gets a *new* campaign (that's
-        the point — it completes from cache), so the ordinal suffix
-        disambiguates repeats.  This is a check, not a reservation —
-        concurrent clients racing on the same spec must go through
-        :meth:`reserve_campaign_id`, which claims the id atomically.
-        """
+    def _free_ids(self, spec):
+        """Unclaimed campaign ids for ``spec``: its name/digest plus a
+        run ordinal (an identical resubmission is a *new* campaign —
+        that's the point, it completes from cache)."""
         stem = f"{spec.name or spec.kind}-{spec.digest()}"
-        ordinal = 1
-        while True:
+        for ordinal in itertools.count(1):
             campaign_id = f"{stem}-{ordinal}"
             if not self._campaign_id_taken(campaign_id):
-                return campaign_id
-            ordinal += 1
+                yield campaign_id
+
+    def new_campaign_id(self, spec):
+        """A fresh campaign id for ``spec``.
+
+        This is a check, not a reservation — concurrent clients racing
+        on the same spec must go through :meth:`reserve_campaign_id`,
+        which claims the id atomically.
+        """
+        return next(self._free_ids(spec))
 
     def reserve_campaign_id(self, spec, campaign_id=None):
         """Atomically claim an inbox file for ``spec``; returns the id.
@@ -127,13 +128,7 @@ class CampaignService:
                 os.link(tmp, os.path.join(self.inbox_dir,
                                           f"{campaign_id}.json"))
                 return campaign_id
-            stem = f"{spec.name or spec.kind}-{spec.digest()}"
-            ordinal = 1
-            while True:
-                campaign_id = f"{stem}-{ordinal}"
-                ordinal += 1
-                if self._campaign_id_taken(campaign_id):
-                    continue
+            for campaign_id in self._free_ids(spec):
                 try:
                     os.link(tmp, os.path.join(
                         self.inbox_dir, f"{campaign_id}.json"))
@@ -146,12 +141,18 @@ class CampaignService:
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    async def submit(self, spec, campaign_id=None):
-        """Validate and enqueue one campaign; returns its job."""
+    def submit(self, spec, campaign_id=None):
+        """Validate and queue one campaign; returns its job."""
         campaign_id = campaign_id or self.new_campaign_id(spec)
-        job = self.scheduler.make_job(campaign_id, spec)
-        await self.scheduler.submit(job)
-        return job
+        self._finished.discard(campaign_id)
+        return self.scheduler.submit(
+            self.scheduler.make_job(campaign_id, spec))
+
+    def run_pending(self):
+        """Run every queued campaign; returns the finished jobs."""
+        done = self.scheduler.run_pending()
+        self._finished.update(job.id for job in done)
+        return done
 
     def run_spec(self, spec, campaign_id=None):
         """Submit + drain synchronously; returns the finished job.
@@ -159,40 +160,14 @@ class CampaignService:
         The inline convenience path (tests, ``submit --run``): no
         separate server process, same scheduler/store dataflow.
         """
-        async def _run():
-            job = await self.submit(spec, campaign_id=campaign_id)
-            await self.scheduler.run_pending()
-            return job
-        return asyncio.run(_run())
-
-    async def submit_stream(self, spec, count, time_scale=1.0):
-        """Submit ``count`` copies of ``spec`` under its arrival model.
-
-        The spec's ``arrival`` field picks the process (default
-        closed-loop with zero think time).  ``time_scale`` multiplies
-        every inter-arrival gap — ``0.0`` collapses the model to
-        as-fast-as-possible, which is what deterministic tests want.
-        Closed-loop arrivals additionally gate each submission on the
-        previous campaign's completion.  Returns the finished jobs.
-        """
-        arrival = make_arrival(spec.arrival
-                               or {"process": "closed"})
-        jobs, gaps = [], arrival.gaps()
-        for index in range(count):
-            gap = next(gaps) * time_scale
-            if gap > 0:
-                await asyncio.sleep(gap)
-            job = await self.submit(spec)
-            if arrival.closed:
-                await self.scheduler.run_pending()
-            jobs.append(job)
-        await self.scheduler.run_pending()
-        return jobs
+        job = self.submit(spec, campaign_id=campaign_id)
+        self.run_pending()
+        return job
 
     # ------------------------------------------------------------------
     # inbox protocol
     # ------------------------------------------------------------------
-    async def poll_inbox(self):
+    def poll_inbox(self):
         """Accept every spec file waiting in the inbox.
 
         A spec file ``<id>.json`` becomes campaign ``<id>``; accepted
@@ -205,43 +180,58 @@ class CampaignService:
             if not fname.endswith(".json"):
                 continue
             path = os.path.join(self.inbox_dir, fname)
-            campaign_id = fname[:-len(".json")]
             try:
                 spec = CampaignSpec.load(path)
-            except Exception:  # noqa: BLE001 - tenant input boundary
+            except Exception:  # noqa: BLE001 - client input boundary
                 os.replace(path, path + ".rejected")
                 continue
             os.replace(path, path + ".accepted")
-            accepted.append(await self.submit(spec,
-                                              campaign_id=campaign_id))
+            accepted.append(self.submit(
+                spec, campaign_id=fname[:-len(".json")]))
         return accepted
+
+    def _unfinished(self):
+        """``(id, state)`` of every campaign whose state file is not
+        terminal, skipping those this process has seen finish."""
+        for fname in sorted(os.listdir(self.campaigns_dir)):
+            campaign_id = fname[:-len(".json")]
+            if not fname.endswith(".json") \
+                    or campaign_id in self._finished:
+                continue
+            state = self.status(campaign_id)
+            if state is None:
+                continue
+            if state.get("status") in TERMINAL:
+                self._finished.add(campaign_id)
+            else:
+                yield campaign_id, state
 
     def incomplete_campaigns(self):
         """Ids of campaigns whose state never reached a terminal
         status (service died mid-run)."""
-        out = []
-        for fname in sorted(os.listdir(self.campaigns_dir)):
-            if not fname.endswith(".json"):
-                continue
-            state = self.status(fname[:-len(".json")])
-            if state and state.get("status") in (PENDING, RUNNING,
-                                                 RETRYING):
-                out.append(state["id"])
-        return out
+        return [campaign_id for campaign_id, _ in self._unfinished()]
 
-    async def resume_incomplete(self):
-        """Re-enqueue every interrupted campaign (restart recovery).
+    def resume_incomplete(self):
+        """Resubmit every interrupted campaign (restart recovery).
 
-        Finished cells restore from the campaign state and the grid
-        checkpoint; only unfinished cells re-execute.
+        Cells the store holds come back as cache hits; only the rest
+        execute.  A state file whose spec no longer validates (an
+        unknown workload, a spec written by an older format) cannot be
+        resumed: its campaign is marked ``failed`` with the error
+        recorded in its state, and the others go on.
         """
         jobs = []
-        for campaign_id in self.incomplete_campaigns():
-            state = self.status(campaign_id)
-            spec = CampaignSpec.from_dict(state["spec"])
-            job = self.scheduler.make_job(campaign_id, spec)
-            await self.scheduler.submit(job)
-            jobs.append(job)
+        for campaign_id, state in self._unfinished():
+            try:
+                spec = CampaignSpec.from_dict(state.get("spec"))
+            except CampaignSpecError as exc:
+                state["status"] = FAILED
+                state["error"] = f"cannot resume: {exc}"
+                write_json(os.path.join(self.campaigns_dir,
+                                        f"{campaign_id}.json"), state)
+                self._finished.add(campaign_id)
+                continue
+            jobs.append(self.submit(spec, campaign_id=campaign_id))
         return jobs
 
     async def serve(self, once=False, poll=0.2, drain=False):
@@ -249,23 +239,18 @@ class CampaignService:
 
         ``once=True`` processes everything currently waiting and
         returns the finished jobs (CI smoke / tests).  ``drain=True``
-        is graceful shutdown: no new inbox work is accepted —
-        interrupted campaigns resume, parked retries run until every
-        campaign is terminal, and the supervision record is flushed
+        is graceful shutdown: interrupted campaigns finish, no new
+        inbox work is accepted, and the supervision record is flushed
         before returning.  Otherwise loop forever, sleeping ``poll``
-        seconds between empty polls.
+        seconds between polls.
         """
         done = []
-        await self.resume_incomplete()
-        if drain:
-            done.extend(await self.scheduler.run_pending())
-            if self.resilience is not None:
-                self.resilience.save_state()
-            return done
+        self.resume_incomplete()
         while True:
-            await self.poll_inbox()
-            done.extend(await self.scheduler.run_pending())
-            if once:
+            if not drain:
+                self.poll_inbox()
+            done.extend(self.run_pending())
+            if once or drain:
                 return done
             await asyncio.sleep(poll)
 
@@ -274,7 +259,6 @@ class CampaignService:
     # ------------------------------------------------------------------
     def status(self, campaign_id):
         """The campaign's state document, or None when unknown."""
-        import json
         path = os.path.join(self.campaigns_dir, f"{campaign_id}.json")
         try:
             with open(path) as fh:
@@ -315,7 +299,3 @@ class CampaignService:
     def metrics_snapshot(self):
         """The scheduler's metrics registry snapshot (JSON-ready)."""
         return self.scheduler.metrics.snapshot()
-
-
-#: Terminal campaign statuses (query helpers/tests import these).
-TERMINAL = (COMPLETED, FAILED)

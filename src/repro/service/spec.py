@@ -1,10 +1,9 @@
 """Versioned campaign specifications (``repro-campaign-spec/1``).
 
-A :class:`CampaignSpec` is the unit of work a tenant submits to the
+A :class:`CampaignSpec` is the unit of work a client submits to the
 campaign service: a request kind (``grid`` | ``fuzz`` | ``chaos``), the
-workload/system/config/seed axes to cross, and scheduling metadata
-(priority, an optional arrival-process spec for load modeling).  Specs
-are validated eagerly at construction — an unknown workload or a
+workload/system/config/seed axes to cross, and a scheduling priority.
+Specs are validated eagerly at construction — an unknown workload or a
 misspelled TMI config knob fails at submission time with a
 :class:`~repro.errors.CampaignSpecError`, not an hour later inside a
 worker process — and serialize to a stable JSON document whose digest
@@ -19,12 +18,12 @@ digests for those cells and share results.
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field, fields as dc_fields
 
 from repro.core.config import TmiConfig
 from repro.errors import CampaignSpecError
 from repro.eval.systems import SYSTEM_NAMES
+from repro.service.store import write_json
 from repro.workloads import has as workload_exists
 
 #: Versioned spec format tag.
@@ -47,7 +46,7 @@ def _tuple(value):
 
 @dataclass
 class CampaignSpec:
-    """One tenant's experiment-campaign request.
+    """One experiment-campaign request.
 
     The cell axes are ``workloads x systems x configs x seeds``;
     ``seeds`` parameterize schedule fuzzing (``fuzz``) or fault plans
@@ -63,23 +62,15 @@ class CampaignSpec:
     seeds: tuple = (None,)
     scale: float = 0.1
     nthreads: object = None
-    #: Lower runs sooner (asyncio.PriorityQueue ordering).
+    #: Lower runs sooner (the scheduler's heap ordering).
     priority: int = 0
     name: str = ""
-    #: Submitting tenant (quota + fairness identity under the
-    #: resilience layer; empty = the anonymous default tenant).
-    #: Deliberately *not* part of any cell — two tenants requesting
-    #: the same cell share one cached result.
-    tenant: str = ""
     #: Schedule-perturbation policy for ``fuzz`` campaigns.
     policy: str = "random"
     #: Fault-rate intensity for ``chaos`` campaigns (see
     #: :func:`repro.faults.default_rates`).
     fault_intensity: float = 0.5
-    #: Arrival-process spec for load modeling, e.g.
-    #: ``{"process": "poisson", "rate": 4.0, "seed": 1}``.
-    arrival: object = None
-    #: Free-form tenant metadata (not part of any cell identity).
+    #: Free-form client metadata (not part of any cell identity).
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -126,16 +117,6 @@ class CampaignSpec:
             raise CampaignSpecError(f"bad scale {self.scale!r}")
         if not isinstance(self.priority, int):
             raise CampaignSpecError(f"bad priority {self.priority!r}")
-        if not isinstance(self.tenant, str):
-            raise CampaignSpecError(f"bad tenant {self.tenant!r}")
-        if self.arrival is not None:
-            if not isinstance(self.arrival, dict):
-                raise CampaignSpecError(
-                    f"arrival spec must be a dict "
-                    f"(got {self.arrival!r})")
-            if "process" not in self.arrival:
-                raise CampaignSpecError(
-                    "arrival spec needs a 'process' key")
 
     # ------------------------------------------------------------------
     # expansion
@@ -182,10 +163,9 @@ class CampaignSpec:
                 "configs": [dict(c) for c in self.configs],
                 "seeds": list(self.seeds), "scale": self.scale,
                 "nthreads": self.nthreads, "priority": self.priority,
-                "name": self.name, "tenant": self.tenant,
-                "policy": self.policy,
+                "name": self.name, "policy": self.policy,
                 "fault_intensity": self.fault_intensity,
-                "arrival": self.arrival, "meta": dict(self.meta)}
+                "meta": dict(self.meta)}
 
     @classmethod
     def from_dict(cls, data):
@@ -204,13 +184,7 @@ class CampaignSpec:
 
     def save(self, path):
         """Write the spec JSON to ``path`` (atomic); returns the path."""
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-        return path
+        return write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):

@@ -15,25 +15,75 @@ Canonicalization rules, pinned by the hypothesis property tests in
   changes the digest;
 - host-side execution knobs — ``REPRO_JOBS``, shard sizes, timeouts —
   are simply *not part of the cell*, so they cannot perturb the key;
-- the engine version is folded in, so an engine change invalidates the
-  whole cache instead of serving stale cycles;
+- the engine identity (:func:`engine_version`, a hash of every
+  ``.py`` file of the ``repro`` package) is folded in, so any change to
+  the code invalidates the whole cache instead of serving stale
+  cycles;
 - distinct cells serialize to distinct canonical strings (JSON of a
   sorted finite structure is injective up to value equality).
 
 Only harness-``ok`` results are stored: a failed or timed-out cell is
-worth re-attempting on the next submission, not caching.
+worth re-attempting on the next submission, not caching.  The store is
+also the campaign service's only checkpoint (see
+:mod:`repro.service.scheduler`), so a stale entry would be served as a
+resume as well as a cache hit; that is why the engine identity is
+taken from the code rather than from a version string.
 """
 
+import functools
 import hashlib
 import json
 import os
 
-from repro import __version__ as ENGINE_VERSION
 from repro.eval.parallel import CELL_OK
 from repro.eval.report import results_dir
 
 #: Versioned store-entry format tag.
 STORE_FORMAT = "repro-cell-result/1"
+
+
+#: The ``repro`` package directory (this file is ``service/store.py``).
+PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def package_identity(root):
+    """SHA-256 over every ``.py`` file under ``root``: each file's
+    sorted relative path plus its bytes.
+
+    The whole package is hashed, not a list of simulator directories:
+    a payload also depends on the runner, the grid's summary and the
+    store's own payload format, and a list would go stale.
+    """
+    paths = []
+    for directory, _, names in os.walk(root):
+        paths.extend(os.path.relpath(os.path.join(directory, name), root)
+                     for name in names if name.endswith(".py"))
+    digest = hashlib.sha256()
+    for rel in sorted(path.replace(os.sep, "/") for path in paths):
+        with open(os.path.join(root, rel), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def engine_version():
+    """This process's engine identity: :func:`package_identity` of the
+    ``repro`` package, computed once, on first use (not at import)."""
+    return package_identity(PACKAGE_DIR)
+
+
+def write_json(path, data):
+    """Atomically write ``data`` as sorted, indented JSON (tmp +
+    rename, so readers never see half a file); returns ``path``."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, path)
+    return path
 
 
 def _normalize(value):
@@ -57,11 +107,11 @@ def canonical_form(cell):
 
     Sorted keys and compact separators make the serialization a pure
     function of the cell's *value*, not of dict insertion order; the
-    engine version rides along so results never outlive the engine
+    engine identity rides along so results never outlive the code
     that computed them.
     """
     return json.dumps({"cell": _normalize(dict(cell)),
-                       "engine": ENGINE_VERSION},
+                       "engine": engine_version()},
                       sort_keys=True, separators=(",", ":"))
 
 
@@ -91,10 +141,10 @@ class ResultStore:
     """Filesystem-backed content-addressed cell-result cache.
 
     Entries live under ``<root>/<digest[:2]>/<digest>.json`` (two-level
-    fan-out keeps directories small at millions of cells).  Writes are
-    atomic (tmp + rename) so a crashed writer can never leave a
-    half-entry that later reads as a corrupt hit; an unreadable entry
-    is treated as a miss and overwritten by the next put.
+    fan-out keeps directories small).  Writes are atomic (tmp +
+    rename) so a crashed writer can never leave a half-entry that later
+    reads as a corrupt hit; an unreadable entry is treated as a miss
+    and overwritten by the next put.
     """
 
     def __init__(self, root=None):
@@ -146,10 +196,6 @@ class ResultStore:
         self.hits += 1
         return result
 
-    def has(self, digest):
-        """Whether ``digest`` resolves (without counting a hit/miss)."""
-        return os.path.exists(self.path(digest))
-
     def put(self, cell, status, summary, error=""):
         """Store one cell's result; returns the entry path or None.
 
@@ -159,20 +205,13 @@ class ResultStore:
         if status != CELL_OK:
             return None
         digest = cell_digest(cell)
-        path = self.path(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         result = result_payload(status, summary, error)
-        entry = {"format": STORE_FORMAT, "digest": digest,
-                 "key": json.loads(canonical_form(cell)),
-                 "payload_sha256": hashlib.sha256(
-                     payload_bytes(result)).hexdigest(),
-                 "result": result}
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(entry, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-        return path
+        return write_json(self.path(digest), {
+            "format": STORE_FORMAT, "digest": digest,
+            "key": json.loads(canonical_form(cell)),
+            "payload_sha256": hashlib.sha256(
+                payload_bytes(result)).hexdigest(),
+            "result": result})
 
     def stats(self):
         """Hit/miss counters plus the number of entries on disk."""

@@ -1,17 +1,17 @@
-"""Checkpointed grids: resume skips ok cells, re-attempts failures."""
+"""The shard step: the result store is the grid's only checkpoint.
 
-import json
+:func:`repro.eval.grid.run_checkpointed` puts every ok cell in the
+store before it returns, so resuming a grid means running the cells
+the store does not hold.
+"""
+
 import os
-import warnings
 
 import pytest
 
-from repro.errors import CheckpointError, ReproError
 from repro.eval import parallel
-from repro.eval.grid import (CHECKPOINT_FORMAT, cell_key,
-                             checkpoint_path, load_checkpoint,
-                             run_checkpointed, run_grid,
-                             summarize_outcome)
+from repro.eval.grid import run_checkpointed, summarize_outcome
+from repro.service import ResultStore, cell_digest
 
 
 def _marker_cell(cell):
@@ -28,11 +28,26 @@ def marker_pool(monkeypatch):
 
 
 class TestCellKey:
-    def test_stable_across_dict_ordering(self):
-        assert cell_key({"a": 1, "b": 2}) == cell_key({"b": 2, "a": 1})
+    """A cell's checkpoint key is its store digest."""
 
-    def test_distinct_cells_distinct_keys(self):
-        assert cell_key({"a": 1}) != cell_key({"a": 2})
+    def test_stable_across_dict_ordering(self, marker_pool, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        run_checkpointed([{"id": "a", "scale": 1}], store, jobs=1)
+        # a resume that builds the same cell in another key order
+        # finds the stored result
+        reordered = {"scale": 1, "id": "a"}
+        assert cell_digest(reordered) \
+            == cell_digest({"id": "a", "scale": 1})
+        assert store.get(cell_digest(reordered))["status"] == "ok"
+
+    def test_distinct_cells_distinct_keys(self, marker_pool, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        cells = [{"id": "a", "scale": 1}, {"id": "a", "scale": 2}]
+        run_checkpointed(cells, store, jobs=1)
+        assert cell_digest(cells[0]) != cell_digest(cells[1])
+        assert store.stats()["entries"] == 2
+        # a cell that differs in one value was never checkpointed
+        assert store.get(cell_digest({"id": "a", "scale": 3})) is None
 
 
 class TestSummarize:
@@ -40,138 +55,44 @@ class TestSummarize:
         assert summarize_outcome(None) is None
 
     def test_foreign_outcome_tolerated(self):
-        # checkpoint summaries must not explode on fake outcomes
+        # store summaries must not explode on fake outcomes
         summary = summarize_outcome({"not": "a RunOutcome"})
         assert summary["status"] is None and summary["cycles"] is None
 
 
 class TestResume:
-    def cells(self, tmp_path):
-        marker = str(tmp_path / "marker")
-        return marker, [{"id": "good"}, {"id": "bad", "need": marker}]
-
     def test_failure_then_resume(self, marker_pool, tmp_path):
-        marker, cells = self.cells(tmp_path)
-        out_dir = str(tmp_path / "ckpt")
+        marker = str(tmp_path / "marker")
+        cells = [{"id": "good"}, {"id": "bad", "need": marker}]
+        store = ResultStore(str(tmp_path / "store"))
 
-        first = run_checkpointed(cells, "demo", jobs=1,
-                                 out_dir=out_dir)
+        first = run_checkpointed(cells, store, jobs=1)
         assert [r.status for r in first] == ["ok", "failed"]
-        path = checkpoint_path("demo", out_dir=out_dir)
-        data = json.load(open(path))
-        assert data["format"] == CHECKPOINT_FORMAT
-        assert len(data["cells"]) == 2
+        # the ok cell is stored by the time the shard returns; the
+        # failed one is not
+        assert store.get(cell_digest(cells[0]))["status"] == "ok"
+        assert store.get(cell_digest(cells[1])) is None
 
-        # resume: the ok cell is restored, the failed one re-attempted
-        # (and now succeeds because its marker exists)
+        # resume: only the cell the store lacks runs again (and now
+        # succeeds because its marker exists)
         open(marker, "w").write("ready\n")
-        second = run_checkpointed(cells, "demo", jobs=1,
-                                  out_dir=out_dir)
-        good, bad = second
-        assert good.from_checkpoint and good.status == "ok"
-        assert good.outcome is None          # summary only, no re-run
-        assert not bad.from_checkpoint and bad.status == "ok"
-        assert bad.outcome["ran"] is True
-
-        # third run: everything restores, nothing executes
-        third = run_checkpointed(cells, "demo", jobs=1,
-                                 out_dir=out_dir)
-        assert all(r.from_checkpoint for r in third)
-
-    def test_fresh_discards_checkpoint(self, marker_pool, tmp_path):
-        marker, cells = self.cells(tmp_path)
-        out_dir = str(tmp_path / "ckpt")
-        open(marker, "w").write("ready\n")
-        run_checkpointed(cells, "demo", jobs=1, out_dir=out_dir)
-        records = run_checkpointed(cells, "demo", jobs=1,
-                                   out_dir=out_dir, fresh=True)
-        assert not any(r.from_checkpoint for r in records)
-
-    def test_bad_format_rejected(self, marker_pool, tmp_path):
-        out_dir = str(tmp_path / "ckpt")
-        path = checkpoint_path("demo", out_dir=out_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        json.dump({"format": "something-else/9", "cells": {}},
-                  open(path, "w"))
-        with pytest.raises(ValueError, match="unsupported"):
-            run_checkpointed([{"id": "x"}], "demo", jobs=1,
-                             out_dir=out_dir)
+        missing = [c for c in cells
+                   if store.get(cell_digest(c)) is None]
+        assert missing == [cells[1]]
+        (second,) = run_checkpointed(missing, store, jobs=1)
+        assert second.status == "ok" and second.outcome["ran"] is True
+        assert all(store.get(cell_digest(c)) is not None
+                   for c in cells)
 
 
 class TestCorruptedCheckpoint:
-    """A damaged checkpoint is a typed, named error — never a bare
-    ``JSONDecodeError`` pointing at nothing."""
-
-    def damaged(self, tmp_path, body='{"format": "x", trunc'):
-        out_dir = str(tmp_path / "ckpt")
-        os.makedirs(out_dir, exist_ok=True)
-        path = checkpoint_path("demo", out_dir=out_dir)
-        open(path, "w").write(body)
-        return out_dir, path
-
-    def test_truncated_json_raises_typed_error(self, tmp_path):
-        out_dir, path = self.damaged(tmp_path)
-        with pytest.raises(CheckpointError,
-                           match="truncated or corrupted") as info:
-            load_checkpoint(path)
-        assert info.value.path == path
-        assert path in str(info.value)     # names the culprit file
-        assert isinstance(info.value, ReproError)
-        assert isinstance(info.value, ValueError)
-        assert not isinstance(info.value, json.JSONDecodeError)
-
-    def test_run_checkpointed_propagates_by_default(self, marker_pool,
-                                                    tmp_path):
-        out_dir, path = self.damaged(tmp_path)
-        with pytest.raises(CheckpointError, match="corrupted"):
-            run_checkpointed([{"id": "x"}], "demo", jobs=1,
-                             out_dir=out_dir)
-
-    def test_malformed_cells_table_rejected(self, tmp_path):
-        out_dir, path = self.damaged(
-            tmp_path, '{"format": "%s", "cells": []}'
-            % CHECKPOINT_FORMAT)
-        with pytest.raises(CheckpointError, match="cells table"):
-            load_checkpoint(path)
-
     def test_missing_checkpoint_is_empty_not_error(self, tmp_path):
-        path = checkpoint_path("never", out_dir=str(tmp_path))
-        assert load_checkpoint(path) == {}
-
-    def test_fallback_fresh_warns_and_runs(self, marker_pool,
-                                           tmp_path):
-        out_dir, path = self.damaged(tmp_path)
+        root = str(tmp_path / "never")
+        store = ResultStore(root)
         cells = [{"id": "a"}, {"id": "b"}]
-        with pytest.warns(RuntimeWarning,
-                          match="resuming from a fresh run"):
-            records = run_checkpointed(cells, "demo", jobs=1,
-                                       out_dir=out_dir,
-                                       fallback_fresh=True)
-        assert [r.status for r in records] == ["ok", "ok"]
-        assert not any(r.from_checkpoint for r in records)
-        # the fresh run rewrote a valid checkpoint over the wreck
-        assert len(load_checkpoint(path)) == 2
-
-    def test_fallback_not_needed_no_warning(self, marker_pool,
-                                            tmp_path):
-        out_dir = str(tmp_path / "ckpt")
-        cells = [{"id": "a"}]
-        run_checkpointed(cells, "demo", jobs=1, out_dir=out_dir)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            records = run_checkpointed(cells, "demo", jobs=1,
-                                       out_dir=out_dir,
-                                       fallback_fresh=True)
-        assert records[0].from_checkpoint
-
-
-class TestGridReport:
-    def test_counts_and_summary(self, marker_pool, tmp_path):
-        out_dir = str(tmp_path / "ckpt")
-        cells = [{"id": "a"}, {"id": "b",
-                               "need": str(tmp_path / "never")}]
-        report = run_grid(cells, "rep", jobs=1, out_dir=out_dir)
-        assert report.counts == {"ok": 1, "failed": 1}
-        lines = report.summary_lines()
-        assert lines[0].startswith("grid rep:")
-        assert any("failed" in line for line in lines[1:])
+        # a store that was never written holds nothing: every cell
+        # misses, so a resume runs them all
+        assert [store.get(cell_digest(c)) for c in cells] \
+            == [None, None]
+        assert store.stats()["entries"] == 0
+        assert not os.path.exists(root)    # reading creates nothing

@@ -1,6 +1,8 @@
 """Shared program builders for the test suite."""
 
+import os
 import random
+import shutil
 
 from repro.baselines.pthreads import PthreadsRuntime
 from repro.engine import Engine, Program
@@ -219,3 +221,20 @@ def random_program(seed, nthreads=3, nlocks=2, nlines=4,
     program.validate = validate
     program.env = env
     return program
+
+
+def package_copy(dest, edit=True):
+    """Copy the ``repro`` package to ``dest``; with ``edit``, one cost
+    constant in ``sim/costs.py`` differs.  Returns the copy's path."""
+    from repro.service.store import PACKAGE_DIR
+    shutil.copytree(PACKAGE_DIR, dest,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if edit:
+        costs = os.path.join(dest, "sim", "costs.py")
+        with open(costs) as fh:
+            text = fh.read()
+        assert "mem_fill: int = 160" in text
+        with open(costs, "w") as fh:
+            fh.write(text.replace("mem_fill: int = 160",
+                                  "mem_fill: int = 161"))
+    return str(dest)

@@ -7,9 +7,11 @@ the canonical-form level — a serialization collision would silently
 serve one cell's cycles as another's.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import package_copy
 from repro.service import canonical_form, cell_digest
 
 # first draws pay hypothesis' strategy warm-up; irrelevant to the
@@ -80,9 +82,25 @@ def test_digest_is_stable_across_processes(cell):
     assert cell_digest(cell) == want
 
 
-def test_engine_version_invalidates_the_cache(monkeypatch):
+@settings(parent=_SETTINGS, max_examples=20,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(cell=_CELLS)
+def test_engine_version_invalidates_the_cache(cell, monkeypatch,
+                                              edited_identity):
+    """Every cell misses once a cost constant changes in the code."""
     from repro.service import store as store_mod
-    cell = {"name": "histogram", "system": "pthreads"}
     before = cell_digest(cell)
-    monkeypatch.setattr(store_mod, "ENGINE_VERSION", "999.0.0")
+    monkeypatch.setattr(store_mod, "engine_version",
+                        lambda: edited_identity)
     assert cell_digest(cell) != before
+    monkeypatch.undo()
+    assert cell_digest(cell) == before
+
+
+@pytest.fixture(scope="module")
+def edited_identity(tmp_path_factory):
+    """Engine identity of a package copy with one cost edited."""
+    from repro.service import package_identity
+    dest = tmp_path_factory.mktemp("pkg") / "repro"
+    return package_identity(package_copy(dest))

@@ -1,4 +1,4 @@
-"""Scheduler: ordering, backpressure, cache reuse, state, metrics.
+"""Scheduler: ordering, cache reuse, resume, state, metrics.
 
 Uses the grid harness' fake-runner seam (monkeypatching
 ``repro.eval.parallel._run_cell``) so campaigns execute instantly and
@@ -13,10 +13,10 @@ import os
 import pytest
 
 from repro.eval import parallel
-from repro.eval.grid import checkpoint_path
-from repro.service import (CAMPAIGN_FORMAT, COMPLETED, FAILED,
-                           CampaignScheduler, CampaignSpec,
-                           ResultStore, cell_digest)
+from repro.service import (CAMPAIGN_FORMAT, CELL_QUARANTINED,
+                           COMPLETED, CampaignScheduler,
+                           CampaignService, CampaignSpec,
+                           ServiceClient, cell_digest)
 
 
 def ok_runner(cell):
@@ -37,10 +37,7 @@ def ok_pool(monkeypatch):
 
 def make_scheduler(tmp_path, **kwargs):
     kwargs.setdefault("jobs", 1)
-    return CampaignScheduler(
-        store=ResultStore(str(tmp_path / "store")),
-        state_dir=str(tmp_path / "campaigns"),
-        checkpoint_dir=str(tmp_path / "ckpt"), **kwargs)
+    return CampaignScheduler(str(tmp_path), **kwargs)
 
 
 def grid_spec(**overrides):
@@ -51,10 +48,8 @@ def grid_spec(**overrides):
 
 
 def run_one(scheduler, job):
-    async def _run():
-        await scheduler.submit(job)
-        await scheduler.run_pending()
-    asyncio.run(_run())
+    scheduler.submit(job)
+    scheduler.run_pending()
     return job
 
 
@@ -108,16 +103,21 @@ class TestRunJob:
         assert job.counts()["total"] == 1       # one digest, run once
 
     def test_failed_cell_fails_campaign(self, tmp_path, monkeypatch):
+        """A cell that fails its replay is held out, not cached: it is
+        quarantined and the campaign completes without it."""
         monkeypatch.setattr(parallel, "_run_cell", flaky_runner)
         scheduler = make_scheduler(tmp_path)
         job = run_one(scheduler, scheduler.make_job("f1", grid_spec()))
 
-        assert job.status == FAILED
+        assert job.status == COMPLETED
         counts = job.counts()
-        assert counts["ok"] == 1 and counts["failed"] == 1
+        assert counts["ok"] == 1 and counts[CELL_QUARANTINED] == 1
+        assert counts["failed"] == 0
         ok_cell, bad_cell = job.spec.cells()
         assert scheduler.store.get(cell_digest(ok_cell)) is not None
         assert scheduler.store.get(cell_digest(bad_cell)) is None
+        assert scheduler.resilience.quarantine.digests() \
+            == [cell_digest(bad_cell)]
 
     def test_resume_reruns_only_unfinished(self, tmp_path,
                                            monkeypatch):
@@ -125,87 +125,62 @@ class TestRunJob:
         scheduler = make_scheduler(tmp_path)
         first = run_one(scheduler,
                         scheduler.make_job("r1", grid_spec()))
-        assert first.status == FAILED
+        assert first.counts()[CELL_QUARANTINED] == 1
 
-        # service restarts with the failure's cause gone: the same
-        # campaign id resumes from its state file, the previously-ok
-        # cell is not re-executed
-        monkeypatch.setattr(parallel, "_run_cell", ok_runner)
+        # the failure's cause is fixed and the poison released: the
+        # same campaign id runs again, and the previously-ok cell
+        # comes back from the store instead of the pool
+        ran = []
+
+        def recording(cell):
+            ran.append(cell["name"])
+            return dict(cell, ran=True)
+        monkeypatch.setattr(parallel, "_run_cell", recording)
+        scheduler.resilience.quarantine.release(
+            cell_digest(grid_spec().cells()[1]))
         second = run_one(scheduler,
                          scheduler.make_job("r1", grid_spec()))
         assert second.status == COMPLETED
         counts = second.counts()
         assert counts["ok"] == counts["total"] == 2
-        # the ok cell kept its original executed record; only the
-        # failed one went back to the pool
-        statuses = {entry["cell"]["name"]: entry["source"]
-                    for entry in second.cells.values()}
-        assert statuses["histogram"] == "executed"
+        assert ran == ["histogramfs"]
+        sources = {entry["cell"]["name"]: entry["source"]
+                   for entry in second.cells.values()}
+        assert sources == {"histogram": "cache",
+                           "histogramfs": "executed"}
 
     def test_completed_campaign_drops_checkpoint(self, ok_pool,
                                                  tmp_path):
+        """The store is the only checkpoint: a finished campaign
+        leaves no grid checkpoint behind."""
         scheduler = make_scheduler(tmp_path)
         job = run_one(scheduler, scheduler.make_job("ck", grid_spec()))
         assert job.status == COMPLETED
-        path = checkpoint_path("campaign-ck",
-                               out_dir=scheduler.checkpoint_dir)
-        assert not os.path.exists(path)
+        assert sorted(os.listdir(tmp_path)) \
+            == ["campaigns", "service-state.json", "store"]
 
 
 class TestQueue:
     def test_priority_then_submission_order(self, ok_pool, tmp_path):
         scheduler = make_scheduler(tmp_path)
-
-        async def _run():
-            for name, priority in (("late", 5), ("urgent", 0),
-                                   ("late2", 5)):
-                spec = grid_spec(workloads=("histogram",),
-                                 priority=priority)
-                await scheduler.submit(scheduler.make_job(name, spec))
-            return await scheduler.run_pending()
-
-        done = asyncio.run(_run())
+        for name, priority in (("late", 5), ("urgent", 0),
+                               ("late2", 5)):
+            spec = grid_spec(workloads=("histogram",),
+                             priority=priority)
+            scheduler.submit(scheduler.make_job(name, spec))
+        done = scheduler.run_pending()
         assert [job.id for job in done] == ["urgent", "late", "late2"]
-
-    def test_full_queue_applies_backpressure(self, ok_pool, tmp_path):
-        """A full queue drains inline: submit and drain share one
-        task, so a blocking put would deadlock — instead the second
-        submit runs the queued job before its own enqueue proceeds."""
-        scheduler = make_scheduler(tmp_path, queue_limit=1)
-
-        async def _run():
-            spec = grid_spec(workloads=("histogram",))
-            first = scheduler.make_job("a", spec)
-            await scheduler.submit(first)
-            await asyncio.wait_for(
-                scheduler.submit(scheduler.make_job("b", spec)),
-                timeout=30.0)
-            # submitting "b" paid by draining "a" to completion
-            assert first.status == COMPLETED
-            # the inline-drained job is still reported
-            done = await scheduler.run_pending()
-            assert [job.id for job in done] == ["a", "b"]
-
-        asyncio.run(_run())
-        counters = scheduler.metrics.snapshot()["counters"]
-        assert counters["campaign.backpressure"] == 1
 
     def test_over_limit_submission_burst_never_hangs(self, ok_pool,
                                                      tmp_path):
-        """Regression: >queue_limit submissions from one task used to
-        block forever on the 65th put (no concurrent consumer)."""
-        scheduler = make_scheduler(tmp_path, queue_limit=2)
-
-        async def _run():
-            spec = grid_spec(workloads=("histogram",))
-            for index in range(5):
-                await scheduler.submit(
-                    scheduler.make_job(f"burst-{index}", spec))
-            return await scheduler.run_pending()
-
-        done = asyncio.run(asyncio.wait_for(_run(), timeout=60.0))
-        # inline drains finished the early jobs, run_pending the rest
-        # — and run_pending reports them all
+        """Regression: a burst of submissions used to block on a
+        bounded queue; the heap is unbounded and run_pending reports
+        every job."""
+        scheduler = make_scheduler(tmp_path)
+        spec = grid_spec(workloads=("histogram",))
+        for index in range(5):
+            scheduler.submit(scheduler.make_job(f"burst-{index}", spec))
+        done = scheduler.run_pending()
         assert sorted(job.id for job in done) \
             == [f"burst-{index}" for index in range(5)]
         for index in range(5):
@@ -215,14 +190,17 @@ class TestQueue:
 
     def test_scheduler_reusable_across_event_loops(self, ok_pool,
                                                    tmp_path):
-        """One scheduler across several asyncio.run calls: the lazy
-        queue re-binds to each fresh loop instead of hanging on a
-        dead one."""
-        scheduler = make_scheduler(tmp_path, queue_limit=1)
+        """One service across several asyncio.run calls (how callers
+        drive ``serve``): the scheduler holds no event-loop state, so
+        every fresh loop finishes its campaigns."""
+        service = CampaignService(root=str(tmp_path / "svc"), jobs=1)
+        client = ServiceClient(service.root)
         for index in range(3):
-            job = run_one(scheduler, scheduler.make_job(
-                f"loop-{index}", grid_spec(workloads=("histogram",))))
-            assert job.status == COMPLETED
+            campaign_id = client.submit(
+                grid_spec(workloads=("histogram",)), f"loop-{index}")
+            done = asyncio.run(service.serve(once=True))
+            assert [job.id for job in done] == [campaign_id]
+            assert done[0].status == COMPLETED
 
 
 class TestMetrics:

@@ -1,11 +1,10 @@
-"""Resilience layer: retry budgets, quarantine, quotas, supervision.
+"""The one failure policy: one replay, then quarantine.
 
 Uses the grid harness' fake-runner seam (monkeypatching
 ``repro.eval.parallel._run_cell``) like the scheduler tests, so
-attempts, backoff rounds, and quarantine decisions are deterministic
-and instant.  The restart tests at the bottom are fork-gated: they
-SIGKILL a forked service mid-campaign and prove the supervision state
-survives.
+replays and quarantine decisions are deterministic and instant.  The
+restart test at the bottom is fork-gated: it SIGKILLs a forked service
+mid-campaign and proves the quarantine and the store survive.
 """
 
 import asyncio
@@ -20,13 +19,11 @@ import pytest
 from repro.errors import ReproError, ServiceTimeoutError
 from repro.eval import parallel
 from repro.eval.parallel import CELL_OK
-from repro.service import (CELL_QUARANTINED, COMPLETED, FAILED,
+from repro.service import (CELL_QUARANTINED, COMPLETED,
                            QUARANTINE_FORMAT, SERVICE_STATE_FORMAT,
                            SOURCE_QUARANTINE, CampaignScheduler,
                            CampaignService, CampaignSpec,
-                           ResiliencePolicy, ResilienceSupervisor,
-                           ResultStore, ServiceClient, TenantQueues,
-                           cell_digest)
+                           ServiceClient, cell_digest)
 
 _MAIN_PID = os.getpid()
 
@@ -55,16 +52,10 @@ def transient_runner(failures=1):
     return _run
 
 
-def make_scheduler(tmp_path, policy=None, root="svc", **kwargs):
+def make_scheduler(tmp_path, root="svc", **kwargs):
     kwargs.setdefault("jobs", 1)
-    base = str(tmp_path / root)
-    sup = ResilienceSupervisor(base, policy=policy)
-    scheduler = CampaignScheduler(
-        store=ResultStore(os.path.join(base, "store")),
-        state_dir=os.path.join(base, "campaigns"),
-        checkpoint_dir=os.path.join(base, "ckpt"),
-        resilience=sup, **kwargs)
-    return scheduler, sup
+    scheduler = CampaignScheduler(str(tmp_path / root), **kwargs)
+    return scheduler, scheduler.resilience
 
 
 def grid_spec(**overrides):
@@ -75,10 +66,8 @@ def grid_spec(**overrides):
 
 
 def run_one(scheduler, job):
-    async def _run():
-        await scheduler.submit(job)
-        await scheduler.run_pending()
-    asyncio.run(_run())
+    scheduler.submit(job)
+    scheduler.run_pending()
     return job
 
 
@@ -95,9 +84,10 @@ def events_of(job, kind):
 class TestRetryBudget:
     def test_budget_exhaustion_quarantines_in_order(self, tmp_path,
                                                     monkeypatch):
+        """The budget is one replay: a poison cell runs twice, then
+        is quarantined at once."""
         monkeypatch.setattr(parallel, "_run_cell", poison_runner)
-        policy = ResiliencePolicy(max_attempts=3)
-        scheduler, sup = make_scheduler(tmp_path, policy=policy)
+        scheduler, sup = make_scheduler(tmp_path)
         job = run_one(scheduler, scheduler.make_job("b1", grid_spec()))
 
         # the quarantined cell is held out, not a campaign failure
@@ -106,31 +96,25 @@ class TestRetryBudget:
         by_name = {e["cell"]["name"]: e for e in job.cells.values()}
         assert by_name["histogram"]["status"] == CELL_OK
         assert by_name["histogramfs"]["status"] == CELL_QUARANTINED
+        assert by_name["histogramfs"]["retried"]
         # a quarantined cell never reaches the cache
         assert scheduler.store.get(digest) is None
 
-        # attempts are logged 1..max_attempts, in order
-        attempts = [e["attempt"] for e in events_of(job, "cell_attempt")
-                    if e["digest"] == digest[:12]]
-        assert attempts == [1, 2, 3]
-
-        # each retry's due round is the previous round plus the policy's
-        # backoff plus the seeded jitter — exactly reproducible
-        retries = [e for e in events_of(job, "cell_retry")]
-        assert len(retries) == 2
-        due1 = policy.backoff_rounds(1) + policy.jitter("b1", digest, 1)
-        due2 = due1 + policy.backoff_rounds(2) \
-            + policy.jitter("b1", digest, 2)
-        assert [e["due_round"] for e in retries] == [due1, due2]
+        # the replay is logged before the quarantine, once each
+        kinds = [e["kind"] for e in job.log.events
+                 if e.get("digest") == digest[:12]]
+        assert kinds == ["cell_replayed", "cell_quarantined"]
 
         entry = sup.quarantine.get(digest)
         assert entry["format"] == QUARANTINE_FORMAT
-        assert entry["attempts"] == 3
-        assert entry["reason"] == "retry budget exhausted (3 attempts)"
+        assert entry["attempts"] == 2
+        assert entry["reason"] == "failed its replay"
         assert entry["cell"]["name"] == "histogramfs"
+        assert entry["error"] == ("RuntimeError: injected poison; "
+                                  "replay: RuntimeError: injected poison")
 
         counters = scheduler.metrics.snapshot()["counters"]
-        assert counters["service.retry"] == 2
+        assert counters["service.retry"] == 1
         assert counters["service.quarantined"] == 1
 
     def test_transient_failure_retries_to_success(self, tmp_path,
@@ -141,43 +125,30 @@ class TestRetryBudget:
 
         assert job.status == COMPLETED
         assert job.counts()["ok"] == job.counts()["total"] == 2
+        assert job.counts()["retried"] == 1
         assert sup.quarantine.digests() == []
         assert scheduler.store.get(poison_digest()) is not None
-        # the recovery went through a parked retry round
-        assert events_of(job, "campaign_retry_round")
+        # the recovery was the cell's one replay
+        assert events_of(job, "cell_replayed")
         counters = scheduler.metrics.snapshot()["counters"]
         assert counters["service.retry"] == 1
         assert "service.quarantined" not in counters
-
-    def test_campaign_retry_cap_fails_the_campaign(self, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setattr(parallel, "_run_cell", poison_runner)
-        policy = ResiliencePolicy(max_attempts=50,
-                                  max_campaign_retries=2)
-        scheduler, sup = make_scheduler(tmp_path, policy=policy)
-        job = run_one(scheduler, scheduler.make_job("c1", grid_spec()))
-
-        # budget not exhausted per cell, but the campaign cap is spent
-        assert job.status == FAILED
-        assert events_of(job, "campaign_retry_cap")
-        assert sup.quarantine.digests() == []
 
 
 class TestQuarantinePersistence:
     def quarantine_one(self, tmp_path, monkeypatch, campaign="q1"):
         monkeypatch.setattr(parallel, "_run_cell", poison_runner)
-        policy = ResiliencePolicy(max_attempts=2)
-        scheduler, sup = make_scheduler(tmp_path, policy=policy)
+        scheduler, sup = make_scheduler(tmp_path)
         job = run_one(scheduler,
                       scheduler.make_job(campaign, grid_spec()))
         assert job.status == COMPLETED
         digest = poison_digest()
         assert sup.quarantine.contains(digest)
-        return digest, policy
+        return digest
 
     def test_quarantine_survives_restart_and_skips(self, tmp_path,
                                                    monkeypatch):
-        digest, policy = self.quarantine_one(tmp_path, monkeypatch)
+        digest = self.quarantine_one(tmp_path, monkeypatch)
 
         calls = []
 
@@ -187,10 +158,8 @@ class TestQuarantinePersistence:
         monkeypatch.setattr(parallel, "_run_cell", recording)
 
         # a brand-new supervisor on the same root sees the quarantine
-        # and the persisted attempt counts
-        scheduler, sup = make_scheduler(tmp_path, policy=policy)
+        scheduler, sup = make_scheduler(tmp_path)
         assert sup.is_quarantined(digest)
-        assert sup.attempt_count("q1", digest) == 2
 
         job = run_one(scheduler, scheduler.make_job("q2", grid_spec()))
         assert job.status == COMPLETED
@@ -205,9 +174,9 @@ class TestQuarantinePersistence:
         assert counts["cache_hits"] == 1 and counts["executed"] == 0
 
     def test_released_cell_reexecutes(self, tmp_path, monkeypatch):
-        digest, policy = self.quarantine_one(tmp_path, monkeypatch)
+        digest = self.quarantine_one(tmp_path, monkeypatch)
 
-        scheduler, sup = make_scheduler(tmp_path, policy=policy)
+        scheduler, sup = make_scheduler(tmp_path)
         assert sup.quarantine.release(digest)
         assert not sup.quarantine.release(digest)  # idempotent: gone
         monkeypatch.setattr(parallel, "_run_cell", ok_runner)
@@ -220,152 +189,83 @@ class TestQuarantinePersistence:
 
     def test_released_still_poison_requarantines_at_once(
             self, tmp_path, monkeypatch):
-        digest, policy = self.quarantine_one(tmp_path, monkeypatch)
+        digest = self.quarantine_one(tmp_path, monkeypatch)
 
-        scheduler, sup = make_scheduler(tmp_path, policy=policy)
+        scheduler, sup = make_scheduler(tmp_path)
         sup.quarantine.release(digest)
-        retries_before = scheduler.metrics.snapshot()["counters"] \
-            .get("service.retry", 0)
 
-        # still poisoned: the persisted attempt count is already at the
-        # budget, so the first new failure quarantines without another
-        # backoff cycle
+        # still poisoned: its attempt and its one replay fail, and it
+        # is back in quarantine within the same campaign run
         job = run_one(scheduler, scheduler.make_job("q1", grid_spec()))
         assert job.status == COMPLETED
         assert sup.quarantine.contains(digest)
-        assert sup.quarantine.get(digest)["attempts"] == 3
+        assert sup.quarantine.get(digest)["attempts"] == 2
         counters = scheduler.metrics.snapshot()["counters"]
-        assert counters.get("service.retry", 0) == retries_before
+        assert counters["service.retry"] == 1
+        assert counters["service.quarantined"] == 1
 
 
 class TestSupervisionState:
     def test_state_artifact_round_trips(self, tmp_path, monkeypatch):
         monkeypatch.setattr(parallel, "_run_cell", poison_runner)
-        policy = ResiliencePolicy(max_attempts=2)
-        scheduler, sup = make_scheduler(tmp_path, policy=policy)
-        spec = grid_spec(tenant="acme")
-        run_one(scheduler, scheduler.make_job("s1", spec))
+        scheduler, sup = make_scheduler(tmp_path)
+        run_one(scheduler, scheduler.make_job("s1", grid_spec()))
 
-        digest = poison_digest()
         state = json.load(open(sup.state_path))
-        assert state["format"] == SERVICE_STATE_FORMAT
-        assert state["quarantined"] == [digest]
-        assert state["campaigns"]["s1"]["attempts"] == {digest: 2}
-        assert state["tenants"]["acme"]["completed"] == 1
-
-        fresh = ResilienceSupervisor(sup.root, policy=policy)
-        assert fresh.attempt_count("s1", digest) == 2
-        assert fresh.tenant_stats["acme"]["completed"] == 1
+        assert state == {"format": SERVICE_STATE_FORMAT,
+                         "quarantined": [poison_digest()]}
+        _, fresh = make_scheduler(tmp_path)
+        assert fresh.snapshot() == state
 
     def test_byte_identical_state_for_identical_histories(
             self, tmp_path, monkeypatch):
         monkeypatch.setattr(parallel, "_run_cell", poison_runner)
         paths = []
         for root in ("one", "two"):
-            policy = ResiliencePolicy(max_attempts=2)
-            scheduler, sup = make_scheduler(tmp_path, policy=policy,
-                                            root=root)
+            scheduler, sup = make_scheduler(tmp_path, root=root)
             job = run_one(scheduler,
                           scheduler.make_job("same", grid_spec()))
-            paths.append((sup.state_path, job.state_path))
-        (state_a, campaign_a), (state_b, campaign_b) = paths
-        assert open(state_a, "rb").read() == open(state_b, "rb").read()
-        assert open(campaign_a, "rb").read() \
-            == open(campaign_b, "rb").read()
+            paths.append((sup.state_path, job.state_path,
+                          sup.quarantine.path(poison_digest())))
+        for path_a, path_b in zip(*paths):
+            assert open(path_a, "rb").read() == open(path_b, "rb").read()
 
-    def test_corrupt_state_files_mean_fresh_start(self, tmp_path):
-        base = str(tmp_path / "svc")
-        sup = ResilienceSupervisor(base)
-        sup.attempts["c"] = {"d": 1}
-        sup.save_state()
+    def test_corrupt_state_files_mean_fresh_start(self, tmp_path,
+                                                  monkeypatch):
+        """The quarantine directory is authoritative: a corrupt
+        supervision record is rewritten from it, not read."""
+        monkeypatch.setattr(parallel, "_run_cell", poison_runner)
+        scheduler, sup = make_scheduler(tmp_path)
+        run_one(scheduler, scheduler.make_job("c1", grid_spec()))
         open(sup.state_path, "w").write('{"format": "repro-serv')
-        open(sup.health_path, "w").write("not json")
-        fresh = ResilienceSupervisor(base)
-        assert fresh.attempts == {}
-        assert fresh.round == 0
+
+        scheduler, fresh = make_scheduler(tmp_path)
+        monkeypatch.setattr(parallel, "_run_cell", ok_runner)
+        run_one(scheduler, scheduler.make_job("c2", grid_spec()))
+        assert json.load(open(fresh.state_path))["quarantined"] \
+            == [poison_digest()]
 
 
 class TestTenantFairness:
-    def test_weighted_round_robin_interleaves(self):
-        policy = ResiliencePolicy(tenant_weights={"acme": 2,
-                                                  "bolt": 1})
-        queues = TenantQueues(policy)
-        for seq, name in enumerate(("a1", "a2", "a3", "a4")):
-            queues.push("acme", (0, seq, name))
-        for seq, name in enumerate(("b1", "b2")):
-            queues.push("bolt", (0, seq, name))
-        order = [queues.pop()[2] for _ in range(6)]
-        # acme's double weight shows up as 2:1 interleaving until bolt
-        # drains, then acme finishes alone
-        assert order == ["a1", "b1", "a2", "b2", "a3", "a4"]
-        assert queues.pop() is None
+    """Every campaign shares the one priority heap."""
 
-    def test_priority_holds_within_a_tenant(self):
-        queues = TenantQueues(ResiliencePolicy())
-        queues.push("acme", (5, 0, "late"))
-        queues.push("acme", (0, 1, "urgent"))
-        assert queues.pop()[2] == "urgent"
-
-    def test_prefer_forces_the_flooding_tenant(self):
-        queues = TenantQueues(ResiliencePolicy())
-        queues.push("acme", (0, 0, "a1"))
-        queues.push("bolt", (0, 1, "b1"))
-        assert queues.pop(prefer="bolt")[2] == "b1"
-
-    def test_quota_backpressure_drains_own_queue(self, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setattr(parallel, "_run_cell", ok_runner)
-        policy = ResiliencePolicy(tenant_max_queued=1)
-        scheduler, sup = make_scheduler(tmp_path, policy=policy)
-        spec = grid_spec(workloads=("histogram",), tenant="noisy")
-
-        async def _run():
-            first = scheduler.make_job("n1", spec)
-            await scheduler.submit(first)
-            await scheduler.submit(scheduler.make_job("n2", spec))
-            # the second submit paid its quota by draining the first
-            assert first.status == COMPLETED
-            done = await scheduler.run_pending()
-            assert sorted(j.id for j in done) == ["n1", "n2"]
-
-        asyncio.run(_run())
-        counters = scheduler.metrics.snapshot()["counters"]
-        assert counters[
-            "service.tenant.backpressure{tenant=noisy}"] == 1
-        assert counters[
-            "service.tenant.submitted{tenant=noisy}"] == 2
-        assert counters["campaign.backpressure"] == 1
-
-
-class TestWatchdog:
-    def test_no_history_passes_the_default_through(self):
-        sup = ResilienceSupervisor("unused-root")
-        assert sup.shard_timeout(["d1"], 30.0) == (30.0, False)
-
-    def test_partial_history_never_engages(self):
-        sup = ResilienceSupervisor("unused-root")
-        sup.record_success("d1", 0.2)
-        assert sup.shard_timeout(["d1", "d2"], None) == (None, False)
-
-    def test_full_history_bounds_an_unbounded_shard(self):
-        policy = ResiliencePolicy(hung_multiplier=4.0,
-                                  min_watchdog_seconds=0.5)
-        sup = ResilienceSupervisor("unused-root", policy=policy)
-        sup.record_success("d1", 2.0)
-        sup.record_success("d2", 1.0)
-        assert sup.shard_timeout(["d1", "d2"], None) == (8.0, True)
-
-    def test_tight_default_wins_over_the_bound(self):
-        sup = ResilienceSupervisor("unused-root")
-        sup.record_success("d1", 2.0)
-        assert sup.shard_timeout(["d1"], 5.0) == (5.0, False)
-
-    def test_history_keeps_the_max_and_floors_the_bound(self):
-        sup = ResilienceSupervisor("unused-root")
-        sup.record_success("d1", 0.01)
-        sup.record_success("d1", 0.002)  # max() keeps the first
-        bound, engaged = sup.shard_timeout(["d1"], None)
-        assert engaged and bound == sup.policy.min_watchdog_seconds
+    def test_priority_holds_within_a_tenant(self, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setattr(parallel, "_run_cell", poison_runner)
+        scheduler, sup = make_scheduler(tmp_path)
+        late = scheduler.make_job("late", grid_spec(priority=5))
+        urgent = scheduler.make_job(
+            "urgent", grid_spec(workloads=("histogram",), priority=0))
+        scheduler.submit(late)
+        scheduler.submit(urgent)
+        # the later, more urgent campaign runs first; the quarantine
+        # the earlier one triggers does not reorder the heap
+        done = scheduler.run_pending()
+        assert [job.id for job in done] == ["urgent", "late"]
+        assert urgent.status == late.status == COMPLETED
+        assert not events_of(urgent, "cell_quarantined")
+        assert len(events_of(late, "cell_quarantined")) == 1
+        assert sup.quarantine.digests() == [poison_digest()]
 
 
 class TestClientWait:
@@ -404,17 +304,16 @@ class TestKillRestart:
 
     def test_sigkilled_service_resumes_with_quarantine(
             self, tmp_path, monkeypatch):
-        """SIGKILL mid-campaign: quarantine + attempts survive."""
+        """SIGKILL mid-campaign: the quarantine and the store survive,
+        and only the cells the store lacks run again."""
         monkeypatch.setattr(parallel, "_run_cell", self._chaos_cell)
         root = str(tmp_path / "svc")
-        policy = ResiliencePolicy(max_attempts=1, jitter_rounds=0)
         spec = grid_spec(workloads=("histogram", "histogramfs",
                                     "lreg"))
         digest = poison_digest(spec)
 
         def child():
-            service = CampaignService(root=root, jobs=1,
-                                      resilience=policy)
+            service = CampaignService(root=root, jobs=1)
             service.run_spec(spec, campaign_id="kill-1")
 
         proc = multiprocessing.Process(target=child)
@@ -429,14 +328,19 @@ class TestKillRestart:
         os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=10)
 
+        ran = []
+
+        def recording(cell):
+            ran.append(cell["name"])
+            return self._chaos_cell(cell)
+        monkeypatch.setattr(parallel, "_run_cell", recording)
+
         # restart on the same root: the campaign is non-terminal, the
-        # quarantine and attempt counts come back from disk, and a
-        # graceful drain finishes everything that isn't held
-        revived = CampaignService(root=root, jobs=1,
-                                  resilience=policy)
+        # quarantine comes back from disk, and a graceful drain
+        # finishes everything that isn't held
+        revived = CampaignService(root=root, jobs=1)
         sup = revived.resilience
         assert sup.is_quarantined(digest)
-        assert sup.attempt_count("kill-1", digest) == 1
         assert "kill-1" in revived.incomplete_campaigns()
 
         done = asyncio.run(revived.serve(drain=True))
@@ -448,4 +352,8 @@ class TestKillRestart:
         assert by_name["histogram"]["status"] == CELL_OK
         assert by_name["lreg"]["status"] == CELL_OK
         assert by_name["histogramfs"]["status"] == CELL_QUARANTINED
-        assert sup.quarantine.get(digest)["attempts"] == 1
+        assert sup.quarantine.get(digest)["attempts"] == 2
+        # the cell that finished before the kill came from the store
+        assert by_name["histogram"]["source"] == "cache"
+        assert ran == ["lreg"]
+        assert not os.path.exists(os.path.join(root, "checkpoints"))

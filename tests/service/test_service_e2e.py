@@ -159,16 +159,7 @@ class TestRestartResume:
         assert all(row["result"] is not None for row in rows)
 
 
-class TestArrivalIntegration:
-    def test_poisson_stream_all_cached(self, service, primed):
-        spec = narrow_spec(
-            arrival={"process": "poisson", "rate": 100.0, "seed": 1})
-        jobs = asyncio.run(
-            service.submit_stream(spec, count=3, time_scale=0.0))
-        assert len(jobs) == 3
-        assert all(job.status == COMPLETED for job in jobs)
-        assert all(job.cache_hit_fraction() == 1.0 for job in jobs)
-
+class TestMetrics:
     def test_metrics_snapshot_is_json_ready(self, service):
         snap = service.metrics_snapshot()
         json.dumps(snap)

@@ -50,18 +50,6 @@ class TestValidation:
         with pytest.raises(CampaignSpecError, match=">= 1 workload"):
             CampaignSpec(workloads=())
 
-    def test_arrival_needs_process_key(self):
-        with pytest.raises(CampaignSpecError, match="process"):
-            grid_spec(arrival={"rate": 2.0})
-
-    def test_arrival_must_be_a_dict(self):
-        # a non-container used to escape as TypeError; a string
-        # containing "process" used to pass validation entirely
-        with pytest.raises(CampaignSpecError, match="must be a dict"):
-            grid_spec(arrival=3)
-        with pytest.raises(CampaignSpecError, match="must be a dict"):
-            grid_spec(arrival="process: poisson")
-
     def test_error_is_value_error(self):
         # argparse/except ValueError call sites keep working
         with pytest.raises(ValueError):
@@ -110,8 +98,7 @@ class TestCells:
 
 class TestRoundTrip:
     def test_dict_round_trip(self):
-        spec = grid_spec(priority=3, name="t",
-                         arrival={"process": "poisson", "rate": 2.0})
+        spec = grid_spec(priority=3, name="t", meta={"owner": "ci"})
         clone = CampaignSpec.from_dict(spec.to_dict())
         assert clone.to_dict() == spec.to_dict()
         assert clone.cells() == spec.cells()
@@ -122,6 +109,15 @@ class TestRoundTrip:
         clone = CampaignSpec.load(path)
         assert clone.to_dict() == spec.to_dict()
         assert json.load(open(path))["format"] == SPEC_FORMAT
+
+    @pytest.mark.parametrize("key, value", [("tenant", ""),
+                                            ("arrival", None)])
+    def test_retired_fields_rejected(self, key, value):
+        """Tenant and arrival fields were removed: a document that
+        still carries them fails with the typed error."""
+        data = dict(grid_spec().to_dict(), **{key: value})
+        with pytest.raises(CampaignSpecError, match=key):
+            CampaignSpec.from_dict(data)
 
     def test_wrong_format_tag_rejected(self):
         data = grid_spec().to_dict()

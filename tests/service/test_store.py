@@ -3,9 +3,12 @@
 import json
 import os
 
+from helpers import package_copy
 from repro.eval.parallel import CELL_FAILED, CELL_OK, CELL_TIMEOUT
 from repro.service import (STORE_FORMAT, ResultStore, canonical_form,
-                           cell_digest, payload_bytes, result_payload)
+                           cell_digest, engine_version,
+                           package_identity, payload_bytes,
+                           result_payload)
 
 CELL = {"name": "histogram", "system": "pthreads", "scale": 0.05}
 
@@ -24,7 +27,17 @@ class TestDigest:
         assert cell_digest(CELL) != cell_digest(dict(CELL, scale=0.1))
 
     def test_engine_version_folded_in(self):
-        assert '"engine"' in canonical_form(CELL)
+        engine = json.loads(canonical_form(CELL))["engine"]
+        assert engine == engine_version()
+        assert len(engine) == 64 and int(engine, 16) >= 0
+
+    def test_engine_identity_tracks_the_code(self, tmp_path):
+        """A copy of the package hashes like the original; editing one
+        cost constant changes the identity."""
+        copy = package_copy(tmp_path / "same", edit=False)
+        assert package_identity(copy) == engine_version()
+        edited = package_copy(tmp_path / "edited")
+        assert package_identity(edited) != engine_version()
 
     def test_tmiconfig_dataclass_normalizes_like_its_dict(self):
         from repro.core.config import TmiConfig
