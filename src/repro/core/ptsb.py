@@ -23,7 +23,7 @@ class PageTwinningStoreBuffer:
 
     def __init__(self, process, machine, costs,
                  huge_commit_optimization=True, on_commit=None,
-                 faults=None, on_conflict=None):
+                 faults=None, on_conflict=None, routed=False):
         self.process = process
         self.machine = machine
         self.costs = costs
@@ -39,6 +39,9 @@ class PageTwinningStoreBuffer:
         self.twin_bytes_peak = 0
         process.aspace.cow_hook = self.capture_twin
         process.ptsb = self
+        # code-centric consistency routes some accesses around the
+        # PTSB (SimProcess.routed); Sheriff's never does
+        process.routed = routed
 
     # ------------------------------------------------------------------
     # twin capture (invoked from the COW fault path)

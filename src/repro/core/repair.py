@@ -256,7 +256,8 @@ class RepairManager:
                 process, self.engine.machine, self.engine.costs,
                 self.config.huge_commit_optimization,
                 on_commit=self._on_commit, faults=self.faults,
-                on_conflict=self.note_conflict)
+                on_conflict=self.note_conflict,
+                routed=self.config.code_centric)
 
     def _on_commit(self, info):
         self.stats.note_commit(info)

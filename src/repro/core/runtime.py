@@ -176,13 +176,13 @@ class TmiRuntime(RuntimeHooks):
     # memory: code-centric routing
     # ------------------------------------------------------------------
     def translate(self, engine, thread, op, va, width, is_write):
+        # the engine calls this only for the accesses a routed process
+        # may send around its PTSB (SimProcess.routed, set at install
+        # from config.code_centric); the policy makes the call
         aspace = thread.process.aspace
         if thread.process.ptsb is not None and \
                 self.policy.access_bypasses_ptsb(thread, op):
             return Translation(pa=aspace.shared_pa(va), cost=0)
-        pa = aspace.fast_pa(va, width)
-        if pa is not None:
-            return Translation(pa=pa, cost=0)
         return aspace.translate(va, width, is_write)
 
     # ------------------------------------------------------------------

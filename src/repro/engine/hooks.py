@@ -69,15 +69,15 @@ class RuntimeHooks:
     def translate(self, engine, thread, op, va, width, is_write):
         """Translate an access to a physical address.
 
-        Runtimes implementing code-centric consistency route atomic,
-        assembly, and volatile accesses to the always-shared mapping
-        here.  Returns a :class:`~repro.sim.addrspace.Translation`.
+        The engine calls this only for accesses a process flagged
+        :attr:`~repro.engine.thread.SimProcess.routed` may route: its
+        atomics, and its volatile and in-region loads and stores.
+        Runtimes implementing code-centric consistency send those to
+        the always-shared mapping here; every other access translates
+        through the address space's cache, so the vector kernels can
+        batch it.  Returns a :class:`~repro.sim.addrspace.Translation`.
         """
         return thread.process.aspace.translate(va, width, is_write)
-
-    def access_extra_cost(self, engine, thread, op):
-        """Extra cycles charged per data access (instrumentation)."""
-        return 0
 
     # ------------------------------------------------------------------
     # allocator

@@ -100,17 +100,13 @@ class Engine:
         self._barrier_site = program.binary.site("atomic", 4,
                                                  "pthread_barrier")
 
-        # Hook-override flags: the pthreads baseline leaves every access
-        # hook at its no-op default, so the hot path can skip the calls
-        # entirely instead of paying a Python frame per no-op.
-        rt_cls = type(runtime)
+        # Only LASER overrides the per-access interception hook; every
+        # other runtime skips the call instead of paying a Python frame
+        # per no-op.  (PTSB routing is per-process data instead:
+        # SimProcess.routed.)
         self._rt_override = (
-            getattr(rt_cls, "exec_access_override", None)
+            getattr(type(runtime), "exec_access_override", None)
             is not RuntimeHooks.exec_access_override)
-        self._rt_translate = (getattr(rt_cls, "translate", None)
-                              is not RuntimeHooks.translate)
-        self._rt_extra = (getattr(rt_cls, "access_extra_cost", None)
-                          is not RuntimeHooks.access_extra_cost)
 
         # Type-keyed dispatch: one dict probe on the op's exact class
         # instead of walking an isinstance chain per op.  Op classes are
@@ -118,8 +114,8 @@ class Engine:
         # sound.
         self._exec_table = {
             O.Compute: self._exec_compute,
-            O.Load: self._exec_load,
-            O.Store: self._exec_store,
+            O.Load: self._exec_access,
+            O.Store: self._exec_access,
             O.AccessRun: self._exec_run_op,
             O.RmwSeq: self._exec_seq_op,
             O.StoreSeq: self._exec_seq_op,
@@ -202,16 +198,20 @@ class Engine:
         """Construct the vector executor when the run is eligible.
 
         Eligibility is the fallback-boundary contract from
-        :mod:`repro.engine.vector`: no schedule policy, no runtime
-        access hooks (override/translate/extra-cost — TMI, SHERIFF and
-        LASER runtimes all intercept accesses), no fault injector, and
-        no observer unless it declares itself ``vector_safe`` (its
-        per-access callbacks are no-ops).  Ineligible runs keep
-        ``_vector`` at None — the serial path, byte-identical anyway.
+        :mod:`repro.engine.vector`: no schedule policy, no runtime that
+        intercepts whole accesses (LASER's store buffer, the one
+        ``exec_access_override``), no fault injector, and no observer
+        unless it declares itself ``vector_safe`` (its per-access
+        callbacks are no-ops).  TMI and Sheriff runs are eligible: PTSB
+        pages translate through the address space's cache like any
+        other, and the accesses TMI routes around its PTSB are declined
+        run by run (:attr:`~repro.engine.thread.SimProcess.routed`).
+        Ineligible runs keep ``_vector`` at None — the serial path,
+        byte-identical anyway.
         """
         if not self._vector_enabled or self.policy is not None:
             return
-        if self._rt_override or self._rt_translate or self._rt_extra:
+        if self._rt_override:
             return
         if getattr(self.runtime, "faults", None) is not None:
             return
@@ -224,23 +224,32 @@ class Engine:
 
     def _run_heap_loop(self):
         """The original heap-driven scheduling loop (fast path)."""
-        while self._heap:
-            ready_time, seq, tid = heapq.heappop(self._heap)
-            thread = self.threads[tid]
+        heap = self._heap
+        threads = self.threads
+        core_clock = self.machine.core_clock
+        max_cycles = self.max_cycles
+        vector = self._vector
+        while heap:
+            ready_time, seq, tid = heapq.heappop(heap)
+            thread = threads[tid]
             if thread.state != READY or thread.seq != seq:
                 continue
             if self._stop_world:
                 self._park(thread, ready_time)
                 continue
             self._dispatch(thread, ready_time)
-            vector = self._vector
             if vector is not None and vector.hint:
                 vector.hint = False
                 vector.try_lockstep()
-            if self._next_tick is not None:
+            # machine.now, read once; a due tick may move the service
+            # core, so the budget then sees the post-tick clock
+            now = max(core_clock)
+            next_tick = self._next_tick
+            if next_tick is not None and now >= next_tick:
                 self._run_ticks()
-            if self.machine.now > self.max_cycles:
-                raise CycleBudgetError(self.machine.now, self.max_cycles,
+                now = max(core_clock)
+            if now > max_cycles:
+                raise CycleBudgetError(now, max_cycles,
                                        trace=self.schedule_trace())
 
     def _run_policy_loop(self):
@@ -415,10 +424,13 @@ class Engine:
                                max(thread.ready_time, stop_time) + penalty)
 
     def _dispatch(self, thread, ready_time):
-        clock = max(self.machine.core_clock[thread.core], ready_time)
-        clock += thread.pending_penalty
+        core_clock = self.machine.core_clock
+        core = thread.core
+        clock = core_clock[core]
+        if ready_time > clock:
+            clock = ready_time
+        core_clock[core] = clock + thread.pending_penalty
         thread.pending_penalty = 0
-        self.machine.core_clock[thread.core] = clock
         if thread.run_op is not None:
             # resume an in-flight AccessRun/RmwSeq/StoreSeq without
             # re-entering the generator
@@ -445,10 +457,11 @@ class Engine:
         cost, value, blocked = handler(thread, op)
         if blocked:
             return
-        self.machine.advance(thread.core, cost)
+        # handlers may advance the clock themselves: add to the live one
+        core_clock[core] += cost
         thread.cycles += cost
         thread.pending_value = value
-        self._schedule(thread, self.machine.core_clock[thread.core])
+        self._schedule(thread, core_clock[core])
 
     def _finish_thread(self, thread):
         if thread.region_stack:
@@ -563,85 +576,54 @@ class Engine:
     # ------------------------------------------------------------------
     # data accesses
     # ------------------------------------------------------------------
-    def _translate_pa(self, thread, op, va, width, is_write):
-        """(pa, cost) for one access, taking every fast lane the active
-        runtime's hook overrides allow."""
-        if self._rt_translate:
-            translation = self.runtime.translate(self, thread, op, va,
-                                                 width, is_write)
-            return translation.pa, translation.cost
-        aspace = thread.process.aspace
-        pa = aspace.fast_pa(va, width)
-        if pa is not None:
-            return pa, 0
-        translation = aspace.translate(va, width, is_write)
-        return translation.pa, translation.cost
-
-    def _exec_load(self, thread, op):
-        if self._observer is not None:
-            self._observer.on_access(thread.tid, op.site, op.addr,
-                                     op.width, False, op.volatile)
-        if self._rt_override:
-            override = self.runtime.exec_access_override(self, thread, op)
-            if override is not None:
-                return override[0], override[1], False
-        pa, cost = self._translate_pa(thread, op, op.addr, op.width, False)
-        if self._rt_extra:
-            cost += self.runtime.access_extra_cost(self, thread, op)
-        thread.loads += 1
-        traffic, value = self.machine.mem_access(
-            thread.core, thread.tid, op.site.pc, op.addr, pa,
-            op.width, False)
-        return cost + traffic, value, False
-
-    def _exec_store(self, thread, op):
-        if self._observer is not None:
-            self._observer.on_access(thread.tid, op.site, op.addr,
-                                     op.width, True, op.volatile)
-        if self._rt_override:
-            override = self.runtime.exec_access_override(self, thread, op)
-            if override is not None:
-                return override[0], override[1], False
-        pa, cost = self._translate_pa(thread, op, op.addr, op.width, True)
-        if self._rt_extra:
-            cost += self.runtime.access_extra_cost(self, thread, op)
-        thread.stores += 1
-        traffic, _ = self.machine.mem_access(
-            thread.core, thread.tid, op.site.pc, op.addr, pa,
-            op.width, True, op.value)
-        return cost + traffic, None, False
-
     def _exec_access(self, thread, op):
-        """Atomic accesses (and the pre-fast-path generic fallback)."""
-        if self._observer is not None:
-            is_rmw = isinstance(op, O.AtomicRMW)
-            observed_write = is_rmw or isinstance(
-                op, (O.Store, O.AtomicStore))
-            if isinstance(op, (O.AtomicLoad, O.AtomicStore, O.AtomicRMW)):
-                self._observer.on_atomic(
-                    thread.tid, op.site, op.addr, op.width,
-                    observed_write, is_rmw, op.ordering)
+        """One single data access: a plain or atomic load, a store, or
+        an atomic RMW.
+
+        The translation-cache lane runs inline; the runtime's
+        ``translate`` runs only for an access its process routes
+        (:attr:`~repro.engine.thread.SimProcess.routed`): an atomic,
+        or a volatile or in-region load or store.
+        """
+        cls = op.__class__
+        atomic = cls is not O.Load and cls is not O.Store
+        is_rmw = cls is O.AtomicRMW
+        is_write = is_rmw or cls is O.Store or cls is O.AtomicStore
+        addr = op.addr
+        width = op.width
+        observer = self._observer
+        if observer is not None:
+            if atomic:
+                observer.on_atomic(thread.tid, op.site, addr, width,
+                                   is_write, is_rmw, op.ordering)
             else:
-                self._observer.on_access(
-                    thread.tid, op.site, op.addr, op.width,
-                    observed_write, op.volatile)
+                observer.on_access(thread.tid, op.site, addr, width,
+                                   is_write, op.volatile)
         if self._rt_override:
             override = self.runtime.exec_access_override(self, thread, op)
             if override is not None:
-                cost, value = override
-                return cost, value, False
-
+                return override[0], override[1], False
+        process = thread.process
+        if process.routed and (atomic or thread.routes(op)):
+            translation = self.runtime.translate(self, thread, op, addr,
+                                                 width, is_write)
+            pa = translation.pa
+            cost = translation.cost
+        else:
+            entry = process.aspace._tcache.get(addr >> 12)
+            if entry is not None and addr + width <= entry[1]:
+                pa = addr + entry[0]
+                cost = 0
+            else:
+                translation = process.aspace.translate(addr, width,
+                                                       is_write)
+                pa = translation.pa
+                cost = translation.cost
         machine = self.machine
-        is_write = isinstance(op, (O.Store, O.AtomicStore, O.AtomicRMW))
-        pa, cost = self._translate_pa(thread, op, op.addr, op.width,
-                                      is_write)
-        if self._rt_extra:
-            cost += self.runtime.access_extra_cost(self, thread, op)
-        value = None
-
-        if isinstance(op, O.AtomicRMW):
+        pc = op.site.pc
+        if is_rmw:
             thread.atomics += 1
-            old = machine.physmem.read_int(pa, op.width)
+            old = machine.physmem.read_int(pa, width)
             if op.op == "add":
                 new = old + op.operand
             elif op.op == "xchg":
@@ -651,31 +633,20 @@ class Engine:
             else:
                 raise SimulationError(f"unknown RMW op {op.op!r}")
             traffic, _ = machine.mem_access(
-                thread.core, thread.tid, op.site.pc, op.addr, pa,
-                op.width, True, new)
-            cost += traffic + self.costs.atomic_extra
-            value = old
+                thread.core, thread.tid, pc, addr, pa, width, True, new)
+            return cost + traffic + self.costs.atomic_extra, old, False
+        if atomic:
+            thread.atomics += 1
+            if is_write and op.ordering == O.SEQ_CST:
+                cost += self.costs.fence
         elif is_write:
-            if isinstance(op, O.AtomicStore):
-                thread.atomics += 1
-                if op.ordering == O.SEQ_CST:
-                    cost += self.costs.fence
-            else:
-                thread.stores += 1
-            traffic, _ = machine.mem_access(
-                thread.core, thread.tid, op.site.pc, op.addr, pa,
-                op.width, True, op.value)
-            cost += traffic
+            thread.stores += 1
         else:
-            if isinstance(op, O.AtomicLoad):
-                thread.atomics += 1
-            else:
-                thread.loads += 1
-            traffic, value = machine.mem_access(
-                thread.core, thread.tid, op.site.pc, op.addr, pa,
-                op.width, False)
-            cost += traffic
-        return cost, value, False
+            thread.loads += 1
+        traffic, value = machine.mem_access(
+            thread.core, thread.tid, pc, addr, pa, width, is_write,
+            op.value if is_write else None)
+        return cost + traffic, value, False
 
     # ------------------------------------------------------------------
     # batched access runs
@@ -720,14 +691,13 @@ class Engine:
         tid = thread.tid
         max_cycles = self.max_cycles
         next_tick = self._next_tick
-        rt_translate = self._rt_translate
-        rt_extra = self._rt_extra
         observer = self._observer
         # LASER-style full interception needs the per-access op stream;
         # synthesize singles and take the unbatched path
         single_cls = (O.Store if is_write else O.Load) \
             if self._rt_override else None
         aspace = thread.process.aspace
+        routed = thread.routes(op)
         mem_access = machine.mem_access
         # bound objects, not snapshots: _tcache/_fast are mutated in
         # place (cleared, never reassigned) so the bindings stay live
@@ -738,12 +708,9 @@ class Engine:
         # with no HITM listeners (plain pthreads), mem_access degenerates
         # to directory + physmem; drive those directly
         plain = not machine._hitm_listeners
-        # only this core's clock moves while the run executes, so the
-        # other cores' contribution to machine.now is a constant
-        others_max = 0
-        for c in range(len(core_clock)):
-            if c != core and core_clock[c] > others_max:
-                others_max = core_clock[c]
+        # only this core's clock moves while the run executes, and it
+        # only grows, so machine.now is max(clock, now0) throughout
+        now0 = max(core_clock)
         index = thread.run_index
         start_index = index
         addr = op.addr + index * stride
@@ -764,7 +731,7 @@ class Engine:
         comp = None
         batched = 0
         fast_cost = -1
-        if vector is not None and single_cls is None:
+        if vector is not None and single_cls is None and not routed:
             # identity memo: the same run object is re-dispatched many
             # times, so hash the op dataclass once per run, not once
             # per dispatch
@@ -789,7 +756,7 @@ class Engine:
                 # falls through so the blocking access runs serially
                 try_vector = False
                 advanced = vector.advance(
-                    thread, comp, index, addr, clock, others_max,
+                    thread, comp, index, addr, clock, now0,
                     head_ready, next_tick, max_cycles)
                 if advanced is not None:
                     k, clock, brk = advanced
@@ -805,16 +772,16 @@ class Engine:
                 if is_write:
                     single = O.Store(op.site, addr, value, width,
                                      op.volatile)
-                    cost, _v, _b = self._exec_store(thread, single)
+                    cost, _v, _b = self._exec_access(thread, single)
                 else:
                     single = O.Load(op.site, addr, width, op.volatile)
-                    cost, loaded, _b = self._exec_load(thread, single)
+                    cost, loaded, _b = self._exec_access(thread, single)
                     values.append(loaded)
             else:
                 if observer is not None:
                     observer.on_access(tid, op.site, addr, width,
                                        is_write, op.volatile)
-                if rt_translate:
+                if routed:
                     translation = runtime.translate(
                         self, thread, op, addr, width, is_write)
                     pa = translation.pa
@@ -829,8 +796,6 @@ class Engine:
                                                        is_write)
                         pa = translation.pa
                         cost = translation.cost
-                if rt_extra:
-                    cost += runtime.access_extra_cost(self, thread, op)
                 if plain:
                     outcome = dir_access(core, pa, width, is_write,
                                          clock)
@@ -870,7 +835,7 @@ class Engine:
                 break
             if self._stop_world:
                 break
-            now = clock if clock > others_max else others_max
+            now = clock if clock > now0 else now0
             if next_tick is not None and now >= next_tick:
                 break
             if now > max_cycles:
@@ -884,8 +849,8 @@ class Engine:
                 vector.note_fallback(tid, clock,
                                      index - start_index - batched)
         if single_cls is None:
-            # _exec_load/_exec_store count for the synthesized-singles
-            # path; the inline path counts the whole batch here
+            # _exec_access counts for the synthesized-singles path; the
+            # inline path counts the whole batch here
             if is_write:
                 thread.stores += index - start_index
             else:
@@ -901,13 +866,14 @@ class Engine:
         :class:`~repro.isa.ops.StoreSeq`.
 
         Like :meth:`_exec_run_op`, the sequence executes element-by-
-        element (each load/store through the full single-access path —
-        observer callbacks, runtime hooks, coherence — and each compute
-        step as pure clock advance), yielding the core at exactly the
-        points the unbatched multi-yield loop would.  The continuation
-        lives on the thread; ``run_index`` counts *sub-ops* (each
-        element is its load/store/compute steps in order), so a break
-        can land between an element's load and its store.
+        element (each load/store with the single-access semantics of
+        :meth:`_exec_access` — observer callbacks, runtime hooks,
+        coherence — and each compute step as pure clock advance),
+        yielding the core at exactly the points the unbatched
+        multi-yield loop would.  The continuation lives on the thread;
+        ``run_index`` counts *sub-ops* (each element is its
+        load/store/compute steps in order), so a break can land between
+        an element's load and its store.
         """
         thread.run_op = op
         thread.run_index = 0
@@ -922,6 +888,7 @@ class Engine:
         core_clock = machine.core_clock
         heap = self._heap
         threads = self.threads
+        tid = thread.tid
         is_rmw = op.__class__ is O.RmwSeq
         compute = op.compute
         width = op.width
@@ -940,26 +907,31 @@ class Engine:
             seq_addr = op.addr
             count = len(seq_values)
             nphases = 2 if compute else 1
-            site = op.site
+            store_site = op.site
         total = count * nphases
         max_cycles = self.max_cycles
         next_tick = self._next_tick
-        exec_load = self._exec_load
-        exec_store = self._exec_store
         vector = self._vector
         load_hit = self.costs.load_hit
         store_hit = self.costs.store_hit
+        observer = self._observer
+        runtime = self.runtime
+        # LASER's store buffer inspects single Load/Store ops: build one
+        # per access only when that hook is live
+        override = (runtime.exec_access_override if self._rt_override
+                    else None)
+        aspace = thread.process.aspace
+        tcache = aspace._tcache
+        mem_access = machine.mem_access
+        routed = thread.routes(op)
         # whether the latest access was hit-priced: a head-ready break
         # after a fast hit is the round-robin steady state the seq
         # lockstep kernel extrapolates, so it is worth hinting
         fastish = False
-        # same dispatch-loop constants as _run_accesses: other cores'
-        # clocks and the earliest other ready time cannot change while
-        # this continuation runs
-        others_max = 0
-        for c in range(len(core_clock)):
-            if c != core and core_clock[c] > others_max:
-                others_max = core_clock[c]
+        # same dispatch-loop constants as _run_accesses: machine.now is
+        # max(clock, now0), and the earliest other ready time cannot
+        # change while this continuation runs
+        now0 = max(core_clock)
         index = thread.run_index
         while heap:
             ready_time, seq, next_tid = heap[0]
@@ -969,37 +941,72 @@ class Engine:
             heapq.heappop(heap)
         head_ready = heap[0][0] if heap else None
         clock = core_clock[core]
+        value = None
         while True:
             element, phase = divmod(index, nphases)
-            if is_rmw:
-                if phase == 0:
-                    single = O.Load(load_site, addrs[element], width,
-                                    volatile)
-                    cost, loaded, _b = exec_load(thread, single)
-                    thread.run_values = loaded
-                    fastish = cost <= load_hit
-                elif phase == 1:
-                    delta = (const_delta if const_delta is not None
-                             else deltas[element])
-                    single = O.Store(
-                        store_site, addrs[element],
-                        (thread.run_values + delta) & mask, width,
-                        volatile)
-                    cost, _v, _b = exec_store(thread, single)
-                    thread.run_values = None
-                    fastish = cost <= store_hit
-                else:
-                    cost = compute
-            elif phase == 0:
-                single = O.Store(site, seq_addr, seq_values[element],
-                                 width, volatile)
-                cost, _v, _b = exec_store(thread, single)
-                fastish = cost <= store_hit
+            if is_rmw and phase == 0:
+                site = load_site
+                addr = addrs[element]
+                is_write = False
+            elif is_rmw and phase == 1:
+                site = store_site
+                addr = addrs[element]
+                is_write = True
+                value = (thread.run_values
+                         + (const_delta if const_delta is not None
+                            else deltas[element])) & mask
+            elif not is_rmw and phase == 0:
+                site = store_site
+                addr = seq_addr
+                is_write = True
+                value = seq_values[element]
             else:
+                site = None
+            if site is None:
                 cost = compute
+            else:
+                if observer is not None:
+                    observer.on_access(tid, site, addr, width, is_write,
+                                       volatile)
+                handled = None
+                if override is not None:
+                    handled = override(
+                        self, thread,
+                        O.Store(site, addr, value, width, volatile)
+                        if is_write else
+                        O.Load(site, addr, width, volatile))
+                if handled is not None:
+                    cost, loaded = handled
+                else:
+                    if routed:
+                        translation = runtime.translate(
+                            self, thread, op, addr, width, is_write)
+                        pa = translation.pa
+                        cost = translation.cost
+                    else:
+                        entry = tcache.get(addr >> 12)
+                        if entry is not None and addr + width <= entry[1]:
+                            pa = addr + entry[0]
+                            cost = 0
+                        else:
+                            translation = aspace.translate(addr, width,
+                                                           is_write)
+                            pa = translation.pa
+                            cost = translation.cost
+                    traffic, loaded = mem_access(
+                        core, tid, site.pc, addr, pa, width, is_write,
+                        value)
+                    cost += traffic
+                    if is_write:
+                        thread.stores += 1
+                    else:
+                        thread.loads += 1
+                fastish = cost <= (store_hit if is_write else load_hit)
+                # an RMW carries its loaded value to its store
+                thread.run_values = loaded
             # handlers may advance the core clock internally (e.g. a
             # store-buffer drain), so add the returned cost on top of
-            # the live clock exactly as _dispatch's machine.advance does
+            # the live clock exactly as _dispatch does
             core_clock[core] += cost
             clock = core_clock[core]
             thread.cycles += cost
@@ -1011,7 +1018,7 @@ class Engine:
                 break
             if self._stop_world:
                 break
-            now = clock if clock > others_max else others_max
+            now = clock if clock > now0 else now0
             if next_tick is not None and now >= next_tick:
                 break
             if now > max_cycles:

@@ -29,6 +29,12 @@ class SimProcess:
     threads: list = field(default_factory=list)
     #: Installed by runtimes that maintain a PTSB for this process.
     ptsb: object = None
+    #: Set with the PTSB by runtimes whose consistency model routes
+    #: atomic, volatile and in-region accesses around it (TMI's
+    #: code-centric policy).  The engine sends exactly those accesses
+    #: of a routed process through ``runtime.translate``; every other
+    #: access translates through the address space's cache.
+    routed: bool = False
 
 
 class SimThread:
@@ -89,6 +95,16 @@ class SimThread:
     def in_asm_region(self):
         """Whether the thread is inside an inline-assembly region."""
         return any(kind == "asm" for kind, _ in self.region_stack)
+
+    def routes(self, op):
+        """Whether the load, store or run ``op`` goes around this
+        thread's PTSB through the runtime's ``translate``: the process
+        is :attr:`~SimProcess.routed` and ``op`` is volatile or inside
+        an atomic or asm region (atomics of a routed process always
+        are).  Region boundaries are separate ops, so the answer holds
+        for a whole dispatch of a run."""
+        return self.process.routed and (op.volatile
+                                        or bool(self.region_stack))
 
     def __repr__(self):
         return (f"SimThread({self.tid}, {self.name!r}, core={self.core}, "

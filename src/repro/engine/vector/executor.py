@@ -31,12 +31,15 @@ the replayed per-thread sub-op counts wholesale
 (:meth:`VectorExecutor._lockstep_seq`).
 
 Fallback boundaries (where batching stops and the serial path runs)
-are the ones in ISSUE/docs: sync ops and region boundaries (separate
-ops, never lowered), cross-thread contention on a line (owner
-micro-cache probe fails), PTSB commits and runtime ticks (tick bound /
-runtimes with translate hooks are never vectorized), schedule-policy
-decision points (policy mode disables the executor), and active
-tracer/sanitizer/fault hooks (eligibility gate in ``Engine.run``).
+are the contract in docs/ARCHITECTURE.md: sync ops and region
+boundaries (separate ops, never lowered), cross-thread contention on a
+line (owner micro-cache probe fails), PTSB commits, runtime ticks (a
+bound on every window, not a gate), runs a process routes around its
+PTSB (:attr:`~repro.engine.thread.SimProcess.routed`; declined run by
+run; :meth:`~repro.engine.thread.SimThread.routes`), schedule-policy
+decision points (policy mode disables the executor), and LASER's
+access override and active tracer/sanitizer/fault hooks (eligibility
+gate in ``Engine._build_vector``).
 """
 
 import heapq
@@ -132,9 +135,13 @@ class VectorExecutor:
             self._switch(tid, ts, "fallback", n)
 
     # ------------------------------------------------------------------
-    def advance(self, thread, comp, index, addr, clock, others_max,
+    def advance(self, thread, comp, index, addr, clock, now,
                 head_ready, next_tick, max_cycles):
         """Batch-advance ``thread``'s current run from ``index``.
+
+        ``now`` is the machine time when the dispatch began; ``thread``'s
+        clock only grows after it, so the serial loop's machine time
+        after each access is ``max(clock, now)``.
 
         Returns ``(k, new_clock, brk)`` after bulk-executing ``k``
         accesses — ``brk`` true when the serial loop would break out of
@@ -176,13 +183,13 @@ class VectorExecutor:
                 is_break = True
         if next_tick is not None:
             gap = next_tick - clock
-            bound = 1 if others_max >= next_tick or gap <= 0 \
+            bound = 1 if now >= next_tick or gap <= 0 \
                 else -(-gap // c)
             if bound < kmax:
                 kmax = bound
                 is_break = True
         budget_bound = (max_cycles - clock) // c + 1
-        if others_max > max_cycles or budget_bound < 1:
+        if now > max_cycles or budget_bound < 1:
             budget_bound = 1
         if budget_bound < kmax:
             kmax = budget_bound
@@ -232,11 +239,20 @@ class VectorExecutor:
         Preconditions mirror the steady state the serial heap loop
         provably settles into (see module docstring); any failed check
         bails with no state touched, leaving the serial path to run.
+
+        A runtime tick bounds both kernels: the heap loop calls this
+        before it runs a due tick, so no window starts while one is due
+        (``machine.now >= next_tick``), and no clock in a window may
+        reach the next tick, which the serial loop would fire only
+        after the window.
         """
         engine = self.engine
-        if engine._next_tick is not None or engine._stop_world:
+        if engine._stop_world:
             return
         core_clock = engine.machine.core_clock
+        next_tick = engine._next_tick
+        if next_tick is not None and max(core_clock) >= next_tick:
+            return
         ready = [t for t in engine.threads.values() if t.state == READY]
         if len(ready) < 2:
             return
@@ -254,7 +270,7 @@ class VectorExecutor:
             if self._seq_cool > 0:
                 self._seq_cool -= 1
                 return
-            self._lockstep_seq(ready)
+            self._lockstep_seq(ready, next_tick)
             return
         first_comp = self.compiler.lookup(first_op)
         if first_comp is None:
@@ -271,6 +287,9 @@ class VectorExecutor:
         for t in band:
             op = t.run_op
             if op is None or t.pending_penalty:
+                return
+            if t.routes(op):
+                # the runtime's translate owns these accesses
                 return
             if t.core in cores:
                 return
@@ -289,13 +308,16 @@ class VectorExecutor:
 
         rounds = None
         max_cycles = engine.max_cycles
-        if future_rt is not None:
-            # band ready times must stay strictly below the first
-            # out-of-band thread's through every extrapolated round
-            cap = (future_rt - 1 - hi) // c
+        # band ready times must stay strictly below the first
+        # out-of-band thread's, and every clock below the next tick,
+        # through every extrapolated round
+        for limit in (future_rt, next_tick):
+            if limit is None:
+                continue
+            cap = (limit - 1 - hi) // c
             if cap < MIN_LOCKSTEP:
                 return
-            rounds = cap
+            rounds = cap if rounds is None else min(rounds, cap)
         for t, comp, rt in plans:
             index = t.run_index
             # keep every run open (the serial epilogue finishes it) and
@@ -342,7 +364,7 @@ class VectorExecutor:
         self.lockstep_batches += 1
 
     # ------------------------------------------------------------------
-    def _lockstep_seq(self, ready):
+    def _lockstep_seq(self, ready, next_tick):
         """Extrapolate a window of :class:`RmwSeq`/:class:`StoreSeq`
         dispatches by replaying the heap loop's arithmetic in
         miniature.
@@ -367,10 +389,11 @@ class VectorExecutor:
         The window ends — leaving the remainder to the serial path —
         strictly *before* any dispatch that would leave the verified
         fast-hit prefix, execute a run's final sub-op (the serial
-        epilogue closes runs), cross the cycle budget, or reach an
-        out-of-band thread's ready time (whose pop would break the
-        band-only replay).  Rejected dispatches re-run natively, so
-        every committed prefix is a serial-reachable state.
+        epilogue closes runs), cross the cycle budget, reach the next
+        runtime tick, or reach an out-of-band thread's ready time
+        (whose pop would break the band-only replay).  Rejected
+        dispatches re-run natively, so every committed prefix is a
+        serial-reachable state.
         """
         blk = self._seq_block
         if blk is not None:
@@ -387,13 +410,16 @@ class VectorExecutor:
         band = []
         cores = set()
         hard_stop = max_cycles
+        if next_tick is not None and next_tick - 1 < hard_stop:
+            hard_stop = next_tick - 1
         for t in ready:
             op = t.run_op
             cls = op.__class__ if op is not None else None
             if ((cls is RmwSeq or cls is StoreSeq)
                     and not t.pending_penalty
                     and t.core not in cores
-                    and t.ready_time == core_clock[t.core]):
+                    and t.ready_time == core_clock[t.core]
+                    and not t.routes(op)):
                 band.append(t)
                 cores.add(t.core)
             else:

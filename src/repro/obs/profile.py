@@ -16,7 +16,8 @@ Categories wrapped by :meth:`Profiler.install`:
 - ``memory-system`` — :meth:`~repro.sim.machine.Machine.mem_access`
   (coherence directory + physical memory + HITM listeners);
 - ``runtime-translate`` — the runtime's ``translate`` hook, when
-  overridden (TMI's code-centric routing);
+  overridden (TMI's code-centric routing; the engine calls it only for
+  the atomic, volatile and in-region accesses of a routed process);
 - ``runtime-sync`` — the runtime's sync-hook surface, which is where
   TMI's PTSB commits happen;
 - ``detector`` — the runtime's ``on_tick`` (PEBS drain, interval

@@ -308,22 +308,6 @@ class AddressSpace:
     # ------------------------------------------------------------------
     # translation
     # ------------------------------------------------------------------
-    def fast_pa(self, va, width):
-        """Physical address for a steady-state access, or None.
-
-        Serves only accesses whose 4 KB granule has a cache entry — i.e.
-        pages where :meth:`translate` would return the same constant
-        offset with zero cost for reads *and* writes.  Accesses that
-        cross the granule, or pages with pending faults or protection,
-        fall back to the full walk (returns None).
-        """
-        entry = self._tcache.get(va >> 12)
-        if entry is not None:
-            delta, limit = entry
-            if va + width <= limit:
-                return va + delta
-        return None
-
     def _cache_granule(self, va, pa):
         granule = va & ~0xFFF
         self._tcache[va >> 12] = (pa - va, granule + 4096)

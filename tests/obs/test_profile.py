@@ -58,7 +58,9 @@ class TestProfiledRun:
         assert profiled.cycles == base.cycles
 
     def test_profile_attributes_known_subsystems(self):
-        outcome = run_workload("histogramfs", "tmi-protect", scale=0.2,
+        # the runtime's translate sees only routed accesses; this cell
+        # keeps routing its relaxed atomics after repair
+        outcome = run_workload("shptr-relaxed", "tmi-protect", scale=0.2,
                                profile=True)
         report = outcome.profile
         assert report["memory-system"]["calls"] > 0
