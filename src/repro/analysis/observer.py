@@ -126,13 +126,11 @@ class EngineObserver:
     # vector batch execution (perf observability)
     # ------------------------------------------------------------------
     def on_vector_switch(self, tid, ts, mode, ops):
-        """The vector executor switched execution modes at simulated
-        time ``ts``: ``mode`` is ``"batch"`` (``ops`` accesses advanced
-        by the stretch kernel), ``"lockstep"`` (``ops`` accesses per
-        thread extrapolated by the lockstep kernel), or ``"fallback"``
-        (``ops`` accesses of a vector-active run that ran serially).
-        Purely observational — emitted only when batching actually ran,
-        and never charged any cycles."""
+        """The vector executor batched thread ``tid`` from simulated
+        time ``ts``: ``mode`` is always ``"lockstep"``, and ``ops`` is
+        the thread's sub-ops in one committed lockstep window.  Purely
+        observational — emitted only when batching actually ran, and
+        never charged any cycles."""
 
 
 class ObserverMux(EngineObserver):

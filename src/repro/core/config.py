@@ -82,7 +82,3 @@ class TmiConfig:
     @property
     def app_page_size(self):
         return PAGE_2M if self.huge_pages else PAGE_4K
-
-    def interval_seconds(self, costs):
-        """Wall length of one detection interval (the scaled 'second')."""
-        return costs.seconds(self.detect_interval_cycles)

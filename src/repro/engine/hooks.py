@@ -74,7 +74,7 @@ class RuntimeHooks:
         atomics, and its volatile and in-region loads and stores.
         Runtimes implementing code-centric consistency send those to
         the always-shared mapping here; every other access translates
-        through the address space's cache, so the vector kernels can
+        through the address space's cache, so the vector kernel can
         batch it.  Returns a :class:`~repro.sim.addrspace.Translation`.
         """
         return thread.process.aspace.translate(va, width, is_write)

@@ -218,9 +218,8 @@ class Engine:
         if self._observer is not None and not getattr(
                 self._observer, "vector_safe", False):
             return
-        from repro.engine.vector import VectorExecutor, vector_available
-        if vector_available():
-            self._vector = VectorExecutor(self)
+        from repro.engine.vector import VectorExecutor
+        self._vector = VectorExecutor(self)
 
     def _run_heap_loop(self):
         """The original heap-driven scheduling loop (fast path)."""
@@ -497,13 +496,6 @@ class Engine:
     # ------------------------------------------------------------------
     # op execution
     # ------------------------------------------------------------------
-    def _exec(self, thread, op):
-        """Execute one op; returns (cost, value_to_send, blocked)."""
-        handler = self._exec_table.get(op.__class__)
-        if handler is None:
-            raise SimulationError(f"unknown op {op!r}")
-        return handler(thread, op)
-
     def _exec_compute(self, thread, op):
         return op.cycles, None, False
 
@@ -664,8 +656,7 @@ class Engine:
         does not touch the workload generator.
         """
         # reject malformed shapes before a single access executes, so
-        # the serial and vector paths fail with the same typed error at
-        # the same simulated cycle
+        # the run fails with a typed error at the cycle it was issued
         validate_run(op)
         thread.run_op = op
         thread.run_index = 0
@@ -694,20 +685,13 @@ class Engine:
         observer = self._observer
         # LASER-style full interception needs the per-access op stream;
         # synthesize singles and take the unbatched path
-        single_cls = (O.Store if is_write else O.Load) \
-            if self._rt_override else None
+        singles = self._rt_override
         aspace = thread.process.aspace
         routed = thread.routes(op)
         mem_access = machine.mem_access
-        # bound objects, not snapshots: _tcache/_fast are mutated in
-        # place (cleared, never reassigned) so the bindings stay live
+        # a bound object, not a snapshot: _tcache is mutated in place
+        # (cleared, never reassigned) so the binding stays live
         tcache = aspace._tcache
-        dir_access = machine.directory.access
-        write_int = machine.physmem.write_int
-        read_int = machine.physmem.read_int
-        # with no HITM listeners (plain pthreads), mem_access degenerates
-        # to directory + physmem; drive those directly
-        plain = not machine._hitm_listeners
         # only this core's clock moves while the run executes, and it
         # only grows, so machine.now is max(clock, now0) throughout
         now0 = max(core_clock)
@@ -727,48 +711,8 @@ class Engine:
                 break
             heapq.heappop(heap)
         head_ready = heap[0][0] if heap else None
-        vector = self._vector
-        comp = None
-        batched = 0
-        fast_cost = -1
-        if vector is not None and single_cls is None and not routed:
-            # identity memo: the same run object is re-dispatched many
-            # times, so hash the op dataclass once per run, not once
-            # per dispatch
-            if op is thread.vec_op:
-                comp = thread.vec_comp
-            else:
-                comp = vector.lookup(op)
-                thread.vec_op = op
-                thread.vec_comp = comp
-                thread.vec_hot = True
-            if comp is not None:
-                fast_cost = (self.costs.store_hit if is_write
-                             else self.costs.load_hit)
-        # a run that last broke on a contended (miss-priced) access
-        # stays cold: skip the kernel attempt until a hit-priced access
-        # shows the line is back in the owner micro-cache
-        try_vector = comp is not None and thread.vec_hot
         while True:
-            if try_vector:
-                # batch kernel: advances every access the serial loop
-                # below would have executed fast-path without breaking;
-                # falls through so the blocking access runs serially
-                try_vector = False
-                advanced = vector.advance(
-                    thread, comp, index, addr, clock, now0,
-                    head_ready, next_tick, max_cycles)
-                if advanced is not None:
-                    k, clock, brk = advanced
-                    index += k
-                    addr += stride * k
-                    batched += k
-                    if index >= count or brk:
-                        # batch breaks are scheduler bounds, not
-                        # contention — stay hot for the next dispatch
-                        try_vector = True
-                        break
-            if single_cls is not None:
+            if singles:
                 if is_write:
                     single = O.Store(op.site, addr, value, width,
                                      op.volatile)
@@ -796,34 +740,16 @@ class Engine:
                                                        is_write)
                         pa = translation.pa
                         cost = translation.cost
-                if plain:
-                    outcome = dir_access(core, pa, width, is_write,
-                                         clock)
-                    cost += outcome.cost
-                    if outcome.hitm_remotes:
-                        machine.hitm_events += len(outcome.hitm_remotes)
-                    if is_write:
-                        write_int(pa, value, width)
-                    else:
-                        values.append(read_int(pa, width))
-                elif is_write:
-                    traffic, _ = mem_access(core, tid, pc, addr, pa,
-                                            width, True, value)
-                    cost += traffic
-                else:
-                    traffic, loaded = mem_access(core, tid, pc, addr, pa,
-                                                 width, False)
-                    cost += traffic
+                traffic, loaded = mem_access(core, tid, pc, addr, pa,
+                                             width, is_write, value)
+                cost += traffic
+                if not is_write:
                     values.append(loaded)
             index += 1
             addr += stride
             clock += cost
             core_clock[core] = clock
             thread.cycles += cost
-            if cost <= fast_cost:
-                # a hit-priced access means the line is (re)installed in
-                # the owner micro-cache: worth re-trying the batch kernel
-                try_vector = True
             if index >= count:
                 break
             # --- would the serial engine have switched away here? ---
@@ -843,12 +769,7 @@ class Engine:
             if head_ready is not None and head_ready <= clock:
                 break
         thread.run_index = index
-        if comp is not None:
-            thread.vec_hot = try_vector
-            if index - start_index > batched:
-                vector.note_fallback(tid, clock,
-                                     index - start_index - batched)
-        if single_cls is None:
+        if not singles:
             # _exec_access counts for the synthesized-singles path; the
             # inline path counts the whole batch here
             if is_write:
@@ -1280,8 +1201,6 @@ class Engine:
         if vector is not None:
             registry.counter("vector.batched_ops").inc(
                 vector.batched_ops)
-            registry.counter("vector.fallback_ops").inc(
-                vector.fallback_ops)
             registry.counter("vector.batches").inc(vector.batches)
             registry.counter("vector.lockstep_batches").inc(
                 vector.lockstep_batches)

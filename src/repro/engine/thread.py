@@ -55,23 +55,13 @@ class SimThread:
         self.joiners = []               # tids blocked in join on us
         self.blocked_on = None          # sync object or ('join', tid)
         self.seq = 0                    # scheduler tiebreaker
-        # in-flight AccessRun continuation (engine-owned): the engine
-        # yields the core mid-run whenever another thread becomes
-        # runnable, then resumes here instead of re-entering the
-        # generator
-        self.run_op = None              # the AccessRun being executed
-        self.run_index = 0              # next access within the run
-        self.run_values = None          # loads accumulated so far
-        # vector-executor per-thread memo (engine-owned, perf only):
-        # the compiled form of run_op cached by identity (one ``is``
-        # check instead of hashing the op dataclass every dispatch) and
-        # whether the last dispatch of this run ended on a hit-priced
-        # access (a cold flag skips the batch-kernel attempt entirely on
-        # contended lines — it cannot change simulated results, only
-        # when the always-exact kernel is consulted)
-        self.vec_op = None
-        self.vec_comp = None
-        self.vec_hot = True
+        # in-flight AccessRun/RmwSeq/StoreSeq continuation (engine-
+        # owned): the engine yields the core mid-run whenever another
+        # thread becomes runnable, then resumes here instead of
+        # re-entering the generator
+        self.run_op = None              # the run being executed
+        self.run_index = 0              # next access (sequence: sub-op)
+        self.run_values = None          # loads so far (RMW: carried load)
         # statistics
         self.ops = 0
         self.loads = 0
@@ -81,16 +71,6 @@ class SimThread:
         self.cycles = 0
 
     # ------------------------------------------------------------------
-    @property
-    def current_region(self):
-        """Innermost code-centric region, or None for regular code."""
-        return self.region_stack[-1] if self.region_stack else None
-
-    @property
-    def in_atomic_region(self):
-        """Whether the thread is inside an atomic consistency region."""
-        return any(kind == "atomic" for kind, _ in self.region_stack)
-
     @property
     def in_asm_region(self):
         """Whether the thread is inside an inline-assembly region."""

@@ -1,14 +1,14 @@
 """Vectorized batch execution core.
 
-Compiles batched op streams into flat typed numpy columns
-(:mod:`repro.isa.lowering`) and advances whole uncontended, sync-free
-stretches of them as array kernels, falling back to the serial
-interpreter exactly where it would context-switch.  See
+Lowers sequence ops to their per-shape constants
+(:mod:`repro.isa.lowering`) and extrapolates whole lockstep windows of
+uncontended, sync-free sequence dispatches at once, falling back to
+the serial interpreter exactly where it would context-switch.  See
 docs/ARCHITECTURE.md ("Vector execution core") for the compile/execute
 split and the fallback-boundary contract.
 """
 
 from repro.engine.vector.compiler import RunCompiler
-from repro.engine.vector.executor import VectorExecutor, vector_available
+from repro.engine.vector.executor import VectorExecutor
 
-__all__ = ["RunCompiler", "VectorExecutor", "vector_available"]
+__all__ = ["RunCompiler", "VectorExecutor"]

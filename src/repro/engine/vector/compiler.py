@@ -1,43 +1,45 @@
-"""Compiled-program cache: op objects -> lowered typed columns.
+"""Sequence-shape cache: sequence ops -> lowered :class:`SeqShape`.
 
-Each engine owns one :class:`RunCompiler`.  Ops are frozen slotted
-dataclasses, so an op's field tuple is its workload identity — two
-``AccessRun`` instances emitted by successive loop iterations of the
-same site hash equal and share one compiled entry.  The cache is
-per-engine (never shared across runs), which keeps the hit/miss
-counters deterministic regardless of ``REPRO_JOBS`` sharding.
+Each engine owns one :class:`RunCompiler`.  A shape depends only on
+the op's class, element count, width, compute and shared delta
+(:func:`~repro.isa.lowering.seq_key`), never on its addresses, so the
+sequence ops a loop emits share one entry even though each carries its
+own address tuple.  The cache is per-engine (never shared across
+runs), which keeps the hit/miss counters deterministic regardless of
+``REPRO_JOBS`` sharding.
 """
 
-from repro.isa.lowering import lower_access_run
+from repro.isa.lowering import lower_seq, seq_key
 
-#: Cache-size ceiling; programs with more distinct batched ops than
-#: this compile the overflow every time rather than growing host memory
-#: without bound.
+#: Cache-size ceiling; programs with more distinct sequence shapes
+#: than this lower the overflow every time rather than growing host
+#: memory without bound.
 MAX_CACHED = 4096
-
-_MISS = object()
 
 
 class RunCompiler:
-    """Per-engine compiled-run cache with hit/miss accounting."""
+    """Per-engine sequence-shape cache with hit/miss accounting."""
 
-    def __init__(self):
+    def __init__(self, costs):
+        self._load_hit = costs.load_hit
+        self._store_hit = costs.store_hit
         self._cache = {}
         self.hits = 0
         self.misses = 0
 
     def lookup(self, op):
-        """Return the :class:`~repro.isa.lowering.LoweredRun` for
-        ``op`` (compiling on first sight), or ``None`` if the op's
-        shape stays serial.  Negative results are cached too, so a
-        shape the kernels decline costs one dict probe forever after.
-        """
-        cached = self._cache.get(op, _MISS)
-        if cached is not _MISS:
+        """Return the :class:`~repro.isa.lowering.SeqShape` of the
+        sequence op ``op`` (lowering it on first sight of its shape),
+        or ``None`` for any other op, an ``AccessRun`` included."""
+        key = seq_key(op)
+        if key is None:
+            return None
+        shape = self._cache.get(key)
+        if shape is not None:
             self.hits += 1
-            return cached
+            return shape
         self.misses += 1
-        lowered = lower_access_run(op)
+        shape = lower_seq(key, self._load_hit, self._store_hit)
         if len(self._cache) < MAX_CACHED:
-            self._cache[op] = lowered
-        return lowered
+            self._cache[key] = shape
+        return shape

@@ -1,83 +1,43 @@
-"""Lowering of batched ISA ops into flat typed columns.
+"""Lowering of batched ISA ops.
 
-The vector execution core (:mod:`repro.engine.vector`) does not
-interpret op objects one slot at a time.  Instead, each batched op is
-lowered *once* into numpy columns — kind / addr / width / value — plus
-the static structure the executor's kernels need (page runs, line runs,
-and the indices of accesses that straddle a line or translation
-granule).  The lowering is purely shape-level: it never touches
-simulated state, so a lowered op can be cached and reused across every
-run of the same workload.
+Two pieces of shape-level work happen before a batched op's first
+access, and neither touches simulated state:
 
-Lowering is conservative.  ``lower_access_run`` returns ``None`` for
-any shape the vector kernels do not handle (negative strides,
-overlapping strided stores, non-power-of-two widths, oversized runs);
-the engine then simply keeps the op on the serial path.  Malformed ops
-that the Program layer would never emit raise
-:class:`~repro.errors.InvalidProgramError`, matching where the slow
-path fails.
+* :func:`validate_run` rejects malformed
+  :class:`~repro.isa.ops.AccessRun` shapes, so the serial interpreter
+  fails with a typed error before a single access executes.
+* :func:`lower_seq` lowers an :class:`~repro.isa.ops.RmwSeq` or
+  :class:`~repro.isa.ops.StoreSeq` to the :class:`SeqShape` the vector
+  core's lockstep kernel (:mod:`repro.engine.vector`) reads: the phase
+  cost cycle, the element count, the shared RMW delta and the width
+  mask.  The per-element addresses, deltas and values stay on the op.
 """
 
+from typing import NamedTuple, Optional
+
 from repro.errors import InvalidProgramError
-from repro.isa.ops import AccessRun
-
-try:
-    import numpy as _np
-except ImportError:                                   # pragma: no cover
-    _np = None
-
-#: Kind codes for the typed ``kind`` column.
-KIND_LOAD = 0
-KIND_STORE = 1
-
-#: Access widths the vector kernels (and the physmem int codecs) handle.
-VECTOR_WIDTHS = frozenset((1, 2, 4, 8))
-
-#: Upper bound on lowered run length; larger runs stay serial rather
-#: than materializing unbounded index columns.
-MAX_LOWERED_COUNT = 1 << 22
-
-_LINE_MASK = 63
-_GRANULE_MASK = 0xFFF
+from repro.isa.ops import RmwSeq, StoreSeq
 
 
-def numpy_available():
-    """Whether numpy imported; without it every op stays serial."""
-    return _np is not None
+class SeqShape(NamedTuple):
+    """The per-shape constants of one sequence op.
 
-
-class LoweredRun:
-    """One :class:`~repro.isa.ops.AccessRun` as flat typed columns.
-
-    ``addrs`` is the full virtual-address column; ``kind``, ``width``
-    and ``value`` are scalar columns (constant over a run).  ``bad``
-    holds the sorted indices of accesses that straddle a cache line or
-    a 4 KB translation granule — the executor never batches across
-    them.  ``page_starts``/``page_ids`` and ``line_starts``/``line_ids``
-    are run-length encodings of the (monotone) page and relative line
-    columns, so eligibility walks touch one dict probe per distinct
-    page/line instead of one per access.
+    Sub-op ``i`` of the sequence is phase ``i % len(costs)`` of element
+    ``i // len(costs)``.  An RMW element's phases are load, store and
+    (when the op computes) compute; a store sequence's are store and
+    compute.  A fast hit costs exactly ``costs[phase]``.
     """
 
-    __slots__ = ("kind", "addrs", "width", "value", "count", "stride",
-                 "is_write", "cost_kind", "bad", "page_starts",
-                 "page_ids", "line_starts", "line_ids")
-
-    def __init__(self, kind, addrs, width, value, count, stride,
-                 is_write, bad, page_starts, page_ids, line_starts,
-                 line_ids):
-        self.kind = kind
-        self.addrs = addrs
-        self.width = width
-        self.value = value
-        self.count = count
-        self.stride = stride
-        self.is_write = is_write
-        self.bad = bad
-        self.page_starts = page_starts
-        self.page_ids = page_ids
-        self.line_starts = line_starts
-        self.line_ids = line_ids
+    is_rmw: bool
+    #: Fast-hit cycle cost of each phase, in phase order.
+    costs: tuple
+    #: Number of elements.
+    count: int
+    #: The RMW delta every element adds, or None when it varies per
+    #: element (and for store sequences).
+    delta: Optional[int]
+    #: ``2**(8*width) - 1``: a stored RMW result wraps to the width.
+    mask: int
 
 
 def validate_run(op):
@@ -95,51 +55,27 @@ def validate_run(op):
             f"AccessRun with non-positive width {op.width}")
 
 
-def _run_length(values):
-    """(starts, ids) run-length encoding of a monotone int column."""
-    if len(values) == 0:
-        return (_np.zeros(0, dtype=_np.int64),
-                _np.zeros(0, dtype=_np.int64))
-    change = _np.flatnonzero(_np.diff(values)) + 1
-    starts = _np.concatenate((
-        _np.zeros(1, dtype=_np.int64), change.astype(_np.int64),
-        _np.asarray([len(values)], dtype=_np.int64)))
-    return starts, values[starts[:-1]]
+def seq_key(op):
+    """The fields that determine ``op``'s :class:`SeqShape` — class,
+    element count, width, compute and shared delta — or None when
+    ``op`` is not a sequence op.  Two ops with the same key lower to
+    the same shape whatever their addresses."""
+    cls = op.__class__
+    if cls is RmwSeq:
+        deltas = op.deltas
+        return (cls, len(op.addrs), op.width, op.compute,
+                deltas if isinstance(deltas, int) else None)
+    if cls is StoreSeq:
+        return (cls, len(op.values), op.width, op.compute, None)
+    return None
 
 
-def lower_access_run(op):
-    """Lower one ``AccessRun`` to a :class:`LoweredRun`, or ``None``.
-
-    Returns ``None`` for shapes the vector kernels decline (the op then
-    executes serially, which is always correct): non-``AccessRun`` run
-    ops (``RmwSeq``/``StoreSeq`` take the executor's lockstep replay
-    kernel instead of lowering), negative
-    strides, widths outside :data:`VECTOR_WIDTHS`, strided stores that
-    overlap (``0 < stride < width``, where the byte-level outcome
-    depends on per-access ordering), and runs past
-    :data:`MAX_LOWERED_COUNT`.
-    """
-    if op.__class__ is not AccessRun:
-        return None
-    validate_run(op)
-    if _np is None:
-        return None
-    if op.stride < 0 or op.count > MAX_LOWERED_COUNT:
-        return None
-    if op.width not in VECTOR_WIDTHS:
-        return None
-    if 0 < op.stride < op.width:
-        return None
-    addrs = (op.addr
-             + _np.arange(op.count, dtype=_np.int64) * op.stride)
-    straddle = (((addrs & _LINE_MASK) + op.width > 64)
-                | ((addrs & _GRANULE_MASK) + op.width > 4096))
-    bad = _np.flatnonzero(straddle).astype(_np.int64)
-    page_starts, page_ids = _run_length(addrs >> 12)
-    line_starts, line_ids = _run_length(addrs >> 6)
-    return LoweredRun(
-        kind=KIND_STORE if op.is_write else KIND_LOAD,
-        addrs=addrs, width=op.width, value=op.value, count=op.count,
-        stride=op.stride, is_write=op.is_write, bad=bad,
-        page_starts=page_starts, page_ids=page_ids,
-        line_starts=line_starts, line_ids=line_ids)
+def lower_seq(key, load_hit, store_hit):
+    """The :class:`SeqShape` of the sequence ops with :func:`seq_key`
+    ``key``, priced with the cost model's ``load_hit``/``store_hit``."""
+    cls, count, width, compute, delta = key
+    is_rmw = cls is RmwSeq
+    costs = (load_hit, store_hit) if is_rmw else (store_hit,)
+    if compute:
+        costs += (compute,)
+    return SeqShape(is_rmw, costs, count, delta, (1 << (8 * width)) - 1)

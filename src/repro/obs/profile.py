@@ -95,8 +95,8 @@ class Profiler:
         from repro.engine.hooks import RuntimeHooks
 
         self.wrap(engine.machine, "mem_access", "memory-system")
-        # the batched-run fast path can bypass mem_access and drive the
-        # directory directly; same category, so the split stays honest
+        # a PTSB commit drives the directory without mem_access; same
+        # category, so the split stays honest
         self.wrap(engine.machine.directory, "access", "memory-system")
         self.wrap(engine.root_aspace, "translate", "vm-translate")
         runtime = engine.runtime

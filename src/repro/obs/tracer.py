@@ -215,11 +215,10 @@ class Tracer(EngineObserver):
                    reason=info.get("reason"))
 
     def on_vector_switch(self, tid, ts, mode, ops):
-        """Record a vector<->slow-path execution switch.
+        """Record one thread's share of a committed lockstep window.
 
-        Rendered on the per-thread tracks, so a Perfetto view shows
-        exactly where batching ran (``vector_batch`` /
-        ``vector_lockstep``) and where it broke (``vector_fallback``).
+        Rendered on the per-thread tracks as ``vector_lockstep``
+        events, so a Perfetto view shows exactly where batching ran.
         """
         self._emit(f"vector_{mode}", ts, tid=tid, ops=ops)
 

@@ -1,61 +1,42 @@
-"""Batch cache-state transition kernels for the vector executor.
+"""Batch cache-state transition kernel for the vector executor.
 
-These kernels advance the :class:`~repro.sim.cache.CoherenceDirectory`
-over a whole *fast-hit stretch* at once: a run of accesses by one core
-to lines it already owns via the directory's owner micro-cache
-(``_fast``).  For such a stretch the per-access slow path is provably a
-no-op beyond timestamp refresh, the one-time E->M upgrade, and the
-access counter — so ``k`` accesses on a line collapse to a single
-in-place update whose observable directory state is byte-identical to
-``k`` serial ``access()`` calls:
+:func:`apply_fast_mixed` advances the
+:class:`~repro.sim.cache.CoherenceDirectory` over a whole *fast-hit
+stretch* at once: a run of loads and stores by one core to lines it
+already owns via the directory's owner micro-cache (``_fast``).  For
+such a stretch the per-access slow path is provably a no-op beyond
+timestamp refresh, the one-time E->M upgrade, and the access counter —
+so ``k`` accesses on a line collapse to a single in-place update whose
+observable directory state is byte-identical to ``k`` serial
+``access()`` calls:
 
 * ``mine[0]`` (owner's last-any timestamp) ends at the *last* access's
   pre-cost clock; earlier writes are overwritten by later ones.
-* ``mine[1]`` (last-write) likewise, only touched when writing.
+* ``mine[1]`` (last-write) likewise, only touched by writes.
 * ``holders[core]`` upgrades E->M at most once, on the first write.
 * ``access_count`` grows by exactly ``k``; no HITM, no contention, no
   eviction — a fast hit never consults ``_recent`` beyond the shared
   ``mine`` cell and never evicts the entry.
 
-The kernels never *install* fast entries and never handle misses: the
-executor sizes each batch with :func:`fast_owned_line_count` so only
-already-owned lines are touched, and falls back to the serial path on
-the first line that is not.  ``tests/sim/test_cache_batch.py`` pins the
-equivalence differentially against both ``CoherenceDirectory`` and the
-unoptimized ``ReferenceDirectory``.
+The kernel never *installs* fast entries and never handles misses: the
+executor verifies every line is already owned before it commits a
+window.  ``tests/sim/test_cache_batch.py`` pins the equivalence
+differentially against both ``CoherenceDirectory`` and the unoptimized
+``ReferenceDirectory``.
 """
 
 from repro.sim.cache import EXCLUSIVE, MODIFIED
 
 
-def fast_owned_line_count(directory, core, lines):
-    """Count leading entries of ``lines`` fast-owned by ``core``.
-
-    ``lines`` is an iterable of absolute line addresses (deduplicated,
-    in access order).  Returns how many of its leading elements have an
-    owner micro-cache entry held by ``core`` — the lines a batch may
-    cover without ever entering the slow path.
-    """
-    fast = directory._fast
-    owned = 0
-    for line in lines:
-        entry = fast.get(line)
-        if entry is None or entry[0] != core:
-            break
-        owned += 1
-    return owned
-
-
 def apply_fast_mixed(directory, core, line_finals, total):
     """Apply a batch of mixed load/store fast hits in place.
 
-    Like :func:`apply_fast_hits`, but for batches interleaving loads
-    and stores on the same lines (the RMW sequences).  ``line_finals``
-    maps ``line -> [last_any_now, last_write_now]`` — the accessing
-    core's pre-cost clocks at the final access and final *write* the
-    batch performs on that line (``last_write_now`` is None for lines
-    the batch only read).  ``total`` is the number of accesses
-    collapsed.  Every line must currently be fast-owned by ``core``.
+    ``line_finals`` maps ``line -> [last_any_now, last_write_now]`` —
+    the accessing core's pre-cost clocks at the final access and final
+    *write* the batch performs on that line (``last_write_now`` is None
+    for lines the batch only read).  ``total`` is the number of
+    accesses collapsed.  Every line must currently be fast-owned by
+    ``core``.
     """
     fast = directory._fast
     for line, (last_any, last_write) in line_finals.items():
@@ -64,28 +45,6 @@ def apply_fast_mixed(directory, core, line_finals, total):
         if last_write is not None:
             entry[2][1] = last_write
             holders = entry[1]
-            if holders[core] is EXCLUSIVE:
-                holders[core] = MODIFIED
-    directory.access_count += total
-
-
-def apply_fast_hits(directory, core, is_write, line_finals, total):
-    """Apply a batch of fast hits to the directory in place.
-
-    ``line_finals`` is a sequence of ``(line, last_now)`` pairs — one
-    per distinct line in the batch, ``last_now`` being the accessing
-    core's pre-cost clock at the *final* access the batch performs on
-    that line.  ``total`` is the total number of accesses collapsed.
-    Every line must currently be fast-owned by ``core`` (the caller
-    guarantees this via :func:`fast_owned_line_count`).
-    """
-    fast = directory._fast
-    for line, last_now in line_finals:
-        mine = fast[line][2]
-        mine[0] = last_now
-        if is_write:
-            mine[1] = last_now
-            holders = fast[line][1]
             if holders[core] is EXCLUSIVE:
                 holders[core] = MODIFIED
     directory.access_count += total

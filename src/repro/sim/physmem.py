@@ -14,11 +14,6 @@ import struct
 
 from repro.errors import SimulationError
 
-try:
-    import numpy as _np
-except ImportError:                                   # pragma: no cover
-    _np = None
-
 #: Storage chunk granularity; independent of the mapping page size.
 _CHUNK = 4096
 _CHUNK_MASK = _CHUNK - 1
@@ -51,10 +46,6 @@ class PhysicalMemory:
         frame's first coherence fill (see ``Machine``).
         """
         return self._home_nodes.get(pa >> 12)
-
-    def set_home_node(self, pa, node):
-        """Pin the 4 KB frame holding ``pa`` to NUMA ``node``."""
-        self._home_nodes[pa >> 12] = node
 
     # ------------------------------------------------------------------
     # allocation
@@ -148,85 +139,6 @@ class PhysicalMemory:
             return
         mask = (1 << (8 * width)) - 1
         self.write(pa, (value & mask).to_bytes(width, "little"))
-
-    def read_int_run(self, pa, stride, count, width):
-        """Bulk :meth:`read_int`: ``count`` strided little-endian reads.
-
-        Returns the list of unsigned values at ``pa + i*stride`` for
-        ``i in range(count)``, element-for-element identical to serial
-        ``read_int`` calls.  Accesses must not straddle a 4 KB chunk
-        (the vector executor guarantees this — batched accesses never
-        straddle a cache line, and lines never straddle chunks) and
-        ``width`` must be a codec width; misuse raises
-        :class:`SimulationError`.
-        """
-        if _np is None or width not in _INT_CODEC:
-            raise SimulationError(
-                f"read_int_run unsupported (width={width})")
-        if stride == 0:
-            return [self.read_int(pa, width)] * count
-        out = []
-        index = 0
-        while index < count:
-            first = pa + index * stride
-            base = first & ~_CHUNK_MASK
-            take = min(count - index,
-                       (base + _CHUNK - width - first) // stride + 1)
-            if take < 1:
-                raise SimulationError("read_int_run chunk straddle")
-            chunk = self._chunks.get(base)
-            if chunk is None:
-                out.extend([0] * take)
-            else:
-                buf = _np.frombuffer(chunk, dtype=_np.uint8)
-                offs = ((first - base)
-                        + _np.arange(take, dtype=_np.int64) * stride)
-                grid = offs[:, None] + _np.arange(width,
-                                                  dtype=_np.int64)
-                weights = (_np.uint64(1)
-                           << (_np.arange(width, dtype=_np.uint64) * 8))
-                vals = (buf[grid].astype(_np.uint64) * weights)
-                out.extend(vals.sum(axis=1, dtype=_np.uint64).tolist())
-            index += take
-        return out
-
-    def write_int_run(self, pa, stride, count, value, width):
-        """Bulk :meth:`write_int`: ``count`` strided stores of ``value``.
-
-        Byte-identical to ``count`` serial ``write_int`` calls under the
-        executor's preconditions: no chunk straddle, codec ``width``,
-        and ``stride`` either 0 (all stores collapse onto one location)
-        or >= ``width`` (no overlap, so store order is immaterial).
-        """
-        if _np is None or width not in _INT_CODEC:
-            raise SimulationError(
-                f"write_int_run unsupported (width={width})")
-        if 0 < stride < width:
-            raise SimulationError("write_int_run overlapping stride")
-        if stride == 0:
-            self.write_int(pa, value, width)
-            return
-        pattern = (value & _INT_MASK[width]).to_bytes(width, "little")
-        index = 0
-        while index < count:
-            first = pa + index * stride
-            base = first & ~_CHUNK_MASK
-            take = min(count - index,
-                       (base + _CHUNK - width - first) // stride + 1)
-            if take < 1:
-                raise SimulationError("write_int_run chunk straddle")
-            chunk = self._materialize(base)
-            off = first - base
-            if stride == width:
-                chunk[off:off + take * width] = pattern * take
-            else:
-                buf = _np.frombuffer(chunk, dtype=_np.uint8)
-                offs = (off
-                        + _np.arange(take, dtype=_np.int64) * stride)
-                grid = offs[:, None] + _np.arange(width,
-                                                  dtype=_np.int64)
-                buf[grid] = _np.frombuffer(pattern, dtype=_np.uint8)
-            index += take
 
     def copy_page(self, src_pa, dst_pa, page_size):
         """Copy ``page_size`` bytes from ``src_pa`` to ``dst_pa``."""

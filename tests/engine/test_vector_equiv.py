@@ -78,9 +78,9 @@ def test_repair_cell_identical_both_ways(name, system):
 # typed-error parity
 # ----------------------------------------------------------------------
 def _budget_program(shape):
-    """Two workers hammering private lines through the batched ops the
-    vector kernels accelerate; long enough that a small budget runs
-    out mid-batch."""
+    """Two workers hammering private lines through batched ops (an
+    AccessRun runs serially, a sequence in lockstep windows); long
+    enough that a small budget runs out mid-batch."""
     binary = Binary("budget")
     st = binary.store_site("st", 8)
     ld = binary.load_site("ld", 8)
@@ -151,10 +151,10 @@ class _TickRecorder(PthreadsRuntime):
             clock[engine.service_core] = max(clock) + 3 * self.tick_cycles
 
 
-@pytest.mark.parametrize("shape", ["run", "seq"])
+@pytest.mark.parametrize("shape", ["seq"])
 def test_lockstep_is_tick_bounded(shape):
-    """An armed runtime tick bounds the lockstep kernels instead of
-    shutting them off: every tick fires at the same point of every
+    """An armed runtime tick bounds the lockstep kernel instead of
+    shutting it off: every tick fires at the same point of every
     core's clock, and every clock ends the same, whether lockstep
     windows ran or not."""
     outcomes = {}
@@ -192,7 +192,7 @@ class _RoutedRuntime(TmiRuntime):
 def _routed_program(env, nworkers):
     """Workers that write their slot through the PTSB's private frame
     (batchable) and then, volatile, through the always-shared one
-    (routed: the kernels must decline)."""
+    (routed: the kernel must decline)."""
     binary = Binary("routed")
     st = binary.store_site("st", 8)
     ld = binary.load_site("ld", 8)
@@ -224,9 +224,9 @@ def _routed_program(env, nworkers):
 @pytest.mark.parametrize("nworkers", [1, 2])
 def test_routed_runs_match_serial(nworkers):
     """A routed process's PTSB pages batch, but its volatile runs go
-    through the runtime's translate to the shared frame: the stretch
-    kernel (one worker) and the lockstep kernels (two) must decline
-    them, or the values land in the private frame."""
+    through the runtime's translate to the shared frame: the lockstep
+    kernel must decline them, or the values land in the private frame.
+    A lone worker forms no window, so only two workers must batch."""
     outcomes = {}
     for vector in (True, False):
         env = {}
@@ -234,7 +234,7 @@ def test_routed_runs_match_serial(nworkers):
                         vector=vector)
         engine.run()
         outcomes[vector] = (env["final"], list(engine.machine.core_clock))
-        if vector:
+        if vector and nworkers > 1:
             assert engine._vector.batched_ops > 0
     assert outcomes[True] == outcomes[False]
 

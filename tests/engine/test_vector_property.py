@@ -2,9 +2,10 @@
 
 The seeded ``random_program`` family (extended with private batched
 stretches — ``load_run``/``store_run``/``rmw_seq``/``store_seq`` over
-per-thread blocks, the shapes the vector kernels accelerate) must
-produce identical final memory, cycle counts, HITM counts, op counts,
-and metrics snapshots with the vector core forced on and forced off.
+per-thread blocks, with the workers started together so their
+sequence ops overlap in lockstep windows) must produce identical final
+memory, cycle counts, HITM counts, op counts, and metrics snapshots
+with the vector core forced on and forced off.
 Hypothesis drives >= 50 generated programs; any divergence shrinks to
 a minimal seed.
 """
@@ -56,11 +57,12 @@ def test_vector_on_off_identical(seed, nthreads, nlocks, ops):
 
 def test_batched_generator_exercises_the_kernels():
     """Guard against the property silently testing nothing: the
-    batched generator must actually route ops through the vector
-    executor for at least one fixed seed."""
+    batched generator must actually commit lockstep windows for at
+    least one fixed seed."""
     env = {}
-    program = random_program(3, env=env, batched=True)
+    program = random_program(0, env=env, batched=True)
     engine = Engine(program, PthreadsRuntime(), vector=True)
     engine.run()
     counters = engine.metrics().snapshot()["counters"]
+    assert counters["vector.lockstep_batches"] > 0
     assert counters["vector.batched_ops"] > 0

@@ -96,10 +96,12 @@ def random_program(seed, nthreads=3, nlocks=2, nlines=4,
 
     ``batched=True`` additionally interleaves private batched
     stretches (``load_run``/``store_run``/``rmw_seq``/``store_seq``
-    over a per-thread block) between the locked shared updates — the
-    shapes the vector executor accelerates — without touching the
-    shared-line oracle.  The default stays byte-identical to the
-    original generator (the rng consumes the same stream).
+    over a per-thread block) between the locked shared updates —
+    without touching the shared-line oracle — and starts the workers
+    together at a barrier, so their sequence ops overlap in time and
+    the vector executor's lockstep windows form.  The default stays
+    byte-identical to the original generator (the rng consumes the
+    same stream).
 
     Returns the Program; ``env`` (or the passed-in dict) carries
     ``buf``, ``finals`` and the statically computed ``expected``.
@@ -150,11 +152,13 @@ def random_program(seed, nthreads=3, nlocks=2, nlines=4,
         buf = yield from t.malloc(64 * nlines + 64, align=64)
         env["buf"] = buf
         priv = 0
+        start = None
         if batched:
             # only allocated when requested, so batched=False programs
             # stay byte-identical to the pre-batched generator
             priv = yield from t.malloc(PRIV * nthreads, align=64)
             env["priv"] = priv
+            start = yield from t.barrier(nthreads, "start")
         locks = []
         for i in range(nlocks):
             lock = yield from t.mutex(f"l{i}")
@@ -163,6 +167,8 @@ def random_program(seed, nthreads=3, nlocks=2, nlines=4,
         def worker(w):
             steps = plans[w.tid - 1]
             base = priv + (w.tid - 1) * PRIV
+            if start is not None:
+                yield from w.barrier_wait(start)
             for step in steps:
                 if step[0] == "batch":
                     _, kind, count, off, compute, operand = step

@@ -7,7 +7,7 @@ The contract stack, bottom to top:
 * Multi-socket grids are deterministic across ``REPRO_JOBS`` worker
   counts, like every other grid in the repo.
 * The vector core declines batches touching remote-homed lines (their
-  fills carry NUMA latency the batch kernels don't model) and the
+  fills carry NUMA latency the batch kernel doesn't model) and the
   declined run still matches the pure-serial interpreter bit for bit.
 * The placement policies move the cross-socket HITM needle in the
   direction the mapping survey claims.
@@ -62,7 +62,7 @@ def test_numa_cells_deterministic_across_jobs(monkeypatch):
 
 
 def test_vector_declines_remote_lines_and_stays_exact():
-    """On a 2-socket machine the batch kernels refuse remote-homed
+    """On a 2-socket machine the batch kernel refuses remote-homed
     lines; the fallback serial path keeps results bit-identical."""
     on = run_workload("histogram", "pthreads", scale=0.1, sockets=2,
                       placement="scatter", vector=True,

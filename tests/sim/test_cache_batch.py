@@ -1,19 +1,16 @@
-"""Differential tests for the batch cache-state transition kernels.
+"""Differential tests for the batch cache-state transition kernel.
 
-``apply_fast_hits`` / ``apply_fast_mixed`` collapse ``k`` fast-hit
-accesses into one in-place directory update.  The oracle is the
-unoptimized per-access path: replay the identical access stream
-through a second ``CoherenceDirectory`` (and the ``ReferenceDirectory``
-for the serial side) and demand byte-identical directory state.
+``apply_fast_mixed`` collapses ``k`` fast-hit accesses into one
+in-place directory update.  The oracle is the unoptimized per-access
+path: replay the identical access stream through a second
+``CoherenceDirectory`` (and the ``ReferenceDirectory`` for the serial
+side) and demand byte-identical directory state.
 """
 
 import random
 
-import pytest
-
 from repro.sim.cache import CoherenceDirectory
-from repro.sim.cache_batch import (apply_fast_hits, apply_fast_mixed,
-                                   fast_owned_line_count)
+from repro.sim.cache_batch import apply_fast_mixed
 from repro.sim.cache_ref import ReferenceDirectory
 from repro.sim.costs import LINE_SIZE, CostModel
 
@@ -43,36 +40,6 @@ def _state(directory):
     return (directory._lines, directory._recent, directory.access_count,
             directory.hitm_load_count, directory.hitm_store_count,
             directory.contended_accesses)
-
-
-def test_fast_owned_line_count_stops_at_first_unowned():
-    lines = [BASE + i * LINE_SIZE for i in range(3)]
-    a, _b, _ = _fresh_pair(lines)
-    foreign = BASE + 10 * LINE_SIZE
-    a.access(1, foreign, 8, True, now=50)
-    assert fast_owned_line_count(a, 0, lines) == 3
-    assert fast_owned_line_count(a, 0, [lines[0], foreign, lines[1]]) == 1
-    assert fast_owned_line_count(a, 1, lines) == 0
-
-
-@pytest.mark.parametrize("is_write", [False, True])
-def test_apply_fast_hits_matches_serial(is_write):
-    lines = [BASE + i * LINE_SIZE for i in range(4)]
-    serial, batched, costs = _fresh_pair(lines)
-    hit = costs.store_hit if is_write else costs.load_hit
-    now = 100
-    finals = {}
-    total = 0
-    for rep in range(6):
-        for line in lines:
-            out = serial.access(0, line, 8, is_write, now=now)
-            assert out.cost == hit, "stream must stay fast-path"
-            finals[line] = now
-            total += 1
-            now += hit
-    apply_fast_hits(batched, 0, is_write, list(finals.items()), total)
-    assert _state(serial) == _state(batched)
-    assert serial._fast == batched._fast
 
 
 def test_apply_fast_mixed_matches_serial_rmw_stream():
