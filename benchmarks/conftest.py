@@ -28,12 +28,6 @@ def scale():
     return bench_scale()
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
-                              iterations=1, warmup_rounds=0)
-
-
 def publish(result):
     """Print and persist an ExperimentResult."""
     print()

@@ -8,11 +8,11 @@ workloads see little change either way.
 
 from repro.eval import figure10
 
-from conftest import bench_scale, publish, run_once
+from conftest import bench_scale, publish
 
 
-def test_figure10_huge_pages(benchmark):
-    result = run_once(benchmark, figure10, scale=bench_scale(1.0))
+def test_figure10_huge_pages():
+    result = figure10(scale=bench_scale(1.0))
     publish(result)
     data = result.data["workloads"]
 

@@ -7,11 +7,11 @@ actual event count.
 
 from repro.eval import figure4
 
-from conftest import bench_scale, publish, run_once
+from conftest import bench_scale, publish
 
 
-def test_figure4_period_sweep(benchmark):
-    result = run_once(benchmark, figure4, scale=bench_scale(1.0) * 2.0)
+def test_figure4_period_sweep():
+    result = figure4(scale=bench_scale(1.0) * 2.0)
     publish(result)
     periods = result.data["periods"]
 

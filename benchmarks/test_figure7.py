@@ -7,12 +7,11 @@ native inputs (works on 11 of 35) and is expensive where it runs.
 
 from repro.eval import figure7
 
-from conftest import bench_scale, publish, run_once
+from conftest import bench_scale, publish
 
 
-def test_figure7_detection_overhead(benchmark):
-    result = run_once(benchmark, figure7,
-                      scale=bench_scale(1.0) * 0.3)
+def test_figure7_detection_overhead():
+    result = figure7(scale=bench_scale(1.0) * 0.3)
     publish(result)
     data = result.data
 

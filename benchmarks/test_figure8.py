@@ -8,13 +8,13 @@ process-shared sync shadows.
 
 from repro.eval import figure8
 
-from conftest import bench_scale, publish, run_once
+from conftest import bench_scale, publish
 
 MB = 1024 * 1024
 
 
-def test_figure8_memory_overhead(benchmark):
-    result = run_once(benchmark, figure8, scale=bench_scale(1.0) * 0.3)
+def test_figure8_memory_overhead():
+    result = figure8(scale=bench_scale(1.0) * 0.3)
     publish(result)
     data = result.data["workloads"]
 

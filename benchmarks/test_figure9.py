@@ -12,11 +12,11 @@ Paper's claims (shape, not absolute):
 
 from repro.eval import figure9
 
-from conftest import bench_scale, publish, run_once
+from conftest import bench_scale, publish
 
 
-def test_figure9_repair_speedups(benchmark):
-    result = run_once(benchmark, figure9, scale=bench_scale(1.0))
+def test_figure9_repair_speedups():
+    result = figure9(scale=bench_scale(1.0))
     publish(result)
     data = result.data["workloads"]
     geomean = result.data["geomean"]

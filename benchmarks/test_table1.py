@@ -7,16 +7,13 @@ of the manual-fix speedup.
 
 from repro.eval import figure7, figure9, table1
 
-from conftest import bench_scale, publish, run_once
+from conftest import bench_scale, publish
 
 
-def test_table1_requirements_matrix(benchmark):
-    def build():
-        fig7 = figure7(scale=bench_scale(1.0) * 0.3)
-        fig9 = figure9(scale=bench_scale(1.0))
-        return table1(figure7_result=fig7, figure9_result=fig9)
-
-    result = run_once(benchmark, build)
+def test_table1_requirements_matrix():
+    fig7 = figure7(scale=bench_scale(1.0) * 0.3)
+    fig9 = figure9(scale=bench_scale(1.0))
+    result = table1(figure7_result=fig7, figure9_result=fig9)
     publish(result)
     data = result.data
 

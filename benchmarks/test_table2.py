@@ -4,11 +4,11 @@ regions, and where PTSB use is permitted."""
 from repro.core.consistency import ASM, ATOMIC, REGULAR, table2_semantics
 from repro.eval import table2
 
-from conftest import publish, run_once
+from conftest import publish
 
 
-def test_table2_consistency_matrix(benchmark):
-    result = run_once(benchmark, table2)
+def test_table2_consistency_matrix():
+    result = table2()
     publish(result)
 
     # the two shaded (PTSB-permitted) cells of the paper's Table 2

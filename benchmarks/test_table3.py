@@ -8,11 +8,11 @@ clear outlier.
 
 from repro.eval import table3
 
-from conftest import bench_scale, publish, run_once
+from conftest import bench_scale, publish
 
 
-def test_table3_repair_characterization(benchmark):
-    result = run_once(benchmark, table3, scale=bench_scale(1.0))
+def test_table3_repair_characterization():
+    result = table3(scale=bench_scale(1.0))
     publish(result)
     data = result.data
 

@@ -4,19 +4,22 @@ Runs a :class:`~repro.engine.program.Program` on a simulated
 :class:`~repro.sim.machine.Machine` under a runtime
 (:class:`~repro.engine.hooks.RuntimeHooks`).
 
-Scheduling is deterministic: the runnable thread with the smallest ready
-time executes one ISA op; ties break by insertion order.  Each op's
-cycle cost advances that thread's core clock.  Blocking (locks,
-barriers, joins) parks threads off the ready heap; stop-the-world
-requests (the monitor's ptrace attach) park every thread at its next op
-boundary — exactly where a real signal stop would land.
+Scheduling is deterministic: one loop pops the runnable thread with
+the smallest ready time off the ready heap and executes one ISA op;
+ties break by insertion order.  Each op's cycle cost advances that
+thread's core clock.  Blocking (locks, barriers, joins) parks threads
+off the ready heap; stop-the-world requests (the monitor's ptrace
+attach) park every thread at its next op boundary — exactly where a
+real signal stop would land.  A batched op (``AccessRun``, ``RmwSeq``,
+``StoreSeq``) runs as a continuation on the thread, sub-op by sub-op,
+and yields the core wherever the unbatched loop would have.
 
-A :class:`~repro.schedule.SchedulePolicy` passed as ``policy=`` makes
-the thread-selection decision pluggable: at every op boundary the
-policy picks the next thread from the full runnable set, the engine
-records the decision, and the log replays any interleaving exactly
-(see :mod:`repro.schedule`).  With no policy the engine takes the
-original heap-driven fast path, untouched.
+A :class:`~repro.schedule.SchedulePolicy` passed as ``policy=`` is the
+loop's pick step: whenever more than one thread is runnable, the policy
+picks the next one from the runnable set, the engine records the
+decision, and the log replays any interleaving exactly (see
+:mod:`repro.schedule`).  Continuations then yield after every access,
+so each access is a decision point.
 """
 
 import heapq
@@ -32,12 +35,6 @@ from repro.errors import CycleBudgetError, DeadlockError, SimulationError
 from repro.isa import ops as O
 from repro.isa.lowering import validate_run
 from repro.sync.objects import Barrier, Condvar, Mutex
-
-
-def _ready_order(thread):
-    """Candidate sort key: the heap's (ready_time, seq) order, so index
-    0 is always the thread the default scheduler would run."""
-    return (thread.ready_time, thread.seq)
 
 
 class Engine:
@@ -57,8 +54,9 @@ class Engine:
         self.program = program
         self.runtime = runtime
         self.max_cycles = max_cycles
-        #: Schedule policy (repro.schedule); None keeps the heap-driven
-        #: fast path with zero per-op overhead.
+        #: Schedule policy (repro.schedule): the scheduling loop's pick
+        #: step.  None runs the earliest heap entry, with no per-op
+        #: overhead.
         self.policy = policy
         self._policy_notify = (policy is not None
                                and getattr(policy, "wants_op_events",
@@ -116,7 +114,7 @@ class Engine:
             O.Compute: self._exec_compute,
             O.Load: self._exec_access,
             O.Store: self._exec_access,
-            O.AccessRun: self._exec_run_op,
+            O.AccessRun: self._exec_seq_op,
             O.RmwSeq: self._exec_seq_op,
             O.StoreSeq: self._exec_seq_op,
             O.AtomicLoad: self._exec_access,
@@ -126,11 +124,11 @@ class Engine:
             O.RegionBegin: self._exec_region_begin,
             O.RegionEnd: self._exec_region_end,
             O.Fence: self._exec_fence,
-            O.MutexLock: self._exec_lock_op,
-            O.MutexUnlock: self._exec_unlock_op,
-            O.BarrierWait: self._exec_barrier_op,
-            O.CondWait: self._exec_cond_wait_op,
-            O.CondSignal: self._exec_cond_signal_op,
+            O.MutexLock: self._exec_lock,
+            O.MutexUnlock: self._exec_unlock,
+            O.BarrierWait: self._exec_barrier,
+            O.CondWait: self._exec_cond_wait,
+            O.CondSignal: self._exec_cond_signal,
             O.Malloc: self._exec_malloc,
             O.FreeOp: self._exec_free,
             O.ThreadCreate: self._exec_thread_create,
@@ -184,10 +182,7 @@ class Engine:
         if self._observer is not None:
             self._observer.on_thread_create(None, main.tid)
         self._schedule(main, 0)
-        if self.policy is not None:
-            self._run_policy_loop()
-        else:
-            self._run_heap_loop()
+        self._run_loop()
         unfinished = [t.tid for t in self.threads.values()
                       if t.state != DONE]
         if unfinished:
@@ -221,13 +216,18 @@ class Engine:
         from repro.engine.vector import VectorExecutor
         self._vector = VectorExecutor(self)
 
-    def _run_heap_loop(self):
-        """The original heap-driven scheduling loop (fast path)."""
+    def _run_loop(self):
+        """The scheduling loop: pop the earliest live ready-heap entry,
+        let the schedule policy (if any) pick the thread to run instead
+        (:meth:`_pick`), and dispatch one op of it."""
         heap = self._heap
         threads = self.threads
         core_clock = self.machine.core_clock
         max_cycles = self.max_cycles
         vector = self._vector
+        policy = self.policy
+        if policy is not None:
+            policy.reset(self)
         while heap:
             ready_time, seq, tid = heapq.heappop(heap)
             thread = threads[tid]
@@ -236,6 +236,9 @@ class Engine:
             if self._stop_world:
                 self._park(thread, ready_time)
                 continue
+            if policy is not None and heap:
+                ready_time, seq, tid = self._pick((ready_time, seq, tid))
+                thread = threads[tid]
             self._dispatch(thread, ready_time)
             if vector is not None and vector.hint:
                 vector.hint = False
@@ -251,45 +254,33 @@ class Engine:
                 raise CycleBudgetError(now, max_cycles,
                                        trace=self.schedule_trace())
 
-    def _run_policy_loop(self):
-        """Policy-driven scheduling: the policy picks the next thread
-        from the full runnable set at every op boundary, and the engine
-        records the decision.
-
-        Stale heap entries accumulate here (the loop selects from the
-        thread table, not the heap); :meth:`_run_accesses` drains them
-        opportunistically, and every access run yields after a single
-        access so each one is an enumerable decision point.
-        """
-        policy = self.policy
-        policy.reset(self)
-        decisions = self.schedule_decisions
+    def _pick(self, first):
+        """The policy's pick step.  ``first`` is the earliest live heap
+        entry; pop the other live entries (dropping stale ones), let the
+        policy choose among all of their threads in the heap's
+        ``(ready_time, seq)`` order, log the choice, and push the other
+        entries back unchanged.  Returns the chosen entry."""
+        heap = self._heap
         threads = self.threads
-        while True:
-            candidates = [t for t in threads.values() if t.state == READY]
-            if not candidates:
-                break
-            candidates.sort(key=_ready_order)
-            if self._stop_world:
-                for thread in candidates:
-                    self._park(thread, thread.ready_time)
-                continue
-            if len(candidates) == 1:
-                thread = candidates[0]
-            else:
-                index = policy.choose(candidates)
-                if not 0 <= index < len(candidates):
-                    raise SimulationError(
-                        f"policy {policy.name} chose index {index} of "
-                        f"{len(candidates)} candidates")
-                decisions.append(index)
-                thread = candidates[index]
-            self._dispatch(thread, thread.ready_time)
-            if self._next_tick is not None:
-                self._run_ticks()
-            if self.machine.now > self.max_cycles:
-                raise CycleBudgetError(self.machine.now, self.max_cycles,
-                                       trace=self.schedule_trace())
+        entries = [first]
+        while heap:
+            entry = heapq.heappop(heap)
+            thread = threads[entry[2]]
+            if thread.state == READY and thread.seq == entry[1]:
+                entries.append(entry)
+        if len(entries) == 1:
+            return first
+        policy = self.policy
+        index = policy.choose([threads[tid] for _rt, _seq, tid in entries])
+        if not 0 <= index < len(entries):
+            raise SimulationError(
+                f"policy {policy.name} chose index {index} of "
+                f"{len(entries)} candidates")
+        self.schedule_decisions.append(index)
+        chosen = entries.pop(index)
+        # the heap is empty, and a sorted list is a valid heap
+        heap.extend(entries)
+        return chosen
 
     def schedule_trace(self):
         """Snapshot of the schedule decisions made so far, or None for
@@ -436,10 +427,7 @@ class Engine:
             if self._policy_notify:
                 self.policy.notify_op(thread.tid,
                                       thread.run_op.__class__.__name__)
-            if thread.run_op.__class__ is O.AccessRun:
-                self._run_accesses(thread)
-            else:
-                self._run_seq(thread)
+            self._run_seq(thread)
             return
         try:
             op = thread.gen.send(thread.pending_value)
@@ -518,21 +506,6 @@ class Engine:
         if self._observer is not None:
             self._observer.on_fence(thread.tid)
         return self.costs.fence, None, False
-
-    def _exec_lock_op(self, thread, op):
-        return self._exec_lock(thread, op.mutex)
-
-    def _exec_unlock_op(self, thread, op):
-        return self._exec_unlock(thread, op.mutex)
-
-    def _exec_barrier_op(self, thread, op):
-        return self._exec_barrier(thread, op.barrier)
-
-    def _exec_cond_wait_op(self, thread, op):
-        return self._exec_cond_wait(thread, op.condvar, op.mutex)
-
-    def _exec_cond_signal_op(self, thread, op):
-        return self._exec_cond_signal(thread, op.condvar, op.broadcast)
 
     def _exec_malloc(self, thread, op):
         addr, cost = self.runtime.malloc(self, thread, op.size, op.align)
@@ -641,168 +614,49 @@ class Engine:
         return cost + traffic, value, False
 
     # ------------------------------------------------------------------
-    # batched access runs
+    # batched ops
     # ------------------------------------------------------------------
-    def _exec_run_op(self, thread, op):
-        """Begin an :class:`~repro.isa.ops.AccessRun`.
-
-        The run executes access-by-access, advancing the owning core's
-        clock exactly as an unbatched loop would, and yields back to the
-        scheduler at precisely the points where the serial engine would
-        have context-switched: another runnable thread's ready time
-        reaching this core's clock, a pending stop-the-world, a due
-        runtime tick, or the cycle budget.  The continuation lives on
-        the thread (``run_op``/``run_index``/``run_values``), so resuming
-        does not touch the workload generator.
-        """
-        # reject malformed shapes before a single access executes, so
-        # the run fails with a typed error at the cycle it was issued
-        validate_run(op)
-        thread.run_op = op
-        thread.run_index = 0
-        thread.run_values = None if op.is_write else []
-        self._run_accesses(thread)
-        return 0, None, True
-
-    def _run_accesses(self, thread):
-        op = thread.run_op
-        machine = self.machine
-        core = thread.core
-        core_clock = machine.core_clock
-        heap = self._heap
-        threads = self.threads
-        runtime = self.runtime
-        count = op.count
-        stride = op.stride
-        width = op.width
-        is_write = op.is_write
-        value = op.value
-        pc = op.site.pc
-        values = thread.run_values
-        tid = thread.tid
-        max_cycles = self.max_cycles
-        next_tick = self._next_tick
-        observer = self._observer
-        # LASER-style full interception needs the per-access op stream;
-        # synthesize singles and take the unbatched path
-        singles = self._rt_override
-        aspace = thread.process.aspace
-        routed = thread.routes(op)
-        mem_access = machine.mem_access
-        # a bound object, not a snapshot: _tcache is mutated in place
-        # (cleared, never reassigned) so the binding stays live
-        tcache = aspace._tcache
-        # only this core's clock moves while the run executes, and it
-        # only grows, so machine.now is max(clock, now0) throughout
-        now0 = max(core_clock)
-        index = thread.run_index
-        start_index = index
-        addr = op.addr + index * stride
-        clock = core_clock[core]
-        # nothing is pushed to or popped from the ready heap while the
-        # run executes (the engine only re-schedules when it ends), so
-        # the earliest other ready time is a constant: drop stale heap
-        # entries once and peek once, exactly as the main loop would
-        # have before each op
-        while heap:
-            ready_time, seq, next_tid = heap[0]
-            waiter = threads[next_tid]
-            if waiter.state == READY and waiter.seq == seq:
-                break
-            heapq.heappop(heap)
-        head_ready = heap[0][0] if heap else None
-        while True:
-            if singles:
-                if is_write:
-                    single = O.Store(op.site, addr, value, width,
-                                     op.volatile)
-                    cost, _v, _b = self._exec_access(thread, single)
-                else:
-                    single = O.Load(op.site, addr, width, op.volatile)
-                    cost, loaded, _b = self._exec_access(thread, single)
-                    values.append(loaded)
-            else:
-                if observer is not None:
-                    observer.on_access(tid, op.site, addr, width,
-                                       is_write, op.volatile)
-                if routed:
-                    translation = runtime.translate(
-                        self, thread, op, addr, width, is_write)
-                    pa = translation.pa
-                    cost = translation.cost
-                else:
-                    entry = tcache.get(addr >> 12)
-                    if entry is not None and addr + width <= entry[1]:
-                        pa = addr + entry[0]
-                        cost = 0
-                    else:
-                        translation = aspace.translate(addr, width,
-                                                       is_write)
-                        pa = translation.pa
-                        cost = translation.cost
-                traffic, loaded = mem_access(core, tid, pc, addr, pa,
-                                             width, is_write, value)
-                cost += traffic
-                if not is_write:
-                    values.append(loaded)
-            index += 1
-            addr += stride
-            clock += cost
-            core_clock[core] = clock
-            thread.cycles += cost
-            if index >= count:
-                break
-            # --- would the serial engine have switched away here? ---
-            if self.policy is not None:
-                # policy mode: every access is a decision point.  Under
-                # the default policy this is schedule-identical to the
-                # batched path — re-dispatching resumes the run at the
-                # same clock — so cycle counts don't move.
-                break
-            if self._stop_world:
-                break
-            now = clock if clock > now0 else now0
-            if next_tick is not None and now >= next_tick:
-                break
-            if now > max_cycles:
-                break
-            if head_ready is not None and head_ready <= clock:
-                break
-        thread.run_index = index
-        if not singles:
-            # _exec_access counts for the synthesized-singles path; the
-            # inline path counts the whole batch here
-            if is_write:
-                thread.stores += index - start_index
-            else:
-                thread.loads += index - start_index
-        if index >= count:
-            thread.run_op = None
-            thread.run_values = None
-            thread.pending_value = None if is_write else values
-        self._schedule(thread, clock)
-
     def _exec_seq_op(self, thread, op):
-        """Begin an :class:`~repro.isa.ops.RmwSeq` or
-        :class:`~repro.isa.ops.StoreSeq`.
+        """Begin an :class:`~repro.isa.ops.AccessRun`,
+        :class:`~repro.isa.ops.RmwSeq` or :class:`~repro.isa.ops.StoreSeq`.
 
-        Like :meth:`_exec_run_op`, the sequence executes element-by-
-        element (each load/store with the single-access semantics of
+        The op executes sub-op by sub-op (:meth:`_run_seq`): each load
+        and store with the single-access semantics of
         :meth:`_exec_access` — observer callbacks, runtime hooks,
-        coherence — and each compute step as pure clock advance),
-        yielding the core at exactly the points the unbatched
-        multi-yield loop would.  The continuation lives on the thread;
-        ``run_index`` counts *sub-ops* (each element is its
-        load/store/compute steps in order), so a break can land between
-        an element's load and its store.
+        coherence — and each compute step as pure clock advance.  It
+        yields the core at exactly the points where the unbatched loop
+        would have context-switched: another runnable thread's ready
+        time reaching this core's clock, a pending stop-the-world, a
+        due runtime tick, or the cycle budget (under a schedule policy,
+        after every sub-op).  The continuation lives on the thread
+        (``run_op``/``run_index``/``run_values``), so resuming does not
+        touch the workload generator.
         """
+        if op.__class__ is O.AccessRun:
+            # reject malformed shapes before a single access executes,
+            # so the run fails with a typed error at the cycle it was
+            # issued
+            validate_run(op)
+            thread.run_values = None if op.is_write else []
+        else:
+            thread.run_values = None
         thread.run_op = op
         thread.run_index = 0
-        thread.run_values = None
         self._run_seq(thread)
         return 0, None, True
 
     def _run_seq(self, thread):
+        """Run ``thread``'s batched op from ``run_index`` until it
+        ends or the thread must yield the core.
+
+        Sub-op ``i`` is phase ``i % nphases`` of element ``i //
+        nphases``.  An RMW element's phases are load, store and (when
+        the op computes) compute; a store sequence's are store and
+        compute; an AccessRun's element is its one access, at ``addr +
+        element * stride``.  ``run_index`` counts sub-ops, so a break
+        can land between an element's load and its store.  The phases
+        come from the op, never from its lowered shape.
+        """
         op = thread.run_op
         machine = self.machine
         core = thread.core
@@ -810,10 +664,13 @@ class Engine:
         heap = self._heap
         threads = self.threads
         tid = thread.tid
-        is_rmw = op.__class__ is O.RmwSeq
-        compute = op.compute
+        cls = op.__class__
+        is_rmw = cls is O.RmwSeq
+        is_run = cls is O.AccessRun
         width = op.width
         volatile = op.volatile
+        compute = 0 if is_run else op.compute
+        value = None
         if is_rmw:
             addrs = op.addrs
             deltas = op.deltas
@@ -824,15 +681,28 @@ class Engine:
             load_site = op.load_site
             store_site = op.store_site
         else:
-            seq_values = op.values
-            seq_addr = op.addr
-            count = len(seq_values)
-            nphases = 2 if compute else 1
-            store_site = op.site
+            # one access per element, at base + element * stride
+            access_site = op.site
+            base = op.addr
+            if is_run:
+                seq_values = None
+                count = op.count
+                stride = op.stride
+                run_write = op.is_write
+                value = op.value
+                nphases = 1
+            else:
+                seq_values = op.values
+                count = len(seq_values)
+                stride = 0
+                run_write = True
+                nphases = 2 if compute else 1
         total = count * nphases
         max_cycles = self.max_cycles
         next_tick = self._next_tick
-        vector = self._vector
+        # a head-ready break after a fast hit is the round-robin steady
+        # state the lockstep kernel extrapolates; it runs sequences only
+        vector = None if is_run else self._vector
         load_hit = self.costs.load_hit
         store_hit = self.costs.store_hit
         observer = self._observer
@@ -842,45 +712,54 @@ class Engine:
         override = (runtime.exec_access_override if self._rt_override
                     else None)
         aspace = thread.process.aspace
+        # a bound object, not a snapshot: _tcache is mutated in place
+        # (cleared, never reassigned) so the binding stays live
         tcache = aspace._tcache
         mem_access = machine.mem_access
         routed = thread.routes(op)
-        # whether the latest access was hit-priced: a head-ready break
-        # after a fast hit is the round-robin steady state the seq
-        # lockstep kernel extrapolates, so it is worth hinting
+        # whether the latest access was hit-priced
         fastish = False
-        # same dispatch-loop constants as _run_accesses: machine.now is
-        # max(clock, now0), and the earliest other ready time cannot
-        # change while this continuation runs
+        # only this core's clock moves while the continuation runs, and
+        # it only grows, so machine.now is max(clock, now0) throughout
         now0 = max(core_clock)
         index = thread.run_index
-        while heap:
-            ready_time, seq, next_tid = heap[0]
-            waiter = threads[next_tid]
-            if waiter.state == READY and waiter.seq == seq:
-                break
-            heapq.heappop(heap)
-        head_ready = heap[0][0] if heap else None
+        if self.policy is not None:
+            # every access is a schedule decision point: every clock is
+            # past this bound, so the continuation yields after each
+            head_ready = 0
+        else:
+            # nothing is pushed to or popped from the ready heap while
+            # the continuation runs, so the earliest other ready time is
+            # a constant: drop stale heap entries once and peek once,
+            # exactly as the scheduling loop would have before each op
+            while heap:
+                ready_time, seq, next_tid = heap[0]
+                waiter = threads[next_tid]
+                if waiter.state == READY and waiter.seq == seq:
+                    break
+                heapq.heappop(heap)
+            head_ready = heap[0][0] if heap else None
         clock = core_clock[core]
-        value = None
         while True:
             element, phase = divmod(index, nphases)
-            if is_rmw and phase == 0:
-                site = load_site
-                addr = addrs[element]
-                is_write = False
-            elif is_rmw and phase == 1:
+            if phase == 0:
+                if is_rmw:
+                    site = load_site
+                    addr = addrs[element]
+                    is_write = False
+                else:
+                    site = access_site
+                    addr = base + element * stride
+                    is_write = run_write
+                    if seq_values is not None:
+                        value = seq_values[element]
+            elif phase == 1 and is_rmw:
                 site = store_site
                 addr = addrs[element]
                 is_write = True
                 value = (thread.run_values
                          + (const_delta if const_delta is not None
                             else deltas[element])) & mask
-            elif not is_rmw and phase == 0:
-                site = store_site
-                addr = seq_addr
-                is_write = True
-                value = seq_values[element]
             else:
                 site = None
             if site is None:
@@ -923,8 +802,12 @@ class Engine:
                     else:
                         thread.loads += 1
                 fastish = cost <= (store_hit if is_write else load_hit)
-                # an RMW carries its loaded value to its store
-                thread.run_values = loaded
+                if is_rmw:
+                    # an RMW carries its loaded value to its store
+                    thread.run_values = loaded
+                elif not is_write:
+                    # an AccessRun's loads go back to the generator
+                    thread.run_values.append(loaded)
             # handlers may advance the core clock internally (e.g. a
             # store-buffer drain), so add the returned cost on top of
             # the live clock exactly as _dispatch does
@@ -935,8 +818,6 @@ class Engine:
             if index >= total:
                 break
             # --- would the serial engine have switched away here? ---
-            if self.policy is not None:
-                break
             if self._stop_world:
                 break
             now = clock if clock > now0 else now0
@@ -951,8 +832,8 @@ class Engine:
         thread.run_index = index
         if index >= total:
             thread.run_op = None
+            thread.pending_value = thread.run_values if is_run else None
             thread.run_values = None
-            thread.pending_value = None
         self._schedule(thread, clock)
 
     def _exec_bulk(self, thread, op):
@@ -997,7 +878,8 @@ class Engine:
             obj.width, is_write, 1 if is_write else None)
         return cost
 
-    def _exec_lock(self, thread, mutex):
+    def _exec_lock(self, thread, op):
+        mutex = op.mutex
         thread.sync_ops += 1
         mutex.acquire_count += 1
         cost = self.costs.mutex_fast
@@ -1018,7 +900,8 @@ class Engine:
         thread.cycles += cost + self.costs.mutex_slow
         return 0, None, True
 
-    def _exec_unlock(self, thread, mutex):
+    def _exec_unlock(self, thread, op):
+        mutex = op.mutex
         if mutex.owner_tid != thread.tid:
             raise SimulationError(
                 f"t{thread.tid} unlocking {mutex.name or mutex.mid} "
@@ -1027,25 +910,28 @@ class Engine:
         cost = self.costs.mutex_fast
         cost += self.runtime.sync_cost_extra(self, thread, mutex)
         cost += self.runtime.on_sync_release(self, thread, mutex, "unlock")
-        observer = self._observer
-        if observer is not None:
-            observer.on_release(thread.tid, mutex)
+        if self._observer is not None:
+            self._observer.on_release(thread.tid, mutex)
         cost += self._sync_traffic(thread, mutex)
-        release_time = self.machine.core_clock[thread.core] + cost
-        if mutex.waiters:
-            next_tid = mutex.waiters.pop(0)
-            mutex.owner_tid = next_tid
-            woken = self.threads[next_tid]
-            if observer is not None:
-                observer.on_acquire(next_tid, mutex)
-            extra = self.runtime.on_sync_acquired(self, woken, mutex,
-                                                  "lock")
-            self._wake(woken, release_time, extra)
-        else:
-            mutex.owner_tid = None
+        self._hand_off(mutex, self.machine.core_clock[thread.core] + cost)
         return cost, None, False
 
-    def _exec_barrier(self, thread, barrier):
+    def _hand_off(self, mutex, release_time):
+        """Release ``mutex`` at ``release_time``: its first waiter, if
+        any, acquires it (with the runtime's acquire hook) and wakes."""
+        if not mutex.waiters:
+            mutex.owner_tid = None
+            return
+        next_tid = mutex.waiters.pop(0)
+        mutex.owner_tid = next_tid
+        woken = self.threads[next_tid]
+        if self._observer is not None:
+            self._observer.on_acquire(next_tid, mutex)
+        extra = self.runtime.on_sync_acquired(self, woken, mutex, "lock")
+        self._wake(woken, release_time, extra)
+
+    def _exec_barrier(self, thread, op):
+        barrier = op.barrier
         thread.sync_ops += 1
         barrier.wait_count += 1
         cost = self.costs.barrier_op
@@ -1081,9 +967,11 @@ class Engine:
         # value already charged via explicit clock writes
         return 0, None, True
 
-    def _exec_cond_wait(self, thread, condvar, mutex):
+    def _exec_cond_wait(self, thread, op):
         """Atomically release the mutex and sleep on the condvar; the
         signaller hands the mutex back before the waiter resumes."""
+        condvar = op.condvar
+        mutex = op.mutex
         if mutex.owner_tid != thread.tid:
             raise SimulationError(
                 f"t{thread.tid} cond_wait without holding the mutex")
@@ -1092,23 +980,10 @@ class Engine:
         cost += self.runtime.sync_cost_extra(self, thread, condvar)
         cost += self.runtime.on_sync_release(self, thread, condvar,
                                              "cond_wait")
-        observer = self._observer
-        if observer is not None:
-            observer.on_release(thread.tid, mutex)
+        if self._observer is not None:
+            self._observer.on_release(thread.tid, mutex)
         cost += self._sync_traffic(thread, condvar)
-        release_time = self.machine.core_clock[thread.core] + cost
-        # release the mutex (as _exec_unlock, without hook duplication)
-        if mutex.waiters:
-            next_tid = mutex.waiters.pop(0)
-            mutex.owner_tid = next_tid
-            woken = self.threads[next_tid]
-            if observer is not None:
-                observer.on_acquire(next_tid, mutex)
-            extra = self.runtime.on_sync_acquired(self, woken, mutex,
-                                                  "lock")
-            self._wake(woken, release_time, extra)
-        else:
-            mutex.owner_tid = None
+        self._hand_off(mutex, self.machine.core_clock[thread.core] + cost)
         condvar.waiters.append((thread.tid, mutex))
         thread.state = BLOCKED
         thread.blocked_on = condvar
@@ -1116,14 +991,15 @@ class Engine:
         thread.cycles += cost
         return 0, None, True
 
-    def _exec_cond_signal(self, thread, condvar, broadcast):
+    def _exec_cond_signal(self, thread, op):
+        condvar = op.condvar
         thread.sync_ops += 1
         cost = self.costs.mutex_fast
         cost += self.runtime.sync_cost_extra(self, thread, condvar)
         cost += self._sync_traffic(thread, condvar)
         signal_time = self.machine.core_clock[thread.core] + cost
         observer = self._observer
-        count = len(condvar.waiters) if broadcast else 1
+        count = len(condvar.waiters) if op.broadcast else 1
         for _ in range(min(count, len(condvar.waiters))):
             tid, mutex = condvar.waiters.pop(0)
             waiter = self.threads[tid]

@@ -4,7 +4,7 @@ One kernel, and it is *exact* — every simulated quantity (per-core
 clocks, directory state and counters, physical memory, HITM totals,
 metrics) ends byte-identical to the serial interpreter.
 
-The heap loop calls :meth:`VectorExecutor.try_lockstep` when a
+The scheduling loop calls :meth:`VectorExecutor.try_lockstep` when a
 :class:`~repro.isa.ops.RmwSeq` / :class:`~repro.isa.ops.StoreSeq`
 dispatch ends on another thread's ready time right after a fast hit.
 Sequence sub-op costs cycle through load/store/compute phases, so the
@@ -59,8 +59,8 @@ class VectorExecutor:
         self.batches = 0
         self.lockstep_batches = 0
         #: Set by the engine when a sequence dispatch ended on another
-        #: thread's ready time after a fast hit — the heap loop then
-        #: tries a window.
+        #: thread's ready time after a fast hit — the scheduling loop
+        #: then tries a window.
         self.hint = False
         #: After a declined window: ``(thread, op, run_index)`` the
         #: rejected thread must reach before re-attempting.
@@ -114,10 +114,10 @@ class VectorExecutor:
         dispatches re-run natively, so every committed prefix is a
         serial-reachable state.
 
-        A runtime tick bounds the window: the heap loop calls this
-        before it runs a due tick, so no window starts while one is due
-        (``machine.now >= next_tick``), and no clock in a window may
-        reach the next tick, which the serial loop would fire only
+        A runtime tick bounds the window: the scheduling loop calls
+        this before it runs a due tick, so no window starts while one
+        is due (``machine.now >= next_tick``), and no clock in a window
+        may reach the next tick, which the serial loop would fire only
         after the window.
         """
         engine = self.engine

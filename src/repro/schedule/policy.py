@@ -52,8 +52,8 @@ class DefaultPolicy(SchedulePolicy):
     """Reproduces the heap scheduler's order decision-for-decision.
 
     Exists so the decision-recording machinery can be pinned against
-    the fast path: a run under this policy is cycle- and
-    result-identical to a policy-less run.
+    the policy-less scheduling loop: a run under this policy is cycle-
+    and result-identical to a policy-less run.
     """
 
     name = "default"
@@ -227,7 +227,7 @@ def make_policy(spec):
 
     ``spec`` is ``{"policy": <name>, "seed": <int>, ...params}`` — the
     form carried inside schedule traces and across the worker-process
-    boundary.  ``None`` returns None (engine fast path).
+    boundary.  ``None`` returns None (no pick step).
     """
     if spec is None:
         return None
