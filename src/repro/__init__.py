@@ -15,7 +15,7 @@ The package is organized as the paper's system stack:
   thread-to-process conversion, and code-centric consistency;
 - :mod:`repro.baselines` — pthreads, Sheriff, and LASER;
 - :mod:`repro.workloads` — the paper's 35 benchmarks plus cholesky;
-- :mod:`repro.obs` — structured tracing, metrics, self-profiling;
+- :mod:`repro.obs` — structured tracing, metrics, per-layer profiles;
 - :mod:`repro.eval` — one entry point per table and figure.
 
 Quickstart::

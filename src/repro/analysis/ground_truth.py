@@ -1,11 +1,12 @@
 """Simulated-HITM ground truth for scoring the static linter.
 
-Runs a workload under the pthreads baseline with a HITM listener that
-records per-line, per-thread byte masks — exactly the information the
-paper's detector samples, but exhaustively rather than statistically —
-and classifies the touched lines with the same byte-overlap rule the
-linter uses (:mod:`repro.analysis.layout_check`).  The listener charges
-zero extra cycles, so the run's results are the baseline's.
+Runs a workload under the pthreads baseline with an observer whose
+``on_hitm`` records per-line, per-thread byte masks — exactly the
+information the paper's detector samples, but exhaustively rather than
+statistically — and classifies the touched lines with the same
+byte-overlap rule the linter uses (:mod:`repro.analysis.layout_check`).
+Observer callbacks charge zero cycles, so the run's results are the
+baseline's.
 
 Like the extractor, masks count only while at least two threads are
 alive; a HITM can fire after the last worker exits (main reading
@@ -24,7 +25,7 @@ _LINE_MASK = ~(LINE_SIZE - 1)
 
 
 class HitmGroundTruth(EngineObserver):
-    """Observer + HITM listener collecting sharing ground truth."""
+    """Observer collecting sharing ground truth from every HITM."""
 
     def __init__(self):
         self.lines = {}        # line_va -> {tid: [read_mask, write_mask]}
@@ -32,19 +33,16 @@ class HitmGroundTruth(EngineObserver):
         self.hitm_count = 0
         self._alive = 0
 
-    def on_attach(self, engine):
-        engine.machine.add_hitm_listener(self._on_hitm)
-
     def on_thread_create(self, parent_tid, child_tid):
         self._alive += 1
 
     def on_thread_exit(self, tid):
         self._alive -= 1
 
-    def _on_hitm(self, event):
+    def on_hitm(self, event):
         self.hitm_count += 1
         if self._alive < 2:
-            return None
+            return
         addr = event.va
         end = addr + event.width
         lines = self.lines
@@ -58,7 +56,6 @@ class HitmGroundTruth(EngineObserver):
             record[1 if event.is_store else 0] |= mask
             counts[line] = counts.get(line, 0) + 1
             addr += take
-        return None               # zero added cost
 
     def shared_lines(self):
         return classify_lines(self.lines)

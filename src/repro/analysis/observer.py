@@ -139,9 +139,8 @@ class ObserverMux(EngineObserver):
     ``Engine.attach_observer`` builds one automatically when a second
     observer attaches (e.g. the race sanitizer plus a tracer), so
     concrete observers never need to know about each other.  The mux
-    overrides *every* callback: the engine's override checks (which
-    decide e.g. HITM listener registration) therefore see the union of
-    the children's needs.
+    overrides *every* ``on_*`` callback of :class:`EngineObserver`, so
+    a callback added to the base class fans out with no edit here.
     """
 
     def __init__(self, observers=()):
@@ -167,11 +166,7 @@ def _fanout(name):
     return method
 
 
-for _name in ("on_attach", "on_access", "on_atomic", "on_fence",
-              "on_acquire", "on_release", "on_barrier", "on_hb_edge",
-              "on_thread_create", "on_thread_exit", "on_ptsb_commit",
-              "on_ptsb_flush", "on_t2p", "on_hitm", "on_pebs_records",
-              "on_detect_interval", "on_fault", "on_degradation",
-              "on_vector_switch"):
-    setattr(ObserverMux, _name, _fanout(_name))
+for _name in vars(EngineObserver):
+    if _name.startswith("on_"):
+        setattr(ObserverMux, _name, _fanout(_name))
 del _name

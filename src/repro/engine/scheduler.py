@@ -23,7 +23,6 @@ so each access is a decision point.
 """
 
 import heapq
-import os
 
 from repro.engine import layout
 from repro.engine.context import ThreadCtx
@@ -42,7 +41,7 @@ class Engine:
 
     def __init__(self, program, runtime, machine=None, n_cores=None,
                  costs=None, max_cycles=200_000_000_000, policy=None,
-                 vector=None, placement=None):
+                 vector=True, placement=None):
         from repro.sim.machine import Machine
         if n_cores is None:
             n_cores = program.nthreads + 2
@@ -85,12 +84,10 @@ class Engine:
         #: emission guard a single attribute test on the hot path.
         self._observer = None
         #: Vector batch executor (repro.engine.vector); constructed in
-        #: :meth:`run` once eligibility is known.  ``vector=False`` (or
-        #: the REPRO_NO_VECTOR environment variable) forces the serial
-        #: path; the default enables it whenever exactness-safe.
-        if vector is None:
-            vector = not os.environ.get("REPRO_NO_VECTOR")
-        self._vector_enabled = bool(vector)
+        #: :meth:`run` once eligibility is known.  ``vector=False``
+        #: forces the serial path; the default enables it whenever
+        #: exactness-safe.
+        self._vector_enabled = vector
         self._vector = None
 
         # generic lock/barrier instruction sites (glibc text)
@@ -155,9 +152,10 @@ class Engine:
         :class:`~repro.analysis.observer.ObserverMux`, so the race
         sanitizer and a tracer can ride the same run.
 
-        Observers that override ``on_hitm`` (the tracer) are also
-        registered as machine HITM listeners; the listener charges zero
-        cycles, so simulated results are unchanged.
+        Observers that override ``on_hitm`` (the tracer, the HITM
+        ground-truth collector) are also registered here as machine
+        HITM listeners, after the runtime's own; the listener charges
+        zero cycles, so simulated results are unchanged.
         """
         from repro.analysis.observer import EngineObserver, ObserverMux
         if self._observer is None:

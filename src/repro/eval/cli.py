@@ -35,6 +35,7 @@ Regenerate any paper artifact without pytest::
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -96,8 +97,9 @@ def build_parser():
                      help="attach the vector-clock race sanitizer "
                           "(zero cycle impact); nonzero exit on races")
     run.add_argument("--profile", action="store_true",
-                     help="attribute host wall time to simulator "
-                          "subsystems (simulated cycles unchanged)")
+                     help="run the cell under cProfile and print host "
+                          "self time per layer (several times slower; "
+                          "simulated cycles unchanged)")
     run.add_argument("--no-vector", action="store_true",
                      help="force the pure-serial interpreter (the "
                           "vector core is on by default when eligible; "
@@ -561,15 +563,18 @@ def main(argv=None):
         return 0
 
     if args.command == "run":
-        outcome = run_workload(args.workload, args.system,
-                               scale=args.scale,
-                               sanitize=args.sanitize,
-                               profile=args.profile,
-                               vector=False if args.no_vector else None,
-                               sockets=args.sockets,
-                               placement=args.placement,
-                               pages=args.pages,
-                               collect_metrics=args.sockets is not None)
+        cell = functools.partial(
+            run_workload, args.workload, args.system, scale=args.scale,
+            sanitize=args.sanitize, vector=not args.no_vector,
+            sockets=args.sockets, placement=args.placement,
+            pages=args.pages, collect_metrics=args.sockets is not None)
+        profiler = None
+        if args.profile:
+            import cProfile
+            profiler = cProfile.Profile()
+            outcome = profiler.runcall(cell)
+        else:
+            outcome = cell()
         print(f"{args.workload} under {args.system}: {outcome.status}")
         if outcome.result is not None:
             result = outcome.result
@@ -596,9 +601,9 @@ def main(argv=None):
             print(outcome.analysis.format())
             if not outcome.analysis.ok:
                 return 1
-        if outcome.profile is not None:
-            from repro.obs import format_profile
-            print(format_profile(outcome.profile))
+        if profiler is not None:
+            from repro.obs import by_layer, format_profile
+            print(format_profile(by_layer(profiler)))
         return 0 if outcome.ok else 1
 
     if args.command == "trace":

@@ -9,7 +9,6 @@ reports, not harness errors.  The same applies to schedule fuzzing:
 harness.
 """
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.engine import Engine
@@ -49,8 +48,6 @@ class RunOutcome:
     trace_data: object = None
     #: MetricsRegistry snapshot dict (``collect_metrics=True``).
     metrics: object = None
-    #: Host wall-time attribution dict (``profile=True``).
-    profile: object = None
     #: Fault-injection record ({"spec", "counts", "log"}) when the run
     #: executed under an armed fault plan (``faults=``); None otherwise.
     faults: object = None
@@ -72,8 +69,8 @@ class RunOutcome:
 def run_workload(name, system, scale=1.0, config=None, variant=None,
                  nthreads=None, sanitize=False, schedule=None,
                  max_cycles=None, collect_state=False, trace=False,
-                 collect_metrics=False, profile=False, faults=None,
-                 vector=None, sockets=None, placement=None, pages=None):
+                 collect_metrics=False, faults=None, vector=True,
+                 sockets=None, placement=None, pages=None):
     """Run one workload under one system; never raises for the failure
     modes the paper studies.
 
@@ -94,10 +91,10 @@ def run_workload(name, system, scale=1.0, config=None, variant=None,
     :class:`~repro.obs.Tracer` (``trace="access"`` additionally records
     every data access) and puts its event dict on ``trace_data``;
     ``collect_metrics=True`` snapshots the run's
-    :class:`~repro.obs.MetricsRegistry` onto ``metrics``;
-    ``profile=True`` attributes host wall time to simulator subsystems
-    onto ``profile``.  All three are observer-/wrapper-based and leave
-    simulated cycles bit-identical.
+    :class:`~repro.obs.MetricsRegistry` onto ``metrics``.  Both leave
+    simulated cycles bit-identical.  For host time per layer, run this
+    function under ``cProfile`` and roll the result up with
+    :func:`repro.obs.by_layer` (the CLI's ``run --profile``).
 
     ``faults`` arms deterministic fault injection (see
     :mod:`repro.faults`): a spec dict (``{"seed", "rates", "limits"}``)
@@ -106,10 +103,11 @@ def run_workload(name, system, scale=1.0, config=None, variant=None,
     the outcome's ``faults`` field; the same spec replays the identical
     failure sequence regardless of ``REPRO_JOBS``.
 
-    ``vector`` forwards to :class:`~repro.engine.Engine`: ``False``
-    forces the pure-serial interpreter, ``True`` requires the vector
-    core, ``None`` (default) auto-enables it when eligible.  Results
-    are bit-identical either way — the flag only changes host speed.
+    ``vector`` forwards to :class:`~repro.engine.Engine`: ``True``
+    (the default) uses the vector core when the run is eligible and
+    the serial interpreter otherwise; ``False`` forces the serial
+    interpreter.  Results are bit-identical either way — the flag only
+    changes host speed.
 
     NUMA (see ``docs/HARDWARE.md``): ``sockets`` builds the machine on
     a multi-socket :class:`~repro.sim.topology.Topology`, ``placement``
@@ -120,28 +118,18 @@ def run_workload(name, system, scale=1.0, config=None, variant=None,
     ``None`` runs the historical single-socket machine byte-identical
     to every earlier PR.
     """
-    profiler = None
-    if profile:
-        from repro.obs import Profiler
-        profiler = Profiler()
-
-    def phase(stage):
-        return profiler.phase(stage) if profiler else nullcontext()
-
-    with phase("build"):
-        workload = get_workload(name, scale=scale, nthreads=nthreads)
-        build_variant = variant or workload_variant(system)
-        program = workload.build(build_variant)
+    workload = get_workload(name, scale=scale, nthreads=nthreads)
+    build_variant = variant or workload_variant(system)
+    program = workload.build(build_variant)
     repair_plan = None
     if system in STATIC_REPAIR_SYSTEMS:
         from repro.analysis.repair import (plan_program, plan_to_dict,
                                            rewrite_program)
-        with phase("repair-plan"):
-            # extraction consumes generators: plan from a throwaway
-            # build, then rewrite the Program destined for the engine
-            repair_plan = plan_program(
-                workload.build(build_variant), variant=build_variant)
-            program, _rewriter = rewrite_program(program, repair_plan)
+        # extraction consumes generators: plan from a throwaway build,
+        # then rewrite the Program destined for the engine
+        repair_plan = plan_program(
+            workload.build(build_variant), variant=build_variant)
+        program, _rewriter = rewrite_program(program, repair_plan)
         repair_plan = plan_to_dict(repair_plan)
     runtime = make_runtime(system, config)
     injector = None
@@ -157,34 +145,30 @@ def run_workload(name, system, scale=1.0, config=None, variant=None,
     engine_kwargs = {}
     if max_cycles is not None:
         engine_kwargs["max_cycles"] = max_cycles
-    if vector is not None:
-        engine_kwargs["vector"] = vector
     if sockets is not None or placement is not None or pages is not None:
         from repro.mapping import affinity_groups, make_placement
         from repro.sim.machine import Machine
         from repro.sim.topology import Topology
         n_cores = program.nthreads + 2
         topology = Topology.fit(n_cores, sockets or 1)
-        with phase("mapping"):
-            engine_kwargs["machine"] = Machine(
-                n_cores=n_cores, topology=topology,
-                pages=pages or "first-touch")
-            if placement is not None:
-                groups = None
-                if placement == "sharing-aware":
-                    # like the static-repair systems: measure sharing
-                    # on a throwaway build, place the real program
-                    from repro.analysis.extract import TraceExtractor
-                    extract = TraceExtractor(
-                        workload.build(build_variant)).run()
-                    groups = affinity_groups(extract.lines,
-                                             program.nthreads + 2)
-                engine_kwargs["placement"] = make_placement(
-                    placement, topology, n_cores, groups=groups)
+        engine_kwargs["machine"] = Machine(
+            n_cores=n_cores, topology=topology,
+            pages=pages or "first-touch")
+        if placement is not None:
+            groups = None
+            if placement == "sharing-aware":
+                # like the static-repair systems: measure sharing on a
+                # throwaway build, place the real program
+                from repro.analysis.extract import TraceExtractor
+                extract = TraceExtractor(
+                    workload.build(build_variant)).run()
+                groups = affinity_groups(extract.lines,
+                                         program.nthreads + 2)
+            engine_kwargs["placement"] = make_placement(
+                placement, topology, n_cores, groups=groups)
     try:
-        with phase("engine-init"):
-            engine = Engine(program, runtime, policy=policy,
-                            **engine_kwargs)
+        engine = Engine(program, runtime, policy=policy, vector=vector,
+                        **engine_kwargs)
     except IncompatibleWorkloadError as exc:
         return RunOutcome(name, system, INCOMPATIBLE, detail=exc.reason)
     sanitizer = None
@@ -197,8 +181,6 @@ def run_workload(name, system, scale=1.0, config=None, variant=None,
         from repro.obs import Tracer
         tracer = Tracer(access_events=trace == "access")
         engine.attach_observer(tracer)
-    if profiler is not None:
-        profiler.install(engine)
     report = sanitizer.report if sanitizer else None
 
     def outcome(status, result=None, detail=""):
@@ -215,8 +197,6 @@ def run_workload(name, system, scale=1.0, config=None, variant=None,
             out.trace_data = tracer.trace_data()
         if collect_metrics:
             out.metrics = engine.metrics().snapshot()
-        if profiler is not None:
-            out.profile = profiler.report()
         if injector is not None:
             out.faults = {
                 "spec": {"seed": injector.seed,
@@ -227,8 +207,7 @@ def run_workload(name, system, scale=1.0, config=None, variant=None,
         return out
 
     try:
-        with phase("run"):
-            result = engine.run()
+        result = engine.run()
     except CycleBudgetError as exc:
         return outcome(BUDGET, detail=str(exc))
     except HangError as exc:

@@ -133,7 +133,7 @@ class TestExecution:
                      "--profile"]) == 0
         out = capsys.readouterr().out
         assert "self-profile" in out
-        assert "memory-system" in out
+        assert "sim" in out
 
 
 class TestLintGate:
