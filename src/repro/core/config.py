@@ -12,7 +12,7 @@ unrepaired seconds) are expressed per interval and reported in
 interval-seconds.  EXPERIMENTS.md documents this substitution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.costs import PAGE_2M, PAGE_4K
 
@@ -76,8 +76,10 @@ class TmiConfig:
     #: Extra cycles a fault-injected ``ptsb.delayed_flush`` stalls a
     #: consistency flush.
     delayed_flush_cycles: int = 20_000
-    #: Extra settings bag for experiments.
-    extra: dict = field(default_factory=dict)
+    #: Flush the PTSB on relaxed atomics too (False = code-centric
+    #: consistency's relaxed fast path; True = the conservative policy
+    #: the code-centric ablation compares against).
+    flush_relaxed: bool = False
 
     @property
     def app_page_size(self):

@@ -51,7 +51,7 @@ class TmiRuntime(RuntimeHooks):
         self.stats = TmiStats()
         self.policy = CodeCentricPolicy(
             enabled=self.config.code_centric,
-            flush_relaxed=self.config.extra.get("flush_relaxed", False))
+            flush_relaxed=self.config.flush_relaxed)
         self.callbacks = CallbackTable()
         self.perf = None
         self.detector = None

@@ -61,9 +61,9 @@ class RuntimeHooks:
     # memory operations
     # ------------------------------------------------------------------
     def exec_access_override(self, engine, thread, op):
-        """Fully intercept a data access; return ``(cost, value)`` or
-        None to use the engine's default path (LASER's software store
-        buffer lives here)."""
+        """Fully intercept a data access or a fence; return ``(cost,
+        value)`` or None to use the engine's default path (LASER's
+        software store buffer lives here)."""
         return None
 
     def translate(self, engine, thread, op, va, width, is_write):

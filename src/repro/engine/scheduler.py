@@ -503,6 +503,12 @@ class Engine:
     def _exec_fence(self, thread, op):
         if self._observer is not None:
             self._observer.on_fence(thread.tid)
+        if self._rt_override:
+            # LASER's TSO store buffer drains at a fence (and charges
+            # the drain itself), as at an atomic
+            override = self.runtime.exec_access_override(self, thread, op)
+            if override is not None:
+                return override[0], override[1], False
         return self.costs.fence, None, False
 
     def _exec_malloc(self, thread, op):

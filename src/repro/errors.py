@@ -144,7 +144,11 @@ class ShmSizeMismatchError(ShmError, InvalidMappingError):
 
 
 class FaultPlanError(ReproError):
-    """A fault-injection plan is malformed (unknown point, bad format)."""
+    """A fault-injection spec names an unknown fault point."""
+
+
+class RecordFormatError(ReproError, ValueError):
+    """A run record carries an unknown format tag, or none."""
 
 
 class CampaignSpecError(ReproError, ValueError):

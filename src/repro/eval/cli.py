@@ -216,11 +216,10 @@ def build_parser():
     chaos.add_argument("--jobs", type=int, default=None)
 
     replay = sub.add_parser(
-        "replay", help="re-execute a recorded artifact (schedule "
-                       "trace or fault plan; dispatched on its "
-                       "format tag)")
+        "replay", help="re-execute a saved run record (a fuzz "
+                       "finding or a chaos plan) against its oracle")
     replay.add_argument("artifact",
-                        help="path to a ScheduleTrace or FaultPlan JSON")
+                        help="path to a repro-run-record/1 JSON")
 
     serve = sub.add_parser(
         "serve", help="run the campaign service: poll the inbox, "
@@ -295,7 +294,8 @@ def build_parser():
     quarantine.add_argument("action",
                             choices=("list", "inspect", "release"),
                             help="list entries, print one entry with "
-                                 "its replay command, or release "
+                                 "the command that re-runs its cell, "
+                                 "or release "
                                  "digest(s) back into execution")
     quarantine.add_argument("digest", nargs="?", default=None,
                             help="cell digest (release also accepts "
@@ -434,6 +434,7 @@ def _service_command(args):
 def _quarantine_command(args):
     """Dispatch the ``quarantine`` subcommand (list/inspect/release)."""
     import json
+    import shlex
 
     from repro.eval.report import results_dir
     from repro.service import Quarantine
@@ -490,13 +491,15 @@ def _quarantine_command(args):
               file=sys.stderr)
         return 2
     print(json.dumps(entry, indent=1, sort_keys=True))
-    cell = entry.get("cell", {})
-    if cell.get("name") and cell.get("system"):
-        replay = (f"python -m repro.eval.cli run {cell['name']} "
-                  f"{cell['system']}")
-        if cell.get("scale") is not None:
-            replay += f" --scale {cell['scale']}"
-        print(f"replay: {replay}")
+    cell = entry.get("cell")
+    if cell:
+        # the stored cell exactly, schedule/faults/config included
+        code = ("from repro.eval.runner import run_workload; "
+                f"o = run_workload(**{cell!r}); "
+                "print(o.status, o.cycles, o.detail)")
+        quoted = (shlex.quote(code) if set('"$`\\!') & set(code)
+                  else f'"{code}"')
+        print(f"replay: python -c {quoted}")
     return 0
 
 
@@ -690,35 +693,17 @@ def main(argv=None):
         return 0 if report.ok else 1
 
     if args.command == "replay":
-        import json as json_mod
-        with open(args.artifact) as fh:
-            tag = json_mod.load(fh).get("format", "")
-        if tag.startswith("repro-fault-plan/"):
-            from repro.faults import FaultPlan, replay_plan
-            plan = FaultPlan.load(args.artifact)
-            matches, detail, outcome = replay_plan(plan)
-            print(f"replay {plan.workload}/{plan.system} fault plan "
-                  f"seed={plan.seed} "
-                  f"({len(plan.rates)} armed point(s))")
-            print(f"  outcome : {outcome.status}"
-                  + (f" ({outcome.detail})" if outcome.detail else ""))
-            print(f"  {detail}")
-            if matches:
-                print("  reproduced")
-                return 0
-            print(f"  DID NOT reproduce (artifact: {args.artifact})")
-            return 1
-        from repro.schedule import replay_trace
-        result = replay_trace(args.artifact)
-        trace = result.trace
-        print(f"replay {trace.workload}/{trace.system} "
-              f"policy={trace.policy} seed={trace.seed} "
-              f"({len(trace.decisions)} decisions)")
-        print(f"  outcome : {result.outcome.status}"
-              + (f" ({result.outcome.detail})"
-                 if result.outcome.detail else ""))
-        print(f"  {result.detail()}")
-        if result.matches:
+        from repro.eval.record import RunRecord, replay
+        record = RunRecord.load(args.artifact)
+        matches, detail, outcome = replay(record)
+        origin = " ".join(f"{k}={v}" for k, v in
+                          sorted(record.origin.items()))
+        print(f"replay {record.cell['name']}/{record.cell['system']} "
+              f"{origin} (oracle {record.oracle})")
+        print(f"  outcome : {outcome.status}"
+              + (f" ({outcome.detail})" if outcome.detail else ""))
+        print(f"  {detail}")
+        if matches:
             print("  reproduced")
             return 0
         print(f"  DID NOT reproduce (artifact: {args.artifact})")

@@ -430,7 +430,7 @@ def ablation_code_centric(scale=0.6, workload="shptr-relaxed"):
     with_cc = run_workload(workload, "tmi-protect", scale=scale)
     no_relaxed = run_workload(
         workload, "tmi-protect", scale=scale,
-        config=TmiConfig(extra={"flush_relaxed": True}))
+        config=TmiConfig(flush_relaxed=True))
     data = {
         "with_cc_speedup": base.result.cycles / with_cc.result.cycles,
         "relaxed_fast_path": with_cc.result.runtime_report.get(

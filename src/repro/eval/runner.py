@@ -97,11 +97,12 @@ def run_workload(name, system, scale=1.0, config=None, variant=None,
     :func:`repro.obs.by_layer` (the CLI's ``run --profile``).
 
     ``faults`` arms deterministic fault injection (see
-    :mod:`repro.faults`): a spec dict (``{"seed", "rates", "limits"}``)
-    or any object with a ``spec()`` method (a
-    :class:`~repro.faults.FaultPlan`).  The injection record lands on
-    the outcome's ``faults`` field; the same spec replays the identical
-    failure sequence regardless of ``REPRO_JOBS``.
+    :mod:`repro.faults`): a ``{"seed", "rates", "limits"}`` spec dict.
+    An unknown fault point raises
+    :class:`~repro.errors.FaultPlanError` before the first simulated
+    cycle.  The injection record lands on the outcome's ``faults``
+    field; the same spec replays the identical failure sequence
+    regardless of ``REPRO_JOBS``.
 
     ``vector`` forwards to :class:`~repro.engine.Engine`: ``True``
     (the default) uses the vector core when the run is eligible and
@@ -135,8 +136,7 @@ def run_workload(name, system, scale=1.0, config=None, variant=None,
     injector = None
     if faults is not None:
         from repro.faults import FaultInjector
-        spec = faults.spec() if hasattr(faults, "spec") else dict(faults)
-        injector = FaultInjector(**spec)
+        injector = FaultInjector(**faults)
         runtime.faults = injector
     policy = None
     if schedule is not None:

@@ -1,26 +1,25 @@
 """Deterministic fault injection and chaos harness (robustness layer).
 
 ``FaultInjector`` draws seeded per-point failure decisions at named
-oskit/runtime fault points; ``FaultPlan`` is the versioned
-``repro-fault-plan/1`` artifact that replays a failure sequence
-exactly; ``chaos_repair_suite``/``chaos_smoke`` run plan campaigns over
-the repair suite against the pthreads final-state oracle.  See
+oskit/runtime fault points from a ``{"seed", "rates", "limits"}`` spec
+(``run_workload(faults=...)``); ``chaos_repair_suite``/``chaos_smoke``
+run fault-plan campaigns over the repair suite against the pthreads
+final-state oracle, and save every plan as a
+:class:`~repro.eval.record.RunRecord` that replays it.  See
 ``docs/ROBUSTNESS.md``.
 """
 
 from repro.faults.chaos import (ChaosCell, ChaosReport,
-                                ChaosSmokeResult, chaos_repair_suite,
-                                chaos_smoke, default_plans, replay_plan)
+                                chaos_repair_suite, chaos_smoke,
+                                default_plans)
 from repro.faults.harness import (HARNESS_FAULTS_ENV,
                                   HARNESS_FAULTS_FORMAT,
                                   HarnessFaultPlan, PoisonError)
-from repro.faults.inject import FAULT_POINTS, FaultInjector
-from repro.faults.plan import FAULT_PLAN_FORMAT, FaultPlan, default_rates
+from repro.faults.inject import FAULT_POINTS, FaultInjector, default_rates
 
 __all__ = [
-    "FAULT_PLAN_FORMAT", "FAULT_POINTS", "HARNESS_FAULTS_ENV",
-    "HARNESS_FAULTS_FORMAT", "ChaosCell", "ChaosReport",
-    "ChaosSmokeResult", "FaultInjector", "FaultPlan",
-    "HarnessFaultPlan", "PoisonError", "chaos_repair_suite",
-    "chaos_smoke", "default_plans", "default_rates", "replay_plan",
+    "FAULT_POINTS", "HARNESS_FAULTS_ENV", "HARNESS_FAULTS_FORMAT",
+    "ChaosCell", "ChaosReport", "FaultInjector", "HarnessFaultPlan",
+    "PoisonError", "chaos_repair_suite", "chaos_smoke", "default_plans",
+    "default_rates",
 ]

@@ -1,11 +1,13 @@
 """Chaos runs: seeded fault plans over the repair suite.
 
-:func:`chaos_repair_suite` runs many :class:`~repro.faults.FaultPlan`
-seeds across the Figure 9 repair workloads on the hardened grid and
-holds every cell to the robustness invariant: *any* fault sequence must
-leave the workload's final state equal to the fault-free pthreads
-baseline (the metamorphic oracle via ``Workload.final_state``).  Each
-cell's verdict is
+A fault plan is a :class:`~repro.eval.record.RunRecord` whose cell
+arms a seeded ``{"seed", "rates", "limits"}`` fault spec and whose
+oracle is ``pthreads``.  :func:`chaos_repair_suite` runs many plans
+across the Figure 9 repair workloads on the hardened grid and holds
+every cell to the robustness invariant: *any* fault sequence must
+leave the workload's final state equal to the oracle's fault-free
+final state (the metamorphic oracle via ``Workload.final_state``).
+Each cell's verdict is
 
 - ``ok`` — completed, state matches, the degradation machinery never
   had to engage;
@@ -15,11 +17,10 @@ cell's verdict is
 - ``fail`` — state diverged, the run died, or the harness cell itself
   failed/timed out.
 
-Every plan is written back as a ``repro-fault-plan/1`` artifact (with
-its injection log and verdict) under ``results/chaos/``, and failing
-plans are immediately re-run to confirm they replay identically —
-a chaos finding that does not reproduce is a determinism bug, which is
-its own finding.
+Every plan is saved (with its injection counts and failure) under
+``results/chaos/``, and failing plans are immediately re-run to confirm
+they replay identically — a chaos finding that does not reproduce is a
+determinism bug, which is its own finding.
 
 :func:`chaos_smoke` is the CI entry point: a small bounded plan set
 with a positive control (injections must actually fire) and a replay
@@ -27,11 +28,13 @@ identity check.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.eval.parallel import CELL_OK, run_cells_recorded
-from repro.eval.runner import OK, run_workload
-from repro.faults.plan import FaultPlan, default_rates
+from repro.eval.record import (RunRecord, SmokeResult, classify_outcome,
+                               injection_counts, replay)
+from repro.eval.runner import run_workload
+from repro.faults.inject import default_rates
 from repro.workloads import repair_suite_names
 
 #: Cell verdicts, best to worst.
@@ -46,50 +49,46 @@ _DAMAGE_KEYS = ("degradations", "repair_episode_failures",
 
 def default_plans(seeds=16, workloads=None, system="tmi-protect",
                   scale=0.1, nthreads=None, schedule=None):
-    """Build the stock chaos plan set.
+    """Build the stock chaos plan set, as unrun records.
 
     Seeds cycle over the repair-suite workloads with rate intensities
     stepping through 0.5x/1x/1.5x/2x, so sixteen plans exercise every
     workload family and every fault point at several pressures.
-    ``seeds`` is an int (``range(seeds)``) or an explicit iterable.
+    ``seeds`` is an int (``range(seeds)``) or an explicit iterable;
+    ``schedule`` (a policy spec) perturbs every plan's schedule too.
     """
     workloads = list(workloads or repair_suite_names())
     seeds = range(seeds) if isinstance(seeds, int) else seeds
     plans = []
     for seed in seeds:
-        plans.append(FaultPlan(
-            workload=workloads[seed % len(workloads)], system=system,
-            seed=seed, scale=scale, nthreads=nthreads,
-            schedule=schedule,
-            rates=default_rates(0.5 + 0.5 * (seed % 4))))
+        cell = {"name": workloads[seed % len(workloads)],
+                "system": system, "scale": scale, "collect_state": True,
+                "faults": {"seed": seed,
+                           "rates": default_rates(0.5 + 0.5 * (seed % 4)),
+                           "limits": {}}}
+        if nthreads is not None:
+            cell["nthreads"] = nthreads
+        if schedule is not None:
+            cell["schedule"] = dict(schedule)
+        plans.append(RunRecord(cell=cell, oracle="pthreads",
+                               origin={"campaign": "chaos", "seed": seed}))
     return plans
-
-
-def _cell_for(plan):
-    """The ``run_workload`` keyword dict one plan describes."""
-    return dict(name=plan.workload, system=plan.system,
-                scale=plan.scale, nthreads=plan.nthreads,
-                variant=plan.variant, schedule=plan.schedule,
-                collect_state=True, faults=plan.spec())
 
 
 @dataclass
 class ChaosCell:
-    """One plan's run, classified against the pthreads baseline."""
+    """One plan's run, classified against its oracle."""
 
-    plan: FaultPlan
+    #: The plan, with its injection counts and failure filled in.
+    plan: RunRecord
     verdict: str
     detail: str = ""
-    #: Harness-level CellRecord for the run (None for baseline gaps).
-    record: object = None
-    #: Whether the final state matched the baseline (None = no run).
-    state_matches: object = None
-    #: Injections that actually fired, by point.
-    counts: dict = field(default_factory=dict)
+    #: Harness-level CellRecord of the run.
+    harness: object = None
     #: Whether a re-run reproduced the identical outcome (failing
     #: cells only; None = not checked).
     replay_identical: object = None
-    #: Saved fault-plan artifact path.
+    #: Saved plan artifact path.
     artifact: object = None
 
 
@@ -120,8 +119,9 @@ class ChaosReport:
                  + ", ".join(f"{k}={v}" for k, v in totals.items())]
         for cell in self.cells:
             plan = cell.plan
-            fired = sum(cell.counts.values())
-            line = (f"  seed {plan.seed} {plan.workload}/{plan.system}:"
+            fired = sum(plan.injections.values())
+            line = (f"  seed {plan.origin.get('seed')} "
+                    f"{plan.cell['name']}/{plan.cell['system']}:"
                     f" {cell.verdict} ({fired} injection(s))")
             if cell.replay_identical is not None:
                 line += (" [replays identically]"
@@ -135,37 +135,33 @@ class ChaosReport:
         return lines
 
 
-def _classify(record, baseline_state):
-    """(verdict, detail, state_matches) for one harness cell record."""
-    if record.status != CELL_OK:
-        return (VERDICT_FAIL,
-                f"harness {record.status}: {record.error}", None)
-    outcome = record.outcome
-    if outcome.status != OK:
-        return (VERDICT_FAIL,
-                f"run ended {outcome.status}: {outcome.detail}", None)
-    matches = (baseline_state is None
-               or outcome.final_state == baseline_state)
-    if not matches:
-        diverged = sorted(
-            key for key in
-            set(baseline_state) | set(outcome.final_state or {})
-            if baseline_state.get(key)
-            != (outcome.final_state or {}).get(key))
-        return (VERDICT_FAIL, "final state diverged from pthreads "
-                "baseline: " + ", ".join(diverged), False)
+def _classify(plan, harness, oracle_state):
+    """``(verdict, detail, failure)`` for one plan's harness record:
+    the shared classifier, plus the runtime's damage report."""
+    if harness.status != CELL_OK:
+        kind, detail, signatures = harness.status, harness.error, []
+    elif oracle_state is None:
+        kind, signatures = "no-oracle", []
+        detail = (f"no fault-free {plan.oracle} oracle for "
+                  f"{plan.cell['name']}")
+    else:
+        kind, detail, signatures = classify_outcome(harness.outcome,
+                                                    oracle_state)
+    if kind is not None:
+        return (VERDICT_FAIL, f"{kind}: {detail}",
+                {"kind": kind, "detail": detail,
+                 "signatures": signatures})
+    outcome = harness.outcome
     report = (outcome.result.runtime_report
               if outcome.result is not None else None) or {}
-    damage = {key: report[key] for key in _DAMAGE_KEYS
-              if report.get(key)}
-    if damage or report.get("ladder_level") not in (None, "protect"):
-        level = report.get("ladder_level")
-        parts = [f"{k}={v}" for k, v in sorted(damage.items())]
-        if level not in (None, "protect"):
-            parts.append(f"ladder_level={level}")
-        return (VERDICT_DEGRADED,
-                "recovered with " + ", ".join(parts), True)
-    return VERDICT_OK, "", True
+    parts = [f"{key}={report[key]}" for key in sorted(_DAMAGE_KEYS)
+             if report.get(key)]
+    level = report.get("ladder_level")
+    if level not in (None, "protect"):
+        parts.append(f"ladder_level={level}")
+    if parts:
+        return VERDICT_DEGRADED, "recovered with " + ", ".join(parts), {}
+    return VERDICT_OK, "", {}
 
 
 def _outcome_fingerprint(outcome):
@@ -178,141 +174,72 @@ def _outcome_fingerprint(outcome):
 
 def chaos_repair_suite(seeds=16, workloads=None, scale=0.1,
                        nthreads=None, jobs=None, out_dir=None,
-                       timeout=None, replay_failures=True,
-                       baseline_system="pthreads"):
+                       timeout=None):
     """Run a seeded chaos campaign; returns a :class:`ChaosReport`.
 
     ``seeds`` is an int / iterable for :func:`default_plans`, or an
-    explicit list of :class:`FaultPlan` objects.  Baseline digests run
-    fault-free under ``baseline_system`` once per distinct workload
-    coordinate; chaos cells fan out on the hardened grid
+    explicit list of plan records.  Each distinct oracle cell runs
+    once; the plans fan out on the hardened grid
     (:func:`~repro.eval.parallel.run_cells_recorded`) with ``timeout``
-    seconds of wall clock per cell.  With ``replay_failures`` every
+    seconds of wall clock per cell.  Every plan is saved, and every
     failing plan is re-run once and checked for an identical outcome.
     """
     start = time.monotonic()
+    if not isinstance(seeds, int):
+        # a generator must not lose the item the type test looks at
+        seeds = list(seeds)
     if seeds and not isinstance(seeds, int) \
-            and isinstance(next(iter(seeds), None), FaultPlan):
-        plans = list(seeds)
+            and isinstance(seeds[0], RunRecord):
+        plans = seeds
     else:
         plans = default_plans(seeds, workloads=workloads, scale=scale,
                               nthreads=nthreads)
 
-    coords = []
+    oracle_cells = []
     for plan in plans:
-        coord = (plan.workload, plan.scale, plan.nthreads, plan.variant)
-        if coord not in coords:
-            coords.append(coord)
-    baseline_records = run_cells_recorded(
-        [dict(name=w, system=baseline_system, scale=s, nthreads=n,
-              variant=v, collect_state=True)
-         for w, s, n, v in coords], jobs=jobs, timeout=timeout)
-    baselines = {}
-    for coord, record in zip(coords, baseline_records):
-        if record.status == CELL_OK and record.outcome.ok:
-            baselines[coord] = record.outcome.final_state
-        else:
-            baselines[coord] = None
+        if plan.oracle_cell() not in oracle_cells:
+            oracle_cells.append(plan.oracle_cell())
+    oracle_states = [
+        record.outcome.final_state
+        if record.status == CELL_OK and record.outcome.ok else None
+        for record in run_cells_recorded(oracle_cells, jobs=jobs,
+                                         timeout=timeout)]
 
-    records = run_cells_recorded([_cell_for(plan) for plan in plans],
+    records = run_cells_recorded([plan.cell for plan in plans],
                                  jobs=jobs, timeout=timeout)
     cells = []
-    for plan, record in zip(plans, records):
-        coord = (plan.workload, plan.scale, plan.nthreads, plan.variant)
-        baseline_state = baselines.get(coord)
-        verdict, detail, matches = _classify(record, baseline_state)
-        if baseline_state is None:
-            verdict = VERDICT_FAIL
-            detail = (f"no fault-free {baseline_system} baseline for "
-                      f"{plan.workload} (cannot check the metamorphic "
-                      "oracle); " + detail)
-        counts = {}
-        outcome = record.outcome
-        if outcome is not None and outcome.faults is not None:
-            counts = dict(outcome.faults["counts"])
-            plan.injections = list(outcome.faults["log"])
-            plan.counts = counts
-        plan.failure = ({} if verdict != VERDICT_FAIL
-                        else {"kind": verdict, "detail": detail})
+    for plan, harness in zip(plans, records):
+        oracle_state = oracle_states[oracle_cells.index(
+            plan.oracle_cell())]
+        verdict, detail, plan.failure = _classify(plan, harness,
+                                                  oracle_state)
+        outcome = harness.outcome
+        plan.injections = injection_counts(outcome)
         cell = ChaosCell(plan=plan, verdict=verdict, detail=detail,
-                         record=record, state_matches=matches,
-                         counts=counts)
-        if replay_failures and verdict == VERDICT_FAIL \
-                and record.status == CELL_OK:
-            replay = run_workload(**_cell_for(plan))
-            cell.replay_identical = (
-                _outcome_fingerprint(replay)
-                == _outcome_fingerprint(outcome))
+                         harness=harness)
+        if verdict == VERDICT_FAIL and harness.status == CELL_OK:
+            rerun = run_workload(**plan.cell)
+            cell.replay_identical = (_outcome_fingerprint(rerun)
+                                     == _outcome_fingerprint(outcome))
         cell.artifact = plan.save(out_dir=out_dir)
         cells.append(cell)
     return ChaosReport(cells=cells,
                        elapsed=time.monotonic() - start)
 
 
-def replay_plan(plan):
-    """Re-execute a saved :class:`FaultPlan` (or artifact path).
-
-    Returns ``(matches, detail, outcome)``: the re-run must fire the
-    recorded injection counts exactly and reach the recorded verdict
-    (clean plans must stay clean, failing plans must fail again).
-    """
-    import os
-    if isinstance(plan, (str, os.PathLike)):
-        plan = FaultPlan.load(plan)
-    outcome = run_workload(**_cell_for(plan))
-    counts = dict((outcome.faults or {}).get("counts", {}))
-    recorded = {point: n for point, n in (plan.counts or {}).items()
-                if n}
-    mismatches = []
-    if plan.counts and counts != recorded:
-        mismatches.append(f"injection counts {counts} != recorded "
-                          f"{recorded}")
-    failed = outcome.status != OK
-    if plan.failure and not failed:
-        mismatches.append(
-            f"recorded failure {plan.failure.get('kind')!r} did not "
-            "recur")
-    detail = ("; ".join(mismatches) if mismatches
-              else f"reproduced ({sum(counts.values())} injection(s), "
-                   f"status {outcome.status})")
-    return not mismatches, detail, outcome
-
-
 # ----------------------------------------------------------------------
 # CI chaos smoke
 # ----------------------------------------------------------------------
-
-@dataclass
-class ChaosSmokeResult:
-    """Pass/fail checks from one :func:`chaos_smoke` run."""
-
-    checks: list                      # (name, passed, detail)
-    report: ChaosReport
-
-    @property
-    def ok(self):
-        """True when every check passed."""
-        return all(passed for _, passed, _ in self.checks)
-
-    def summary_lines(self):
-        """Check verdicts, then the chaos cells behind them."""
-        lines = []
-        for name, passed, detail in self.checks:
-            mark = "PASS" if passed else "FAIL"
-            lines.append(f"[{mark}] {name}: {detail}")
-        lines.extend(self.report.summary_lines())
-        return lines
-
 
 def chaos_smoke(seeds=6, scale=0.05, jobs=None, out_dir=None,
                 timeout=None):
     """Bounded CI chaos smoke: the fault machinery must *work*, fast.
 
     - every cell must come back ``ok`` or cleanly ``degraded`` with
-      its final state equal to the pthreads baseline;
+      its final state equal to the pthreads oracle's;
     - positive control: the plans must actually inject (a chaos run
       where nothing fires tests nothing);
-    - the busiest plan must replay identically when re-run.
+    - the busiest plan's saved record must replay identically.
     """
     plans = default_plans(seeds, workloads=("histogram", "histogramfs"),
                           scale=scale)
@@ -323,17 +250,18 @@ def chaos_smoke(seeds=6, scale=0.05, jobs=None, out_dir=None,
     checks.append((
         "chaos cells survive (ok or cleanly degraded)", report.ok,
         ", ".join(f"{k}={v}" for k, v in totals.items())))
-    fired = sum(sum(c.counts.values()) for c in report.cells)
+    fired = sum(sum(c.plan.injections.values()) for c in report.cells)
     checks.append((
         "fault plans actually inject", fired > 0,
         f"{fired} injection(s) across {len(report.cells)} cell(s)"))
     busiest = max(report.cells, default=None,
-                  key=lambda c: sum(c.counts.values()))
-    if busiest is not None and sum(busiest.counts.values()):
-        matches, detail, _ = replay_plan(busiest.plan)
+                  key=lambda c: sum(c.plan.injections.values()))
+    if busiest is not None and busiest.plan.injections:
+        matches, detail, _ = replay(busiest.artifact)
         checks.append(("busiest plan replays identically", matches,
-                       f"seed {busiest.plan.seed}: {detail}"))
+                       f"seed {busiest.plan.origin['seed']}: {detail}"))
     else:
         checks.append(("busiest plan replays identically", False,
                        "no plan fired any injection"))
-    return ChaosSmokeResult(checks=checks, report=report)
+    return SmokeResult(checks=checks, reports={"chaos": report},
+                       explanation=report.summary_lines())

@@ -41,6 +41,25 @@ FAULT_POINTS = {
         "a consistency flush is delayed by a stalled commit path",
 }
 
+#: Per-point firing probabilities used by :func:`default_rates`; chosen
+#: so a typical repair-suite run exercises every recovery path without
+#: drowning the run in failures.
+_BASE_RATES = {
+    "perf.record_drop": 0.02,
+    "perf.buffer_overflow": 0.10,
+    "ptrace.attach_timeout": 0.25,
+    "ptrace.fork_fail": 0.15,
+    "shm.exhausted": 0.10,
+    "ptsb.commit_conflict": 0.05,
+    "ptsb.delayed_flush": 0.05,
+}
+
+
+def default_rates(intensity=1.0):
+    """The stock rate table scaled by ``intensity`` (capped at 0.9)."""
+    return {point: min(0.9, rate * intensity)
+            for point, rate in _BASE_RATES.items()}
+
 
 class FaultInjector:
     """Draws injection decisions for one run from per-point streams.

@@ -1,4 +1,4 @@
-"""Seeded schedule fuzzing with shrinking repro artifacts.
+"""Seeded schedule fuzzing with shrinking repro records.
 
 :func:`fuzz_workload` runs one (workload, system) cell under many
 seeded perturbation policies, fanned out across worker processes.
@@ -12,12 +12,13 @@ Every interleaving is checked two ways:
 A failing seed's decision log is shrunk by delta debugging
 (:mod:`repro.schedule.shrink`) — each candidate log is replayed and
 kept only if the *same* failure (kind and race signatures) recurs —
-and saved as a versioned :class:`~repro.schedule.trace.ScheduleTrace`
-artifact under ``results/fuzz/`` for exact replay.
+and saved under ``results/fuzz/`` as a
+:class:`~repro.eval.record.RunRecord` whose cell replays the shrunk
+log.
 
 :func:`smoke_fuzz` is the CI entry point: a bounded budget, a positive
 control (the seeded fuzzer must find racy-flag's handoff race and the
-replayed artifact must reproduce the identical finding) and a negative
+replayed record must reproduce the identical finding) and a negative
 control (a race-free workload must come back clean).
 """
 
@@ -25,39 +26,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.eval.parallel import job_count, run_cells
-from repro.eval.runner import OK, run_workload
+from repro.eval.record import (RACE, RunRecord, SmokeResult,
+                               classify_outcome, injection_counts,
+                               race_signatures, replay)
+from repro.eval.runner import run_workload
 from repro.schedule.shrink import shrink_decisions
-from repro.schedule.trace import ScheduleTrace, race_signatures
-
-#: Failure kinds beyond the runner statuses (budget/deadlock/hang/
-#: invalid pass through as their own kinds).
-RACE = "race"
-STATE_MISMATCH = "state-mismatch"
-
-
-def classify_outcome(outcome, baseline_state=None):
-    """Classify one scheduled run: ``(kind, detail, signatures)``.
-
-    ``kind`` is None for a clean run.  Non-ok statuses (``budget``,
-    ``deadlock``, ``hang``, ``invalid``) pass through as kinds; an ok
-    run fails with :data:`RACE` when the sanitizer found anything and
-    with :data:`STATE_MISMATCH` when its final-state digest diverges
-    from ``baseline_state`` (the default schedule's digest).
-    """
-    signatures = race_signatures(outcome.analysis)
-    if outcome.status != OK:
-        return outcome.status, outcome.detail, signatures
-    if signatures:
-        return RACE, f"{len(signatures)} data race(s)", signatures
-    if (baseline_state is not None and outcome.final_state is not None
-            and outcome.final_state != baseline_state):
-        diverged = sorted(
-            key for key in set(baseline_state) | set(outcome.final_state)
-            if baseline_state.get(key) != outcome.final_state.get(key))
-        return (STATE_MISMATCH,
-                "final state diverged from default schedule: "
-                + ", ".join(diverged), signatures)
-    return None, "", signatures
 
 
 @dataclass
@@ -72,9 +45,11 @@ class FuzzFinding:
     detail: str = ""
     signatures: list = field(default_factory=list)
     decisions: list = field(default_factory=list)
+    #: Fired-injection counts of the run the decision log replays.
+    injections: dict = field(default_factory=dict)
     #: Decision count before shrinking (None when not shrunk).
     shrunk_from: object = None
-    #: Path of the saved ScheduleTrace artifact.
+    #: Path of the saved RunRecord artifact.
     artifact: object = None
 
 
@@ -142,33 +117,28 @@ def fuzz_workload(name, system="pthreads", policy="random", seeds=16,
     it expires (in-flight batches finish).  ``max_cycles`` defaults to
     a generous multiple of the default schedule's cycle count, so a
     livelocking interleaving surfaces as a ``budget`` finding with a
-    replayable trace instead of hanging the fuzzer.
+    replayable record instead of hanging the fuzzer.  ``config`` is a
+    dict of :class:`~repro.core.config.TmiConfig` overrides, the form a
+    record's cell stores.
 
     ``faults`` cross-fuzzes schedules against a deterministic fault
-    plan (a ``{"seed", "rates", "limits"}`` spec or a
-    :class:`~repro.faults.FaultPlan`): every fuzzed cell runs with the
-    plan armed while the baseline digest stays fault-free, so a fault
+    spec (``{"seed", "rates", "limits"}``): every fuzzed cell runs
+    with it armed while the oracle stays fault-free, so a fault
     sequence that corrupts final state surfaces as a
-    :data:`STATE_MISMATCH` finding whose artifact replays both the
-    schedule and the faults.
+    :data:`~repro.eval.record.STATE_MISMATCH` finding whose record
+    replays both the schedule and the faults.
 
-    Returns a :class:`FuzzReport`; every finding's trace artifact is
-    already written (``results/fuzz/`` unless ``out_dir``).
+    Returns a :class:`FuzzReport`; every finding's record is already
+    written (``results/fuzz/`` unless ``out_dir``).
     """
     start = time.monotonic()
     if isinstance(seeds, int):
         seeds = list(range(seeds))
     else:
         seeds = list(seeds)
-    fault_spec = None
-    if faults is not None:
-        fault_spec = (faults.spec() if hasattr(faults, "spec")
-                      else dict(faults))
-    base_kwargs = dict(name=name, system=system, scale=scale,
-                       config=config, variant=variant, nthreads=nthreads,
-                       sanitize=sanitize, collect_state=True)
-    cell_kwargs = dict(base_kwargs, faults=fault_spec)
-    baseline = run_workload(**base_kwargs)
+    base = dict(name=name, system=system, scale=scale, config=config,
+                variant=variant, nthreads=nthreads)
+    baseline = run_workload(**base, sanitize=sanitize, collect_state=True)
     baseline_state = baseline.final_state
     baseline_signatures = race_signatures(baseline.analysis)
     if max_cycles is None:
@@ -176,6 +146,10 @@ def fuzz_workload(name, system="pthreads", policy="random", seeds=16,
             max_cycles = max(1_000_000, 25 * baseline.cycles)
         else:
             max_cycles = 500_000_000
+    cell = dict(base, sanitize=sanitize, collect_state=True,
+                max_cycles=max_cycles)
+    if faults is not None:
+        cell["faults"] = dict(faults)
 
     findings = []
     ran = []
@@ -187,8 +161,7 @@ def fuzz_workload(name, system="pthreads", policy="random", seeds=16,
             budget_exhausted = True
             break
         chunk, pending = pending[:batch], pending[batch:]
-        cells = [dict(cell_kwargs, max_cycles=max_cycles,
-                      schedule=_policy_spec(policy, seed))
+        cells = [dict(cell, schedule=_policy_spec(policy, seed))
                  for seed in chunk]
         for seed, outcome in zip(chunk, run_cells(cells, jobs=jobs)):
             ran.append(seed)
@@ -200,26 +173,28 @@ def fuzz_workload(name, system="pthreads", policy="random", seeds=16,
             findings.append(FuzzFinding(
                 workload=name, system=system, policy=_policy_name(policy),
                 seed=seed, kind=kind, detail=detail,
-                signatures=signatures, decisions=decisions))
+                signatures=signatures, decisions=decisions,
+                injections=injection_counts(outcome)))
 
     deadline = (start + budget) if budget is not None else None
     shrunk = 0
     for finding in findings:
         if shrink and shrunk < max_shrinks and finding.decisions:
             original = len(finding.decisions)
-            finding.decisions = _shrink_finding(
-                finding, cell_kwargs, max_cycles, baseline_state,
-                shrink_attempts, deadline)
+            _shrink_finding(finding, cell, baseline_state,
+                            shrink_attempts, deadline)
             finding.shrunk_from = original
             shrunk += 1
-        trace = ScheduleTrace(
-            workload=name, system=system, policy=finding.policy,
-            seed=finding.seed, scale=scale, nthreads=nthreads,
-            variant=variant, max_cycles=max_cycles,
-            decisions=list(finding.decisions), faults=fault_spec,
+        record = RunRecord(
+            cell=dict(cell, schedule={"policy": "replay",
+                                      "decisions": finding.decisions}),
+            oracle=system,
             failure={"kind": finding.kind, "detail": finding.detail,
-                     "signatures": [list(s) for s in finding.signatures]})
-        finding.artifact = trace.save(out_dir=out_dir)
+                     "signatures": [list(s) for s in finding.signatures]},
+            injections=finding.injections,
+            origin={"campaign": "fuzz", "policy": finding.policy,
+                    "seed": finding.seed})
+        finding.artifact = record.save(out_dir=out_dir)
 
     return FuzzReport(
         workload=name, system=system, policy=_policy_name(policy),
@@ -230,65 +205,51 @@ def fuzz_workload(name, system="pthreads", policy="random", seeds=16,
         budget_exhausted=budget_exhausted)
 
 
-def _shrink_finding(finding, base_kwargs, max_cycles, baseline_state,
-                    attempts, deadline):
-    """Shrink one finding's decision log; the failure must recur with
-    the same kind *and* the same race signatures for a candidate to be
-    accepted (the replay identity the artifact promises)."""
+def _shrink_finding(finding, cell, baseline_state, attempts, deadline):
+    """Shrink one finding's decision log in place; the failure must
+    recur with the same kind *and* the same race signatures for a
+    candidate to be accepted (the replay identity the record promises).
+    The finding keeps the injection counts of the log it ends with."""
     target_kind = finding.kind
     target_signatures = finding.signatures
+    accepted = {}
 
     def reproduces(candidate):
         if deadline is not None and time.monotonic() >= deadline:
             return False
         outcome = run_workload(**dict(
-            base_kwargs, max_cycles=max_cycles,
-            schedule={"policy": "replay", "decisions": list(candidate)}))
+            cell, schedule={"policy": "replay",
+                            "decisions": list(candidate)}))
         kind, _, signatures = classify_outcome(outcome, baseline_state)
-        return kind == target_kind and signatures == target_signatures
+        if kind == target_kind and signatures == target_signatures:
+            accepted[tuple(candidate)] = injection_counts(outcome)
+            return True
+        return False
 
-    return shrink_decisions(finding.decisions, reproduces,
-                            max_attempts=attempts)
+    finding.decisions = shrink_decisions(finding.decisions, reproduces,
+                                         max_attempts=attempts)
+    # the input log minus its trailing zeros replays the original run
+    finding.injections = accepted.get(tuple(finding.decisions),
+                                      finding.injections)
 
 
 # ----------------------------------------------------------------------
 # CI smoke fuzz
 # ----------------------------------------------------------------------
 
-@dataclass
-class SmokeResult:
-    """Pass/fail checks from one :func:`smoke_fuzz` run."""
-
-    checks: list                      # (name, passed, detail)
-    reports: dict                     # phase -> FuzzReport
-
-    @property
-    def ok(self):
-        return all(passed for _, passed, _ in self.checks)
-
-    def summary_lines(self):
-        """Check verdicts; on failure, every finding's replay artifact.
-
-        The artifact paths are the actionable part of a failing smoke
-        run — ``python -m repro.eval.cli replay <path>`` re-executes
-        the exact interleaving — so CI output must carry them.  A
-        passing run stays terse (the positive control finds races by
-        design; listing those would be noise).
-        """
-        lines = []
-        for name, passed, detail in self.checks:
-            mark = "PASS" if passed else "FAIL"
-            lines.append(f"[{mark}] {name}: {detail}")
-        if self.ok:
-            return lines
-        artifacts = [
-            f"  {phase} seed {f.seed} ({f.kind}) -> {f.artifact}"
-            for phase, report in self.reports.items()
-            for f in report.findings if f.artifact]
-        if artifacts:
-            lines.append("replay artifacts:")
-            lines.extend(artifacts)
-        return lines
+def _smoke_result(checks, reports):
+    """The smoke's verdicts; a failing one lists every finding's
+    record, because ``python -m repro.eval.cli replay <path>``
+    re-executes the exact interleaving.  A passing one stays terse
+    (the positive control finds races by design)."""
+    result = SmokeResult(checks=checks, reports=reports)
+    artifacts = [
+        f"  {phase} seed {f.seed} ({f.kind}) -> {f.artifact}"
+        for phase, report in reports.items()
+        for f in report.findings if f.artifact]
+    if not result.ok and artifacts:
+        result.explanation = ["replay artifacts:"] + artifacts
+    return result
 
 
 def smoke_fuzz(seeds=16, budget=60.0, jobs=None, out_dir=None):
@@ -296,12 +257,11 @@ def smoke_fuzz(seeds=16, budget=60.0, jobs=None, out_dir=None):
 
     - positive control: seeded fuzzing of ``racy-flag`` (pthreads,
       buggy variant) must find the volatile-flag handoff race, and
-      replaying the emitted artifact must reproduce the identical
+      replaying the emitted record must reproduce the identical
       sanitizer finding;
     - negative control: a race-free workload (histogram, small scale)
       must produce zero findings under the same policy.
     """
-    from repro.schedule.replay import replay_trace
     start = time.monotonic()
     checks = []
     reports = {}
@@ -318,10 +278,10 @@ def smoke_fuzz(seeds=16, budget=60.0, jobs=None, out_dir=None):
         f"{len(races)} racing seed(s) out of {len(racy.seeds)} run"))
 
     if races:
-        result = replay_trace(races[0].artifact)
+        matches, detail, _ = replay(races[0].artifact)
         checks.append((
             "racy-flag: artifact replay reproduces the finding",
-            result.matches, result.detail()))
+            matches, detail))
     else:
         checks.append((
             "racy-flag: artifact replay reproduces the finding", False,
@@ -342,4 +302,4 @@ def smoke_fuzz(seeds=16, budget=60.0, jobs=None, out_dir=None):
         f"{len(clean.findings)} finding(s) over {len(clean.seeds)} "
         f"seed(s)"))
 
-    return SmokeResult(checks=checks, reports=reports)
+    return _smoke_result(checks, reports)

@@ -91,3 +91,32 @@ class TestGlibcAllocator:
         outcome_l = run_workload("kmeans", "pthreads", scale=0.3)
         outcome_g = run_workload("kmeans", "glibc", scale=0.3)
         assert outcome_g.result.cycles > outcome_l.result.cycles
+
+
+class TestLaserFence:
+    def test_fence_drains_the_store_buffer(self):
+        """TSO: a fence orders the software store buffer, so a store
+        buffered at an instrumented site reaches memory at the fence,
+        not at thread exit."""
+        from repro.isa import Binary
+
+        from helpers import make_program
+
+        binary = Binary("fence")
+        st = binary.store_site("st", 8)
+        runtime = LaserRuntime(TmiConfig())
+        runtime.instrumented_pcs.add(st.pc)
+        seen = {}
+
+        def main(t):
+            buf = yield from t.malloc(64, align=64)
+            yield from t.store(buf, 7, 8, site=st)
+            seen["buffered"] = len(runtime._buffers[t.tid])
+            yield from t.fence()
+            seen["after_fence"] = len(runtime._buffers[t.tid])
+            seen["drains"] = runtime.drains
+
+        result = Engine(make_program(main, binary=binary, nthreads=1),
+                        runtime).run()
+        assert result.validated
+        assert seen == {"buffered": 1, "after_fence": 0, "drains": 1}

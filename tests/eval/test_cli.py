@@ -173,3 +173,39 @@ class TestRepairCommand:
         assert saved, out
         assert json.loads(saved[0].read_text())["format"] == \
             "repro-repair-plan/1"
+
+
+class TestQuarantineInspect:
+    def test_replay_command_runs_the_stored_cell(self, capsys, tmp_path,
+                                                 monkeypatch):
+        """A chaos-kind cell carries faults: the printed command must
+        run that exact cell, not a bare ``run <name> <system>``."""
+        import shlex
+
+        from repro.eval import runner
+        from repro.service import CampaignSpec, Quarantine
+
+        cell = CampaignSpec(workloads=("histogram",),
+                            systems=("tmi-protect",), kind="chaos",
+                            seeds=(4,), scale=0.05,
+                            nthreads=2).cells()[0]
+        assert cell["faults"]["seed"] == 4
+        Quarantine(str(tmp_path / "quarantine")).add(
+            "ab" * 32, cell, "chaos-1", attempts=2,
+            reason="failed its replay")
+        assert main(["quarantine", "inspect", "abab",
+                     "--root", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("replay: ")
+        argv = shlex.split(line[len("replay: "):])
+        assert argv[:2] == ["python", "-c"]
+        ran = []
+
+        def fake_run(**kwargs):
+            ran.append(kwargs)
+            return runner.RunOutcome("histogram", "tmi-protect", "ok")
+
+        monkeypatch.setattr(runner, "run_workload", fake_run)
+        exec(argv[2], {})
+        assert ran == [cell]
+        capsys.readouterr()

@@ -1,53 +1,70 @@
-"""FaultPlan artifacts: versioned round-trips and rate tables."""
+"""Fault plans: chaos records' versioned round-trips and rate tables."""
 
 import json
 import os
 
 import pytest
 
-from repro.errors import FaultPlanError
-from repro.faults import (FAULT_PLAN_FORMAT, FaultPlan, default_rates)
+from repro.errors import FaultPlanError, RecordFormatError
+from repro.eval.record import RECORD_FORMAT, RunRecord
+from repro.eval.runner import run_workload
+from repro.faults import FaultInjector, default_plans, default_rates
 
 
 def make_plan():
-    return FaultPlan(workload="histogram", system="tmi-protect",
-                     seed=11, scale=0.1,
-                     rates={"ptrace.fork_fail": 0.2},
-                     limits={"ptrace.fork_fail": 5})
+    return RunRecord(
+        cell={"name": "histogram", "system": "tmi-protect", "scale": 0.1,
+              "collect_state": True,
+              "faults": {"seed": 11, "rates": {"ptrace.fork_fail": 0.2},
+                         "limits": {"ptrace.fork_fail": 5}}},
+        oracle="pthreads", injections={"ptrace.fork_fail": 2},
+        origin={"campaign": "chaos", "seed": 11})
 
 
 class TestRoundTrip:
     def test_to_from_dict(self):
         plan = make_plan()
         data = plan.to_dict()
-        assert data["format"] == FAULT_PLAN_FORMAT
-        clone = FaultPlan.from_dict(data)
+        assert data["format"] == RECORD_FORMAT
+        clone = RunRecord.from_dict(data)
         assert clone == plan
 
     def test_wrong_format_rejected(self):
         data = make_plan().to_dict()
-        data["format"] = "repro-fault-plan/999"
-        with pytest.raises(FaultPlanError, match="unsupported"):
-            FaultPlan.from_dict(data)
+        for tag in ("repro-fault-plan/1", "repro-run-record/999"):
+            data["format"] = tag
+            with pytest.raises(RecordFormatError, match="unsupported"):
+                RunRecord.from_dict(data)
 
     def test_save_load_default_name(self, tmp_path):
         plan = make_plan()
         path = plan.save(out_dir=str(tmp_path))
         assert os.path.basename(path) == "histogram-tmi-protect-f11.json"
-        assert json.load(open(path))["format"] == FAULT_PLAN_FORMAT
-        assert FaultPlan.load(path) == plan
+        assert json.load(open(path))["format"] == RECORD_FORMAT
+        assert RunRecord.load(path) == plan
 
 
 class TestValidation:
-    def test_unknown_point_rejected_at_construction(self):
+    def test_unknown_point_rejected_at_construction(self, monkeypatch):
+        """A spec naming an unknown point fails while the run is being
+        built, before the first simulated cycle."""
+        from repro.engine import Engine
+
+        def never(self):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(Engine, "run", never)
         with pytest.raises(FaultPlanError, match="unknown fault point"):
-            FaultPlan(workload="histogram", rates={"bad.point": 0.1})
+            run_workload("histogram", "tmi-protect", scale=0.05,
+                         faults={"seed": 0, "rates": {"bad.point": 0.1}})
 
     def test_spec_feeds_the_injector(self):
-        spec = make_plan().spec()
+        spec = default_plans([11], workloads=("histogram",))[0] \
+            .cell["faults"]
         assert set(spec) == {"seed", "rates", "limits"}
         assert spec["seed"] == 11
-        assert spec["rates"] == {"ptrace.fork_fail": 0.2}
+        assert spec["rates"] == default_rates(2.0)
+        assert FaultInjector(**spec).seed == 11
 
 
 class TestDefaultRates:

@@ -1,12 +1,13 @@
-"""Fuzz driver end-to-end: finding, shrinking, artifacts, replay.
+"""Fuzz driver end-to-end: finding, shrinking, records, replay.
 
 Serial (``jobs=1``) so the tests stay fast and debuggable; the
 process-pool fan-out path is covered by the eval harness tests.
 """
 
+from repro.eval.record import (RACE, STATE_MISMATCH, RunRecord,
+                               classify_outcome, replay)
 from repro.eval.runner import BUDGET, OK, RunOutcome, run_workload
-from repro.schedule import ScheduleTrace, fuzz_workload, replay_trace
-from repro.schedule.fuzz import RACE, STATE_MISMATCH, classify_outcome
+from repro.schedule import fuzz_workload
 
 
 class TestClassifyOutcome:
@@ -57,17 +58,18 @@ class TestFuzzFindsRace:
         finding = races[0]
         assert finding.signatures
         assert finding.artifact is not None
-        trace = ScheduleTrace.load(finding.artifact)
-        assert trace.failure["kind"] == RACE
-        assert trace.failure["signatures"] == [
+        record = RunRecord.load(finding.artifact)
+        assert record.failure["kind"] == RACE
+        assert record.failure["signatures"] == [
             list(s) for s in finding.signatures]
 
     def test_replay_reproduces_identical_finding(self, tmp_path):
         report = fuzz_workload("racy-flag", seeds=1, scale=1.0, jobs=1,
                                out_dir=str(tmp_path))
-        result = replay_trace(report.findings[0].artifact)
-        assert result.matches, result.detail()
-        assert result.kind == RACE
+        matches, detail, outcome = replay(report.findings[0].artifact)
+        assert matches, detail
+        assert "kind='race'" in detail
+        assert outcome.analysis.findings
 
     def test_clean_workload_has_no_findings(self, tmp_path):
         report = fuzz_workload("histogram", seeds=2, scale=0.03, jobs=1,
@@ -96,9 +98,9 @@ class TestLivelockBudget:
         assert len(report.findings) == 1
         finding = report.findings[0]
         assert finding.kind == BUDGET
-        result = replay_trace(finding.artifact)
-        assert result.kind == BUDGET
-        assert result.matches, result.detail()
+        matches, detail, outcome = replay(finding.artifact)
+        assert outcome.status == BUDGET
+        assert matches, detail
 
 
 class TestBudgetBound:
@@ -135,7 +137,7 @@ class TestSmokeSummaryArtifacts:
 
     def _result(self, passed):
         from repro.schedule.fuzz import (FuzzFinding, FuzzReport,
-                                         SmokeResult)
+                                         _smoke_result)
         finding = FuzzFinding(
             workload="histogram", system="pthreads", policy="random",
             seed=3, kind=STATE_MISMATCH,
@@ -144,7 +146,7 @@ class TestSmokeSummaryArtifacts:
             workload="histogram", system="pthreads", policy="random",
             scale=0.05, seeds=[3], max_cycles=None, findings=[finding],
             baseline_status=OK, baseline_signatures=[], elapsed=0.1)
-        return SmokeResult(
+        return _smoke_result(
             checks=[("histogram: race-free workload fuzzes clean",
                      passed, "1 finding(s) over 1 seed(s)")],
             reports={"histogram": report})
@@ -168,4 +170,4 @@ class TestShrunkArtifact:
         finding = report.findings[0]
         assert finding.shrunk_from is not None
         assert len(finding.decisions) <= finding.shrunk_from
-        assert replay_trace(finding.artifact).matches
+        assert replay(finding.artifact)[0]

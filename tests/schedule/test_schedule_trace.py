@@ -1,42 +1,48 @@
-"""ScheduleTrace artifacts: round-trip, versioning, signatures."""
+"""Fuzz records: round-trip, versioning, the replay spec, signatures."""
 
 import json
 
 import pytest
 
-from repro.schedule import TRACE_FORMAT, ScheduleTrace
-from repro.schedule.trace import race_signatures
+from repro.errors import RecordFormatError
+from repro.eval.record import RECORD_FORMAT, RunRecord, race_signatures
+from repro.schedule import fuzz_workload
 
 
 def sample_trace():
-    return ScheduleTrace(
-        workload="racy-flag", system="pthreads", policy="random",
-        seed=9, scale=1.0, nthreads=2, variant=None, max_cycles=123_456,
-        decisions=[0, 1, 1, 0, 2],
+    return RunRecord(
+        cell={"name": "racy-flag", "system": "pthreads", "scale": 1.0,
+              "nthreads": 2, "sanitize": True, "collect_state": True,
+              "max_cycles": 123_456,
+              "schedule": {"policy": "replay",
+                           "decisions": [0, 1, 1, 0, 2]}},
+        oracle="pthreads",
         failure={"kind": "race", "detail": "1 data race(s)",
-                 "signatures": [["data-race", "payload", 512]]})
+                 "signatures": [["data-race", "payload", 512]]},
+        origin={"campaign": "fuzz", "policy": "random", "seed": 9})
 
 
 class TestRoundTrip:
     def test_dict_round_trip(self):
         trace = sample_trace()
-        again = ScheduleTrace.from_dict(trace.to_dict())
+        again = RunRecord.from_dict(trace.to_dict())
         assert again == trace
 
     def test_format_tag_present(self):
-        assert sample_trace().to_dict()["format"] == TRACE_FORMAT
+        assert sample_trace().to_dict()["format"] == RECORD_FORMAT
 
     def test_wrong_format_rejected(self):
         data = sample_trace().to_dict()
-        data["format"] = "repro-schedule-trace/999"
-        with pytest.raises(ValueError, match="unsupported"):
-            ScheduleTrace.from_dict(data)
+        for tag in ("repro-run-record/999", "repro-schedule-trace/1"):
+            data["format"] = tag
+            with pytest.raises(RecordFormatError, match="unsupported"):
+                RunRecord.from_dict(data)
 
     def test_missing_format_rejected(self):
         data = sample_trace().to_dict()
         del data["format"]
-        with pytest.raises(ValueError, match="unsupported"):
-            ScheduleTrace.from_dict(data)
+        with pytest.raises(RecordFormatError, match="unsupported"):
+            RunRecord.from_dict(data)
 
 
 class TestSaveLoad:
@@ -44,11 +50,11 @@ class TestSaveLoad:
         trace = sample_trace()
         path = trace.save(out_dir=str(tmp_path))
         assert path.endswith("racy-flag-pthreads-random-s9.json")
-        assert ScheduleTrace.load(path) == trace
+        assert RunRecord.load(path) == trace
         # the artifact is plain versioned JSON
         data = json.loads((tmp_path / trace.default_name()).read_text())
-        assert data["format"] == TRACE_FORMAT
-        assert data["decisions"] == [0, 1, 1, 0, 2]
+        assert data["format"] == RECORD_FORMAT
+        assert data["cell"]["schedule"]["decisions"] == [0, 1, 1, 0, 2]
 
     def test_explicit_path(self, tmp_path):
         target = tmp_path / "repro.json"
@@ -57,10 +63,20 @@ class TestSaveLoad:
 
 
 class TestPolicySpec:
-    def test_replay_spec(self):
-        spec = sample_trace().policy_spec()
-        assert spec == {"policy": "replay",
-                        "decisions": [0, 1, 1, 0, 2]}
+    def test_replay_spec(self, tmp_path):
+        """A finding's record replays its decision log: the cell's
+        schedule is the replay spec of the (shrunk) log, and the
+        fuzzed system is the oracle."""
+        report = fuzz_workload("racy-flag", seeds=1, scale=1.0, jobs=1,
+                               out_dir=str(tmp_path), max_shrinks=1)
+        finding = report.findings[0]
+        record = RunRecord.load(finding.artifact)
+        assert record.cell["schedule"] == {
+            "policy": "replay", "decisions": finding.decisions}
+        assert record.oracle == "pthreads"
+        assert record.origin == {"campaign": "fuzz", "policy": "random",
+                                 "seed": finding.seed}
+        assert "schedule" not in record.oracle_cell()
 
 
 class TestRaceSignatures:
