@@ -9,7 +9,7 @@ from repro.alloc import LocklessAllocator, RegionBump
 from repro.engine import layout
 from repro.engine.hooks import RuntimeHooks
 from repro.sim.addrspace import Backing
-from repro.sim.costs import PAGE_2M, PAGE_4K
+from repro.sim.costs import PAGE_2M
 
 
 class PthreadsRuntime(RuntimeHooks):

@@ -28,7 +28,6 @@ from repro.oskit.perf import PerfSession
 from repro.oskit.procmaps import AddressMap
 from repro.oskit.shm import SharedMemoryNamespace
 from repro.sim.addrspace import AddressSpace, Translation
-from repro.sim.costs import PAGE_4K
 
 STAGE_ALLOC = "alloc"
 STAGE_DETECT = "detect"

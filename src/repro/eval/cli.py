@@ -223,8 +223,8 @@ def build_parser():
 
     serve = sub.add_parser(
         "serve", help="run the campaign service: poll the inbox, "
-                      "shard cells over worker pools, serve cached "
-                      "results")
+                      "stream cells through one worker pool per "
+                      "pass, serve cached results")
     serve.add_argument("--root", default=None,
                        help="service root (default results/service)")
     serve.add_argument("--once", action="store_true",

@@ -737,7 +737,7 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
     Runs the same campaign mix twice through a
     :class:`~repro.service.CampaignService`: once *chaotic* — two
     poison cells that fail deterministically on every attempt, one
-    cell whose pool worker is hard-killed mid-shard, and one store
+    cell whose pool worker is hard-killed mid-campaign, and one store
     entry that is well-formed but whose payload fails its checksum —
     and once fault-free.  The SLO gate then demands what the policy
     promises:

@@ -1,12 +1,13 @@
-"""The campaign shard step: run cells, store every ok result.
+"""The campaign checkpoint step: run cells, store each ok result.
 
-:func:`run_checkpointed` is how the campaign service executes one
-shard of store misses.  It runs the cells through the hardened pool
-(:func:`~repro.eval.parallel.run_cells_recorded`, which replays a
-raising cell exactly once) and puts every harness-``ok`` result in the
-content-addressed store before it returns.  The store is the only
-checkpoint: a killed service loses at most the shard in flight, and
-resuming a campaign means running the cells the store does not hold.
+:func:`run_checkpointed` is how the campaign service executes a
+campaign's store misses.  It streams the cells through the hardened
+pool (:func:`~repro.eval.parallel.run_cells_recorded`, which replays a
+raising cell exactly once) and puts each harness-``ok`` result in the
+content-addressed store as soon as it is collected, before the caller
+sees its record.  The store is the only checkpoint: a killed service
+loses at most the cells in flight, and resuming a campaign means
+running the cells the store does not hold.
 
 The store keeps JSON-serializable *summaries*
 (:func:`summarize_outcome`: statuses, cycles, fault counts), not live
@@ -31,17 +32,23 @@ def summarize_outcome(outcome):
     return summary
 
 
-def run_checkpointed(cells, store, jobs=None, timeout=None):
-    """Run one shard and store its ok results; returns
-    :class:`~repro.eval.parallel.CellRecord` objects in input order.
+def run_checkpointed(cells, store, jobs=None, timeout=None, pool=None,
+                     on_record=None):
+    """Run ``cells``, storing each ok result as it is collected;
+    returns :class:`~repro.eval.parallel.CellRecord` objects in input
+    order.
 
     ``store`` is a :class:`~repro.service.store.ResultStore`; every
-    harness-``ok`` cell is in it by the time this returns, so work
-    finished here survives the caller being killed.
+    harness-``ok`` cell is in it before ``on_record(record)`` sees the
+    record, so work collected here survives the caller being killed.
+    ``jobs``, ``timeout`` and ``pool`` forward to
+    :func:`~repro.eval.parallel.run_cells_recorded`.
     """
-    records = run_cells_recorded(cells, jobs=jobs, timeout=timeout)
-    for record in records:
+    def collected(record):
         if record.status == CELL_OK:
             store.put(record.cell, record.status,
                       summarize_outcome(record.outcome), record.error)
-    return records
+        if on_record is not None:
+            on_record(record)
+    return run_cells_recorded(cells, jobs=jobs, timeout=timeout,
+                              pool=pool, on_record=collected)

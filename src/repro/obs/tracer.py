@@ -246,8 +246,8 @@ class Tracer(EngineObserver):
 class EventLog:
     """Tracer-shaped event collector for host-side services.
 
-    The campaign service streams progress (submissions, shard
-    completions, cache hits) as the same plain event dicts the
+    The campaign service streams progress (submissions, state
+    checkpoints, cache hits) as the same plain event dicts the
     :class:`Tracer` emits, so :func:`write_jsonl` exports them and the
     determinism-bisection workflow can diff them.  There is no engine
     and no simulated clock here: ``ts`` is a deterministic per-log

@@ -1,12 +1,12 @@
 """Campaign service: experiment campaigns over the hardened grid.
 
 Clients submit :class:`CampaignSpec` requests (grid / fuzz / chaos);
-one scheduler shards their cells across the hardened
-:mod:`repro.eval.parallel` worker pools, and a content-addressed
-:class:`ResultStore` serves any cell that has ever been computed —
-keyed by a canonical digest of the cell's kwargs plus an engine
-identity hashed from the code, so resubmitted or overlapping
-campaigns get cached cells byte-identical and free.  The store is
+one scheduler streams their cells through one hardened
+:mod:`repro.eval.parallel` worker pool per serve pass, and a
+content-addressed :class:`ResultStore` serves any cell that has ever
+been computed — keyed by a canonical digest of the cell's kwargs plus
+an engine identity hashed from the code, so resubmitted or
+overlapping campaigns get cached cells byte-identical and free.  The store is
 also the only checkpoint: resuming a campaign means running the cells
 it does not hold.
 
@@ -17,8 +17,8 @@ Pieces:
 - :mod:`repro.service.store` — the content-addressed cell-result
   store, its canonical cache key and the code-derived engine identity;
 - :mod:`repro.service.scheduler` — one priority heap drained
-  synchronously, the shard step, per-campaign ``repro-campaign/1``
-  state, obs-layer progress;
+  synchronously through one pool per pass, per-cell checkpoints,
+  per-campaign ``repro-campaign/1`` state, obs-layer progress;
 - :mod:`repro.service.resilience` — the one failure policy: a cell
   that fails its one replay is quarantined (``repro-quarantine/1``),
   recorded in the ``repro-service-state/1`` supervision record;

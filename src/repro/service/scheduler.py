@@ -3,22 +3,24 @@
 One :class:`CampaignScheduler` owns a heap of :class:`CampaignJob`
 objects, ordered by (priority, submission sequence): lower priority
 values run sooner, ties run in submission order.  ``run_pending``
-drains it through the hardened grid machinery.  Per job, the dataflow
-is::
+drains it through one worker pool per serve pass, forked at the pass's
+first store miss.  Per job, the dataflow is::
 
     spec.cells() --digest--> quarantined? --> skipped
                                 |
                                 +--> store lookup --> hits (free)
                                 |
-                                +--> misses, sharded
+                                +--> misses, streamed through the pool
                                           |
-                  run_checkpointed: pool + store.put of every ok cell
+                  run_checkpointed: store.put of each ok cell as it lands
                                           |
-                  ResilienceSupervisor.classify + campaign state rewrite
+                  ResilienceSupervisor.classify + the cell's state entry
+                                          |
+                  every window of cells: campaign state rewrite
 
 The content-addressed store is the only checkpoint.  Every ok cell is
-stored in the shard step that ran it, so a service killed mid-campaign
-loses at most the shard in flight; on restart the campaign's state
+stored as soon as it is collected, so a service killed mid-campaign
+loses at most the cells in flight; on restart the campaign's state
 file still says ``pending``/``running``, the service resubmits it, and
 the cells the store holds come back as cache hits.
 
@@ -27,18 +29,22 @@ in a :class:`~repro.obs.MetricsRegistry` (``campaign.cells_total``,
 ``campaign.cache_hits``, ``campaign.executed``,
 ``campaign.queue_depth``, ...) plus events in an
 :class:`~repro.obs.EventLog` that lands in each campaign's state file.
+``shard_done``, ``campaign.shards`` and ``campaign.shard_cells`` mark
+the state checkpoints: one per window of collected cells, and one for
+the rest.
 """
 
 import heapq
+import itertools
 import os
 
 from repro.eval.grid import run_checkpointed
-from repro.eval.parallel import CELL_TIMEOUT, job_count
+from repro.eval.parallel import CELL_TIMEOUT, CellPool
 from repro.obs import EventLog, MetricsRegistry
 from repro.service.resilience import (CELL_QUARANTINED,
                                       SOURCE_QUARANTINE,
                                       ResilienceSupervisor)
-from repro.service.store import ResultStore, cell_digest, write_json
+from repro.service.store import ResultStore, write_json
 
 #: Versioned campaign-state format tag.
 CAMPAIGN_FORMAT = "repro-campaign/1"
@@ -109,12 +115,12 @@ class CampaignJob:
 
 
 class CampaignScheduler:
-    """Shards campaign cells across the hardened worker pools.
+    """Streams campaign cells through one hardened worker pool.
 
     Owns the service root's ``campaigns/`` state directory, its
     ``store/`` and its :class:`ResilienceSupervisor`.  ``jobs`` and
-    ``timeout`` forward to the pool; each shard is two batches' worth
-    of workers.
+    ``timeout`` forward to the pool, which each ``run_pending`` pass
+    forks at its first miss and closes when the pass ends.
     """
 
     def __init__(self, root, jobs=None, timeout=None, metrics=None):
@@ -122,7 +128,6 @@ class CampaignScheduler:
         self.store = ResultStore(os.path.join(root, "store"))
         self.jobs = jobs
         self.timeout = timeout
-        self.shard_cells = job_count(jobs) * 2
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
         self.resilience = ResilienceSupervisor(root, self.metrics)
@@ -146,25 +151,32 @@ class CampaignScheduler:
         return job
 
     def run_pending(self):
-        """Run every queued job to completion, highest priority first;
-        returns the finished jobs and flushes the supervision record."""
+        """Run every queued job to completion, highest priority first,
+        through one pool for the whole pass; returns the finished jobs
+        and flushes the supervision record."""
         done = []
-        while self._heap:
-            _, _, job = heapq.heappop(self._heap)
-            self.metrics.gauge("campaign.queue_depth").set(
-                len(self._heap))
-            done.append(self.run_job(job))
+        with CellPool(self.jobs) as pool:
+            while self._heap:
+                _, _, job = heapq.heappop(self._heap)
+                self.metrics.gauge("campaign.queue_depth").set(
+                    len(self._heap))
+                done.append(self.run_job(job, pool))
         self.resilience.save_state()
         return done
 
-    def run_job(self, job):
-        """Execute one campaign: quarantine skips, store hits, sharded
+    def run_job(self, job, pool=None):
+        """Execute one campaign: quarantine skips, store hits, streamed
         misses, state.
 
-        Returns the finished job: ``completed`` when every cell is ok
-        or quarantined, ``failed`` otherwise (a timed-out cell), with
-        the per-cell classification carried in the state.
+        ``pool`` is the serve pass's :class:`CellPool`; without one
+        the job forks its own.  Returns the finished job: ``completed``
+        when every cell is ok or quarantined, ``failed`` otherwise (a
+        timed-out cell), with the per-cell classification carried in
+        the state.
         """
+        if pool is None:
+            with CellPool(self.jobs) as pool:
+                return self.run_job(job, pool)
         metrics, sup = self.metrics, self.resilience
         job.cells = {}  # re-derived from the quarantine and the store
         job.status = RUNNING
@@ -173,12 +185,12 @@ class CampaignScheduler:
 
         cells = job.spec.cells()
         metrics.counter("campaign.cells_total").inc(len(cells))
+        listed = set(sup.quarantine.digests())
         pending, hits, held = {}, 0, 0
-        for cell in cells:
-            digest = cell_digest(cell)
+        for digest, cell in zip(job.spec.cell_digests(), cells):
             if digest in job.cells or digest in pending:
                 continue  # duplicate axes derive one cell, once
-            if sup.is_quarantined(digest):
+            if digest in listed and sup.is_quarantined(digest):
                 job.cells[digest] = {
                     "cell": cell, "status": CELL_QUARANTINED,
                     "source": SOURCE_QUARANTINE, "retried": False,
@@ -200,29 +212,9 @@ class CampaignScheduler:
             job.log.emit("cache_hits", hits=hits)
         if held:
             job.log.emit("quarantine_skipped", cells=held)
-        job.write_state()
-
-        misses = list(pending.items())
-        for base in range(0, len(misses), self.shard_cells):
-            shard = misses[base:base + self.shard_cells]
-            records = run_checkpointed(
-                [cell for _, cell in shard], self.store,
-                jobs=self.jobs, timeout=self.timeout)
-            for (digest, cell), record in zip(shard, records):
-                status = sup.classify(job, digest, record)
-                job.cells[digest] = {
-                    "cell": cell, "status": status,
-                    "source": SOURCE_EXECUTED,
-                    "retried": record.retried, "error": record.error}
-                metrics.counter("campaign.cells_" + status).inc()
-                if record.retried:
-                    metrics.counter("campaign.cells_retried").inc()
-            metrics.counter("campaign.shards").inc()
-            metrics.histogram("campaign.shard_cells").observe(
-                len(shard))
-            job.log.emit("shard_done", shard=base // self.shard_cells,
-                         cells=len(shard))
+        if pending:
             job.write_state()
+            self._run_misses(job, pending, pool)
 
         counts = job.counts()
         metrics.counter("campaign.executed").inc(counts["executed"])
@@ -237,3 +229,39 @@ class CampaignScheduler:
         metrics.counter("campaign.jobs_" + job.status).inc()
         metrics.gauge("campaign.active").add(-1)
         return job
+
+    def _run_misses(self, job, pending, pool):
+        """Stream ``pending`` (digest -> cell) through ``pool``: each
+        collected cell is classified and entered in the job's state at
+        once, and the state is rewritten every window of cells."""
+        metrics, sup = self.metrics, self.resilience
+        misses = iter(pending.items())
+        batch, checkpoints = [], itertools.count()
+
+        def checkpoint():
+            metrics.counter("campaign.shards").inc()
+            metrics.histogram("campaign.shard_cells").observe(len(batch))
+            job.log.emit("shard_done", shard=next(checkpoints),
+                         cells=len(batch))
+            job.write_state()
+            batch.clear()
+
+        def collected(record):
+            digest, cell = next(misses)
+            status = sup.classify(job, digest, record)
+            job.cells[digest] = {
+                "cell": cell, "status": status,
+                "source": SOURCE_EXECUTED,
+                "retried": record.retried, "error": record.error}
+            metrics.counter("campaign.cells_" + status).inc()
+            if record.retried:
+                metrics.counter("campaign.cells_retried").inc()
+            batch.append(digest)
+            if len(batch) == pool.window:
+                checkpoint()
+
+        run_checkpointed(list(pending.values()), self.store,
+                         timeout=self.timeout, pool=pool,
+                         on_record=collected)
+        if batch:
+            checkpoint()

@@ -30,7 +30,7 @@ from repro.eval.report import results_dir
 from repro.service.scheduler import (CAMPAIGN_FORMAT, COMPLETED,
                                      FAILED, CampaignScheduler)
 from repro.service.spec import CampaignSpec
-from repro.service.store import cell_digest, write_json
+from repro.service.store import write_json
 
 __all__ = ["CampaignService", "CAMPAIGN_FORMAT"]
 
@@ -47,10 +47,11 @@ class CampaignService:
 
     ``root`` defaults under ``results/`` (``REPRO_RESULTS_DIR`` aware);
     tests point it at a tmpdir.  ``jobs``/``timeout`` forward to the
-    hardened grid pool per shard; ``metrics`` is an optional shared
-    :class:`~repro.obs.MetricsRegistry`.  The one failure policy (one
-    replay, then quarantine) is always on: ``resilience`` accepts only
-    ``True``, because the mode a falsy value selected no longer exists.
+    hardened worker pool, one per serve pass; ``metrics`` is an
+    optional shared :class:`~repro.obs.MetricsRegistry`.  The one
+    failure policy (one replay, then quarantine) is always on:
+    ``resilience`` accepts only ``True``, because the mode a falsy
+    value selected no longer exists.
     """
 
     def __init__(self, root=None, jobs=None, timeout=None, metrics=None,
@@ -71,6 +72,8 @@ class CampaignService:
         #: Campaigns this process has seen finish; their state files
         #: are not re-read by :meth:`resume_incomplete`.
         self._finished = set()
+        #: id stem -> the last ordinal :meth:`_free_ids` found free.
+        self._ordinals = {}
         for directory in (self.inbox_dir, self.campaigns_dir):
             os.makedirs(directory, exist_ok=True)
 
@@ -91,11 +94,17 @@ class CampaignService:
     def _free_ids(self, spec):
         """Unclaimed campaign ids for ``spec``: its name/digest plus a
         run ordinal (an identical resubmission is a *new* campaign —
-        that's the point, it completes from cache)."""
+        that's the point, it completes from cache).
+
+        Probing starts at the last ordinal this instance found free
+        for the stem, not at 1, so the n-th resubmission of a spec
+        costs two probes instead of n.
+        """
         stem = f"{spec.name or spec.kind}-{spec.digest()}"
-        for ordinal in itertools.count(1):
+        for ordinal in itertools.count(self._ordinals.get(stem, 1)):
             campaign_id = f"{stem}-{ordinal}"
             if not self._campaign_id_taken(campaign_id):
+                self._ordinals[stem] = ordinal
                 yield campaign_id
 
     def new_campaign_id(self, spec):
@@ -282,8 +291,7 @@ class CampaignService:
             return None
         spec = CampaignSpec.from_dict(state["spec"])
         out, seen = [], set()
-        for cell in spec.cells():
-            digest = cell_digest(cell)
+        for digest, cell in zip(spec.cell_digests(), spec.cells()):
             if digest in seen:
                 continue
             seen.add(digest)

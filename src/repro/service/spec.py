@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 from repro.core.config import TmiConfig
 from repro.errors import CampaignSpecError
 from repro.eval.systems import SYSTEM_NAMES
-from repro.service.store import write_json
+from repro.service import store
 from repro.workloads import has as workload_exists
 
 #: Versioned spec format tag.
@@ -34,6 +34,14 @@ KINDS = ("grid", "fuzz", "chaos")
 
 #: Valid TMI config override keys (the TmiConfig field names).
 CONFIG_KEYS = frozenset(f.name for f in dc_fields(TmiConfig))
+
+#: Specs whose cell digests :meth:`CampaignSpec.cell_digests` keeps;
+#: the oldest entry goes first.
+DIGEST_MEMO_SPECS = 64
+
+#: ``(engine identity, canonical spec text)`` -> the spec's cell
+#: digests, in :meth:`CampaignSpec.cells` order.
+_CELL_DIGESTS = {}
 
 
 def _tuple(value):
@@ -152,6 +160,23 @@ class CampaignSpec:
             out.append(cell)
         return out
 
+    def cell_digests(self):
+        """The store digest of each of :meth:`cells`, in order.
+
+        Memoized per process under the engine identity and the full
+        :meth:`canonical_text`, which holds every field that reaches
+        :meth:`cells` (the short :meth:`digest` could collide).
+        """
+        key = (store.engine_version(), self.canonical_text())
+        digests = _CELL_DIGESTS.get(key)
+        if digests is None:
+            digests = tuple(store.cell_digest(cell)
+                            for cell in self.cells())
+            if len(_CELL_DIGESTS) >= DIGEST_MEMO_SPECS:
+                del _CELL_DIGESTS[next(iter(_CELL_DIGESTS))]
+            _CELL_DIGESTS[key] = digests
+        return digests
+
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
@@ -184,7 +209,7 @@ class CampaignSpec:
 
     def save(self, path):
         """Write the spec JSON to ``path`` (atomic); returns the path."""
-        return write_json(path, self.to_dict())
+        return store.write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
@@ -200,9 +225,13 @@ class CampaignSpec:
                 f"spec {path}: unreadable ({exc})") from exc
         return cls.from_dict(data)
 
+    def canonical_text(self):
+        """The spec as sorted, compact JSON (every field)."""
+        return json.dumps(self.to_dict(), sort_keys=True,
+                          separators=(",", ":"))
+
     def digest(self, length=10):
         """Short stable digest of the spec (campaign-id material)."""
         import hashlib
-        text = json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()[:length]
+        return hashlib.sha256(
+            self.canonical_text().encode()).hexdigest()[:length]

@@ -13,8 +13,8 @@ Canonicalization rules, pinned by the hypothesis property tests in
 
 - dict keys (the config dict above all) are sorted, so key order never
   changes the digest;
-- host-side execution knobs — ``REPRO_JOBS``, shard sizes, timeouts —
-  are simply *not part of the cell*, so they cannot perturb the key;
+- host-side execution knobs — ``REPRO_JOBS``, pool windows, timeouts
+  — are simply *not part of the cell*, so they cannot perturb the key;
 - the engine identity (:func:`engine_version`, a hash of every
   ``.py`` file of the ``repro`` package) is folded in, so any change to
   the code invalidates the whole cache instead of serving stale
@@ -75,13 +75,18 @@ def engine_version():
 
 
 def write_json(path, data):
-    """Atomically write ``data`` as sorted, indented JSON (tmp +
-    rename, so readers never see half a file); returns ``path``."""
+    """Atomically write ``data`` as sorted, compact JSON (tmp +
+    rename, so readers never see half a file); returns ``path``.
+
+    ``json.dumps`` without an indent runs the C encoder; the commands
+    that show these files (``status --json``, ``quarantine inspect``)
+    pretty-print them.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     os.replace(tmp, path)
     return path
 

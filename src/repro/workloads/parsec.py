@@ -8,8 +8,7 @@ cost shows in Figure 8), and the suite's native-input footprints that
 Sheriff's whole-heap protection cannot handle.
 """
 
-from repro.workloads.base import (FIXED, GB, MB, Workload, spawn_join,
-                                  worker_index)
+from repro.workloads.base import GB, MB, Workload, spawn_join, worker_index
 
 
 class Blackscholes(Workload):

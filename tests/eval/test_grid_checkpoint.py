@@ -1,8 +1,8 @@
-"""The shard step: the result store is the grid's only checkpoint.
+"""The checkpoint step: the result store is the grid's only checkpoint.
 
-:func:`repro.eval.grid.run_checkpointed` puts every ok cell in the
-store before it returns, so resuming a grid means running the cells
-the store does not hold.
+:func:`repro.eval.grid.run_checkpointed` puts each ok cell in the
+store as soon as it is collected, so resuming a grid means running the
+cells the store does not hold.
 """
 
 import os
@@ -68,7 +68,7 @@ class TestResume:
 
         first = run_checkpointed(cells, store, jobs=1)
         assert [r.status for r in first] == ["ok", "failed"]
-        # the ok cell is stored by the time the shard returns; the
+        # the ok cell is stored by the time the step returns; the
         # failed one is not
         assert store.get(cell_digest(cells[0]))["status"] == "ok"
         assert store.get(cell_digest(cells[1])) is None

@@ -17,7 +17,7 @@ import pytest
 
 from repro.eval import parallel
 from repro.eval.parallel import (CELL_FAILED, CELL_OK, CELL_TIMEOUT,
-                                 job_count, run_cells,
+                                 CellPool, job_count, run_cells,
                                  run_cells_recorded)
 from repro.service import CampaignService, CampaignSpec
 
@@ -175,3 +175,35 @@ class TestTimeout:
         assert records[1].status == CELL_TIMEOUT
         assert not records[1].retried     # would blow the budget again
         assert "wall-clock" in records[1].error
+
+
+class TestPool:
+    def test_calls_share_workers_and_stream_in_order(self, flaky_pool):
+        seen = []
+        with CellPool(2) as pool:
+            first = run_cells_recorded([{"id": i} for i in range(5)],
+                                       pool=pool, on_record=seen.append)
+            second = run_cells_recorded(
+                [{"id": i} for i in range(5, 14)], pool=pool,
+                on_record=seen.append)
+        assert seen == first + second
+        assert [r.cell["id"] for r in seen] == list(range(14))
+        workers = {r.outcome["ran_in"] for r in seen}
+        assert _MAIN_PID not in workers
+        assert len(workers) <= 2
+
+    def test_refused_fork_runs_serially(self, flaky_pool, monkeypatch):
+        class Refusing:
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, cell):
+                raise PermissionError("fork refused")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", Refusing)
+        records = run_cells_recorded([{"id": 0}, {"id": 1}], jobs=2)
+        assert [r.status for r in records] == [CELL_OK, CELL_OK]
+        assert [r.outcome["ran_in"] for r in records] == [_MAIN_PID] * 2
+        assert not any(r.retried for r in records)

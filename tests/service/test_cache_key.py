@@ -4,7 +4,9 @@ The digest must be a pure function of the cell's *value*: invariant to
 config dict key order and to host-side execution knobs (``REPRO_JOBS``),
 and injective over distinct (workload, system, config, seed) tuples at
 the canonical-form level — a serialization collision would silently
-serve one cell's cycles as another's.
+serve one cell's cycles as another's.  The per-spec digest memo
+(:meth:`CampaignSpec.cell_digests`) must return exactly those digests
+and never serve one spec's entry for another spec's cells.
 """
 
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import package_copy
-from repro.service import canonical_form, cell_digest
+from repro.service import CampaignSpec, canonical_form, cell_digest
+from repro.service import spec as spec_mod
 
 # first draws pay hypothesis' strategy warm-up; irrelevant to the
 # properties under test, so don't let the too_slow health check flake
@@ -104,3 +107,45 @@ def edited_identity(tmp_path_factory):
     from repro.service import package_identity
     dest = tmp_path_factory.mktemp("pkg") / "repro"
     return package_identity(package_copy(dest))
+
+
+#: Specs over small domains, so that two draws often differ in one
+#: field only.
+_SPECS = st.builds(
+    CampaignSpec,
+    workloads=st.lists(st.sampled_from(["histogram", "lreg"]),
+                       min_size=1, max_size=2),
+    systems=st.lists(st.sampled_from(["pthreads", "laser"]),
+                     min_size=1, max_size=2),
+    kind=st.sampled_from(["grid", "fuzz", "chaos"]),
+    configs=st.lists(st.dictionaries(
+        st.sampled_from(sorted(spec_mod.CONFIG_KEYS)[:3]),
+        st.integers(2, 3), max_size=1), min_size=1, max_size=2),
+    seeds=st.lists(st.integers(0, 2), min_size=1, max_size=2),
+    scale=st.sampled_from([0.05, 0.1]),
+    nthreads=st.sampled_from([None, 2]),
+    policy=st.sampled_from(["random", "pct"]),
+    fault_intensity=st.sampled_from([0.25, 0.5]),
+    priority=st.integers(0, 1))
+
+
+@_SETTINGS
+@given(specs=st.lists(_SPECS, min_size=2, max_size=6))
+def test_spec_digest_memo_is_exact(specs):
+    for spec in specs + specs[::-1]:
+        assert spec.cell_digests() == tuple(
+            cell_digest(cell) for cell in spec.cells())
+    first, second = specs[:2]
+    if first.cells() != second.cells():
+        assert first.canonical_text() != second.canonical_text()
+    assert len(spec_mod._CELL_DIGESTS) <= spec_mod.DIGEST_MEMO_SPECS
+
+
+def test_spec_digest_memo_follows_the_engine_identity(monkeypatch):
+    from repro.service import store as store_mod
+    spec = CampaignSpec(workloads=("histogram",), scale=0.05)
+    before = spec.cell_digests()
+    monkeypatch.setattr(store_mod, "engine_version", lambda: "edited")
+    assert spec.cell_digests() != before
+    assert spec.cell_digests() == tuple(
+        cell_digest(cell) for cell in spec.cells())

@@ -3,19 +3,23 @@
 ``resume_incomplete`` runs on every ``serve``.  It must not wedge the
 service on a state file whose spec no longer validates, and it must
 not re-read the state files of campaigns this process has already seen
-finish.  Cells run on the fake-runner seam (monkeypatched
-``repro.eval.parallel._run_cell``).
+finish.  A warm serve does no work the service already did: two state
+writes per campaign, one store read per distinct cell, and a constant
+number of id probes however often a spec was submitted.  Cells run on
+the fake-runner seam (monkeypatched ``repro.eval.parallel._run_cell``).
 """
 
 import asyncio
+import collections
 import json
 import os
 
 import pytest
 
 from repro.eval import parallel
-from repro.service import (COMPLETED, FAILED, CampaignService,
-                           CampaignSpec, ServiceClient)
+from repro.service import (COMPLETED, FAILED, CampaignJob,
+                           CampaignService, CampaignSpec, ResultStore,
+                           ServiceClient, cell_digest)
 from repro.service import scheduler as scheduler_mod
 
 
@@ -41,6 +45,17 @@ def stuck_state(service, campaign_id, **spec_changes):
     state["spec"].update(spec_changes)
     with open(job.state_path, "w") as fh:
         json.dump(state, fh)
+
+
+def count_calls(monkeypatch, owner, name, key):
+    """A Counter of ``key(*args)`` over every call of ``owner.name``."""
+    calls, real = collections.Counter(), getattr(owner, name)
+
+    def counting(*args):
+        calls[key(*args)] += 1
+        return real(*args)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def count_reads(service, monkeypatch):
@@ -125,3 +140,48 @@ class TestWarmServe:
         done = asyncio.run(service.serve(once=True))
         assert [job.id for job in done] == ["crashed-1"]
         assert service.status("crashed-1")["status"] == COMPLETED
+
+
+class TestWarmWork:
+    def test_all_hit_resubmission_writes_twice_reads_once(
+            self, ok_pool, tmp_path, monkeypatch):
+        service = make_service(tmp_path)
+        client = ServiceClient(service.root)
+        specs = [CampaignSpec(workloads=("histogram", "lreg",
+                                         "histogram"),
+                              systems=("pthreads", "laser"),
+                              scale=0.05),
+                 CampaignSpec(workloads=("reverse",), scale=0.05)]
+        for spec in specs:
+            client.submit(spec)
+        asyncio.run(service.serve(once=True))
+
+        writes = count_calls(monkeypatch, CampaignJob, "write_state",
+                             lambda job: job.id)
+        reads = count_calls(monkeypatch, ResultStore, "get",
+                            lambda store, digest: digest)
+        ids = [client.submit(spec) for spec in specs]
+        done = asyncio.run(service.serve(once=True))
+        assert sorted(job.id for job in done) == sorted(ids)
+        assert all(job.cache_hit_fraction() == 1.0 for job in done)
+        # the pending write at submit and the final one, nothing between
+        assert writes == {campaign_id: 2 for campaign_id in ids}
+        distinct = {cell_digest(cell) for spec in specs
+                    for cell in spec.cells()}
+        assert len(distinct) == 5
+        assert reads == {digest: 1 for digest in distinct}
+
+    def test_nth_resubmission_probes_two_ids(self, tmp_path,
+                                             monkeypatch):
+        service = make_service(tmp_path)
+        for _ in range(19):
+            service.reserve_campaign_id(tiny_spec())
+        probes = count_calls(monkeypatch, service, "_campaign_id_taken",
+                             lambda campaign_id: campaign_id)
+        assert service.reserve_campaign_id(tiny_spec()).endswith("-20")
+        assert sum(probes.values()) <= 2
+
+        # a fresh instance probes from the first ordinal, and still
+        # never hands out a claimed id
+        assert make_service(tmp_path).reserve_campaign_id(
+            tiny_spec()).endswith("-21")
