@@ -5,14 +5,11 @@ tmi-alloc is near-neutral; sheriff-detect is incompatible with most
 native inputs (works on 11 of 35) and is expensive where it runs.
 """
 
-from repro.eval import figure7
-
-from conftest import bench_scale, publish
+from conftest import publish
 
 
-def test_figure7_detection_overhead():
-    result = figure7(scale=bench_scale(1.0) * 0.3)
-    publish(result)
+def test_figure7_detection_overhead(figure7_result):
+    result = publish(figure7_result)
     data = result.data
 
     # tmi-detect: low average overhead on the full suite

@@ -10,14 +10,11 @@ Paper's claims (shape, not absolute):
   shptr-lock under TMI.
 """
 
-from repro.eval import figure9
-
-from conftest import bench_scale, publish
+from conftest import publish
 
 
-def test_figure9_repair_speedups():
-    result = figure9(scale=bench_scale(1.0))
-    publish(result)
+def test_figure9_repair_speedups(figure9_result):
+    result = publish(figure9_result)
     data = result.data["workloads"]
     geomean = result.data["geomean"]
 

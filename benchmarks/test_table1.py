@@ -5,15 +5,14 @@ consistency preservation, overhead without contention, and percentage
 of the manual-fix speedup.
 """
 
-from repro.eval import figure7, figure9, table1
+from repro.eval import table1
 
-from conftest import bench_scale, publish
+from conftest import publish
 
 
-def test_table1_requirements_matrix():
-    fig7 = figure7(scale=bench_scale(1.0) * 0.3)
-    fig9 = figure9(scale=bench_scale(1.0))
-    result = table1(figure7_result=fig7, figure9_result=fig9)
+def test_table1_requirements_matrix(figure7_result, figure9_result):
+    result = table1(figure7_result=figure7_result,
+                    figure9_result=figure9_result)
     publish(result)
     data = result.data
 

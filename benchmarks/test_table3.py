@@ -8,11 +8,11 @@ clear outlier.
 
 from repro.eval import table3
 
-from conftest import bench_scale, publish
+from conftest import publish
 
 
-def test_table3_repair_characterization():
-    result = table3(scale=bench_scale(1.0))
+def test_table3_repair_characterization(figure9_result):
+    result = table3(figure9_result=figure9_result)
     publish(result)
     data = result.data
 

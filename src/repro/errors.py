@@ -172,12 +172,3 @@ class ServiceTimeoutError(ReproError, TimeoutError):
         super().__init__(
             f"campaign {campaign_id} not terminal after {timeout}s "
             f"(last observed: {last_status})")
-
-
-class ConsistencyViolationError(SimulationError):
-    """A runtime broke memory consistency rules it promised to uphold.
-
-    Raised by the consistency checker when, e.g., a PTSB is active inside
-    an atomic or assembly region under a runtime that claims code-centric
-    consistency (paper Table 2, shaded cells only permit PTSB use).
-    """

@@ -761,14 +761,12 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
     """
     import asyncio
     import hashlib
-    import json
     import os
     import shutil
 
     from repro.eval.report import results_dir
     from repro.faults.harness import HARNESS_FAULTS_ENV, HarnessFaultPlan
     from repro.service import CampaignService, CampaignSpec, cell_digest
-    from repro.service.store import write_json
 
     base = root or os.path.join(results_dir(), "resilience-chaos")
     chaotic_root = os.path.join(base, "chaotic")
@@ -807,13 +805,13 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
         for cid, spec in specs.items():
             service.reserve_campaign_id(spec, campaign_id=cid)
         if chaotic:
-            # a well-formed entry whose payload no longer matches its
-            # checksum: the store must evict it and the cell re-run
+            # a well-formed entry whose payload line no longer matches
+            # its checksum: the store must evict it and the cell re-run
             path = service.store.put(tampered, "ok", {"cycles": 1})
-            with open(path) as fh:
-                entry = json.load(fh)
-            entry["result"]["summary"]["cycles"] = 2
-            write_json(path, entry)
+            with open(path, "rb") as fh:
+                entry = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(entry.replace(b'"cycles":1}', b'"cycles":2}'))
         asyncio.run(service.serve(once=True))
         return service
 

@@ -24,11 +24,11 @@ mode); nothing in the simulator is wrapped or patched for it.
 from repro.obs.metrics import (DEFAULT_BUCKETS, METRICS_VERSION, Counter,
                                Gauge, Histogram, MetricsRegistry)
 from repro.obs.profile import by_layer, format_profile
-from repro.obs.tracer import (TRACE_VERSION, EventLog, Tracer,
-                              write_chrome_trace, write_jsonl)
+from repro.obs.tracer import (TRACE_VERSION, Tracer, write_chrome_trace,
+                              write_jsonl)
 
 __all__ = [
-    "DEFAULT_BUCKETS", "METRICS_VERSION", "Counter", "EventLog",
-    "Gauge", "Histogram", "MetricsRegistry", "TRACE_VERSION", "Tracer",
+    "DEFAULT_BUCKETS", "METRICS_VERSION", "Counter", "Gauge",
+    "Histogram", "MetricsRegistry", "TRACE_VERSION", "Tracer",
     "by_layer", "format_profile", "write_chrome_trace", "write_jsonl",
 ]

@@ -243,73 +243,6 @@ class Tracer(EngineObserver):
                 "counts": self.counts(), "events": list(self.events)}
 
 
-class EventLog:
-    """Tracer-shaped event collector for host-side services.
-
-    The campaign service streams progress (submissions, state
-    checkpoints, cache hits) as the same plain event dicts the
-    :class:`Tracer` emits, so :func:`write_jsonl` exports them and the
-    determinism-bisection workflow can diff them.  There is no engine
-    and no simulated clock here: ``ts`` is a deterministic per-log
-    sequence number, which keeps campaign state files byte-stable for
-    identical submission histories.
-
-    Growth is bounded: once the log holds ``max_events`` events, the
-    oldest half rotates out, summarized by a synthetic ``log_rotated``
-    event (dropped-event count, cumulative total) so week-long serve
-    loops and multi-thousand-cell campaigns cannot grow state files
-    without bound.  Rotation is a pure function of the emit sequence,
-    so byte-stability for identical histories survives it; dropped
-    events stay in :meth:`counts` totals.  ``max_events=0`` disables
-    rotation.
-    """
-
-    def __init__(self, meta=None, max_events=2048):
-        self.meta = dict(meta or {})
-        self.events = []
-        self.max_events = max_events
-        self._seq = 0
-        self._dropped = {}
-
-    def emit(self, kind, **fields):
-        """Append one event (rotating if at cap); returns the event."""
-        event = dict(fields)
-        event["kind"] = kind
-        event["ts"] = self._seq
-        self._seq += 1
-        self.events.append(event)
-        if self.max_events and len(self.events) >= self.max_events:
-            self._rotate()
-        return event
-
-    def _rotate(self):
-        """Drop the oldest half; append the deterministic summary."""
-        keep = max(1, self.max_events // 2)
-        dropped = self.events[:-keep]
-        self.events = self.events[-keep:]
-        for event in dropped:
-            kind = event["kind"]
-            self._dropped[kind] = self._dropped.get(kind, 0) + 1
-        summary = {"kind": "log_rotated", "ts": self._seq,
-                   "dropped": len(dropped),
-                   "dropped_total": sum(self._dropped.values())}
-        self._seq += 1
-        self.events.append(summary)
-
-    def counts(self):
-        """Event totals by kind, rotated-out events included."""
-        totals = dict(self._dropped)
-        for event in self.events:
-            kind = event["kind"]
-            totals[kind] = totals.get(kind, 0) + 1
-        return dict(sorted(totals.items()))
-
-    def trace_data(self):
-        """The log in the :class:`Tracer` hand-off format."""
-        return {"version": TRACE_VERSION, "meta": dict(self.meta),
-                "counts": self.counts(), "events": list(self.events)}
-
-
 # ----------------------------------------------------------------------
 # exports
 # ----------------------------------------------------------------------

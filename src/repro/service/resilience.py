@@ -131,17 +131,13 @@ class ResilienceSupervisor:
         """
         if record.replayed:
             self.metrics.counter("service.retry").inc()
-            job.log.emit("cell_replayed", digest=digest[:12],
-                         status=record.status)
         if record.status != CELL_FAILED:
             return record.status
-        reason = "failed its replay"
         # two executions: the cell's attempt and its replay
         self.quarantine.add(digest, record.cell, job.id, attempts=2,
-                            reason=reason, error=record.error)
+                            reason="failed its replay",
+                            error=record.error)
         self.metrics.counter("service.quarantined").inc()
-        job.log.emit("cell_quarantined", digest=digest[:12],
-                     reason=reason)
         self.save_state()
         return CELL_QUARANTINED
 

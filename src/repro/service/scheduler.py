@@ -24,23 +24,26 @@ loses at most the cells in flight; on restart the campaign's state
 file still says ``pending``/``running``, the service resubmits it, and
 the cells the store holds come back as cache hits.
 
-Progress streams through the observability layer: counters and gauges
-in a :class:`~repro.obs.MetricsRegistry` (``campaign.cells_total``,
-``campaign.cache_hits``, ``campaign.executed``,
-``campaign.queue_depth``, ...) plus events in an
-:class:`~repro.obs.EventLog` that lands in each campaign's state file.
-``shard_done``, ``campaign.shards`` and ``campaign.shard_cells`` mark
-the state checkpoints: one per window of collected cells, and one for
-the rest.
+Each campaign fact is recorded once.  The state file holds the spec,
+the status, the counts and one entry per cell: its status and source
+and, for an executed cell, whether it ran again in the parent
+(``retried``) and whether that run was the replay of an attempt that
+raised (``replayed``) rather than the recovery of a dead worker's
+cell.  A quarantine entry names the campaign that quarantined the
+cell.
+Progress is counted in a :class:`~repro.obs.MetricsRegistry`
+(``campaign.cells_total``, ``campaign.cache_hits``,
+``campaign.executed``, ``campaign.queue_depth``, ...);
+``campaign.shards`` and ``campaign.shard_cells`` mark the state
+checkpoints: one per window of collected cells, and one for the rest.
 """
 
 import heapq
-import itertools
 import os
 
 from repro.eval.grid import run_checkpointed
-from repro.eval.parallel import CELL_TIMEOUT, CellPool
-from repro.obs import EventLog, MetricsRegistry
+from repro.eval.parallel import CellPool
+from repro.obs import MetricsRegistry
 from repro.service.resilience import (CELL_QUARANTINED,
                                       SOURCE_QUARANTINE,
                                       ResilienceSupervisor)
@@ -61,17 +64,16 @@ SOURCE_EXECUTED = "executed"
 
 
 class CampaignJob:
-    """One submitted campaign: spec, per-cell state, event log."""
+    """One submitted campaign: spec, status and per-cell state."""
 
     def __init__(self, campaign_id, spec, state_path):
         self.id = campaign_id
         self.spec = spec
         self.state_path = state_path
         self.status = PENDING
-        #: digest -> {"cell", "status", "source", "retried", "error"}
+        #: digest -> {"cell", "status", "source", "retried", "error"},
+        #: plus "replayed" for an executed cell
         self.cells = {}
-        self.log = EventLog(meta={"campaign": campaign_id,
-                                  "kind": spec.kind})
 
     # ------------------------------------------------------------------
     # derived state
@@ -106,8 +108,7 @@ class CampaignJob:
                 "status": self.status, "spec": self.spec.to_dict(),
                 "counts": self.counts(),
                 "cache_hit_fraction": self.cache_hit_fraction(),
-                "cells": self.cells,
-                "events": self.log.trace_data()}
+                "cells": self.cells}
 
     def write_state(self):
         """Atomically persist the state file; returns its path."""
@@ -143,8 +144,6 @@ class CampaignScheduler:
         """Queue a job and persist its ``pending`` state."""
         self._seq += 1
         job.status = PENDING
-        job.log.emit("campaign_submitted", cells=len(job.spec.cells()),
-                     priority=job.spec.priority)
         job.write_state()
         heapq.heappush(self._heap, (job.spec.priority, self._seq, job))
         self.metrics.gauge("campaign.queue_depth").set(len(self._heap))
@@ -180,13 +179,12 @@ class CampaignScheduler:
         metrics, sup = self.metrics, self.resilience
         job.cells = {}  # re-derived from the quarantine and the store
         job.status = RUNNING
-        job.log.emit("campaign_started")
         metrics.gauge("campaign.active").add(1)
 
         cells = job.spec.cells()
         metrics.counter("campaign.cells_total").inc(len(cells))
         listed = set(sup.quarantine.digests())
-        pending, hits, held = {}, 0, 0
+        pending = {}
         for digest, cell in zip(job.spec.cell_digests(), cells):
             if digest in job.cells or digest in pending:
                 continue  # duplicate axes derive one cell, once
@@ -196,7 +194,6 @@ class CampaignScheduler:
                     "source": SOURCE_QUARANTINE, "retried": False,
                     "error": "digest quarantined (release to re-run)"}
                 metrics.counter("service.quarantine.skipped").inc()
-                held += 1
                 continue
             payload = self.store.get(digest)
             if payload is None:
@@ -207,11 +204,6 @@ class CampaignScheduler:
                 "source": SOURCE_CACHE, "retried": False,
                 "error": payload.get("error", "")}
             metrics.counter("campaign.cache_hits").inc()
-            hits += 1
-        if hits:
-            job.log.emit("cache_hits", hits=hits)
-        if held:
-            job.log.emit("quarantine_skipped", cells=held)
         if pending:
             job.write_state()
             self._run_misses(job, pending, pool)
@@ -220,11 +212,6 @@ class CampaignScheduler:
         metrics.counter("campaign.executed").inc(counts["executed"])
         done = counts["ok"] + counts.get(CELL_QUARANTINED, 0)
         job.status = COMPLETED if done == counts["total"] else FAILED
-        job.log.emit("campaign_done", status=job.status,
-                     cache_hits=counts["cache_hits"],
-                     executed=counts["executed"],
-                     failed=counts["failed"],
-                     timeout=counts[CELL_TIMEOUT])
         job.write_state()
         metrics.counter("campaign.jobs_" + job.status).inc()
         metrics.gauge("campaign.active").add(-1)
@@ -236,13 +223,11 @@ class CampaignScheduler:
         once, and the state is rewritten every window of cells."""
         metrics, sup = self.metrics, self.resilience
         misses = iter(pending.items())
-        batch, checkpoints = [], itertools.count()
+        batch = []
 
         def checkpoint():
             metrics.counter("campaign.shards").inc()
             metrics.histogram("campaign.shard_cells").observe(len(batch))
-            job.log.emit("shard_done", shard=next(checkpoints),
-                         cells=len(batch))
             job.write_state()
             batch.clear()
 
@@ -251,8 +236,8 @@ class CampaignScheduler:
             status = sup.classify(job, digest, record)
             job.cells[digest] = {
                 "cell": cell, "status": status,
-                "source": SOURCE_EXECUTED,
-                "retried": record.retried, "error": record.error}
+                "source": SOURCE_EXECUTED, "retried": record.retried,
+                "replayed": record.replayed, "error": record.error}
             metrics.counter("campaign.cells_" + status).inc()
             if record.retried:
                 metrics.counter("campaign.cells_retried").inc()

@@ -6,7 +6,7 @@ process.  Everything it knows lives under one *service root* (default
 and status travel through the filesystem, so campaigns survive both
 service and client restarts::
 
-    <root>/inbox/<id>.json        client-submitted campaign specs
+    <root>/inbox/<id>.json        specs waiting for a serve
     <root>/campaigns/<id>.json    per-campaign state (repro-campaign/1)
     <root>/store/                 content-addressed cell results
     <root>/quarantine/            poison cells (repro-quarantine/1)
@@ -21,6 +21,7 @@ back as cache hits, so a killed service picks up where it left off.
 """
 
 import asyncio
+import contextlib
 import itertools
 import json
 import os
@@ -81,15 +82,18 @@ class CampaignService:
     # identity
     # ------------------------------------------------------------------
     def _campaign_id_taken(self, campaign_id):
-        """Whether any artifact already claims ``campaign_id``."""
-        paths = (
-            os.path.join(self.campaigns_dir, f"{campaign_id}.json"),
-            os.path.join(self.inbox_dir, f"{campaign_id}.json"),
-            os.path.join(self.inbox_dir,
-                         f"{campaign_id}.json.accepted"),
-            os.path.join(self.inbox_dir,
-                         f"{campaign_id}.json.rejected"))
+        """Whether any artifact already claims ``campaign_id``: its
+        inbox spec, its state file or its ``.rejected`` spec.  An
+        accepted spec leaves the inbox only once its state is written,
+        so there is no gap between the first two."""
+        inbox = self._inbox_path(campaign_id)
+        paths = (os.path.join(self.campaigns_dir, f"{campaign_id}.json"),
+                 inbox, inbox + ".rejected")
         return any(os.path.exists(path) for path in paths)
+
+    def _inbox_path(self, campaign_id):
+        """Where campaign ``campaign_id``'s spec waits to be served."""
+        return os.path.join(self.inbox_dir, f"{campaign_id}.json")
 
     def _free_ids(self, spec):
         """Unclaimed campaign ids for ``spec``: its name/digest plus a
@@ -134,13 +138,11 @@ class CampaignService:
         spec.save(tmp)
         try:
             if campaign_id is not None:
-                os.link(tmp, os.path.join(self.inbox_dir,
-                                          f"{campaign_id}.json"))
+                os.link(tmp, self._inbox_path(campaign_id))
                 return campaign_id
             for campaign_id in self._free_ids(spec):
                 try:
-                    os.link(tmp, os.path.join(
-                        self.inbox_dir, f"{campaign_id}.json"))
+                    os.link(tmp, self._inbox_path(campaign_id))
                     return campaign_id
                 except FileExistsError:
                     continue  # another client won this ordinal
@@ -179,9 +181,12 @@ class CampaignService:
     def poll_inbox(self):
         """Accept every spec file waiting in the inbox.
 
-        A spec file ``<id>.json`` becomes campaign ``<id>``; accepted
-        files are renamed to ``.accepted`` so a crashed service never
-        double-enqueues, and malformed specs are renamed to
+        A spec file ``<id>.json`` becomes campaign ``<id>``: its
+        ``pending`` state, which holds the spec and claims the id, is
+        written first, and only then is the spec file removed.  A
+        service killed between the two leaves both; the restart
+        resumes the campaign from its state and removes the spec then
+        (:meth:`resume_incomplete`).  Malformed specs are renamed to
         ``.rejected`` with the campaign left unscheduled.
         """
         accepted = []
@@ -194,9 +199,9 @@ class CampaignService:
             except Exception:  # noqa: BLE001 - client input boundary
                 os.replace(path, path + ".rejected")
                 continue
-            os.replace(path, path + ".accepted")
             accepted.append(self.submit(
                 spec, campaign_id=fname[:-len(".json")]))
+            os.remove(path)
         return accepted
 
     def _unfinished(self):
@@ -224,8 +229,11 @@ class CampaignService:
         """Resubmit every interrupted campaign (restart recovery).
 
         Cells the store holds come back as cache hits; only the rest
-        execute.  A state file whose spec no longer validates (an
-        unknown workload, a spec written by an older format) cannot be
+        execute.  A resumed campaign's inbox spec, which a service
+        killed between accepting it and removing it left behind, is
+        removed, so :meth:`poll_inbox` does not submit it again.  A
+        state file whose spec no longer validates (an unknown
+        workload, a spec written by an older format) cannot be
         resumed: its campaign is marked ``failed`` with the error
         recorded in its state, and the others go on.
         """
@@ -241,6 +249,8 @@ class CampaignService:
                 self._finished.add(campaign_id)
                 continue
             jobs.append(self.submit(spec, campaign_id=campaign_id))
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self._inbox_path(campaign_id))
         return jobs
 
     async def serve(self, once=False, poll=0.2, drain=False):

@@ -39,7 +39,7 @@ from repro.eval.parallel import CELL_OK
 from repro.eval.report import results_dir
 
 #: Versioned store-entry format tag.
-STORE_FORMAT = "repro-cell-result/1"
+STORE_FORMAT = "repro-cell-result/2"
 
 
 #: The ``repro`` package directory (this file is ``service/store.py``).
@@ -74,21 +74,26 @@ def engine_version():
     return package_identity(PACKAGE_DIR)
 
 
+def write_bytes(path, data):
+    """Atomically write ``data`` (tmp + rename, so readers never see
+    half a file); returns ``path``."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+    return path
+
+
 def write_json(path, data):
-    """Atomically write ``data`` as sorted, compact JSON (tmp +
-    rename, so readers never see half a file); returns ``path``.
+    """Atomically write ``data`` as one line of sorted, compact JSON;
+    returns ``path``.
 
     ``json.dumps`` without an indent runs the C encoder; the commands
     that show these files (``status --json``, ``quarantine inspect``)
     pretty-print them.
     """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text + "\n")
-    os.replace(tmp, path)
-    return path
+    return write_bytes(path, payload_bytes(data) + b"\n")
 
 
 def _normalize(value):
@@ -137,7 +142,8 @@ def result_payload(status, summary, error=""):
 
 
 def payload_bytes(payload):
-    """Canonical byte serialization of a result payload."""
+    """Canonical byte serialization of a result payload: sorted,
+    compact JSON, as every service file is written."""
     return json.dumps(payload, sort_keys=True,
                       separators=(",", ":")).encode()
 
@@ -146,10 +152,14 @@ class ResultStore:
     """Filesystem-backed content-addressed cell-result cache.
 
     Entries live under ``<root>/<digest[:2]>/<digest>.json`` (two-level
-    fan-out keeps directories small).  Writes are atomic (tmp +
-    rename) so a crashed writer can never leave a half-entry that later
-    reads as a corrupt hit; an unreadable entry is treated as a miss
-    and overwritten by the next put.
+    fan-out keeps directories small).  An entry is two lines: a
+    header (``format``, ``digest``, the canonical ``key`` and
+    ``payload_sha256``) and the payload's canonical bytes
+    (:func:`payload_bytes`); ``payload_sha256`` is the SHA-256 of the
+    payload line as written, newline included.  Writes are atomic
+    (tmp + rename) so a crashed writer can never leave a half-entry
+    that later reads as a corrupt hit; an unreadable entry is treated
+    as a miss and overwritten by the next put.
     """
 
     def __init__(self, root=None):
@@ -165,32 +175,32 @@ class ResultStore:
     def get(self, digest):
         """The cached result payload for ``digest``, or None (miss).
 
-        Integrity is verified before serving: the entry's recorded
-        digest must match the requested one and the payload must
-        re-hash to the entry's ``payload_sha256`` (written by
-        :meth:`put`).  A well-formed entry that fails either check —
-        a file planted under the wrong name, a payload edited after
-        the fact, a pre-checksum entry — is *evicted* and counted as
-        a miss rather than served as a corrupt hit.
+        Integrity is verified on every read, against the bytes
+        :meth:`put` wrote: the header's digest must match the
+        requested one, and the payload line as read must hash to the
+        header's ``payload_sha256``.  Only then is the line parsed,
+        once; nothing is re-encoded.  A well-formed entry that fails
+        either check — a file planted under the wrong name, a payload
+        edited after the fact (even to the same value in other bytes),
+        a header without a checksum — is *evicted* and counted as a
+        miss rather than served as a corrupt hit.  An unparseable
+        header or another format is a miss, and the file stays.
         """
         path = self.path(digest)
         try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            with open(path, "rb") as fh:
+                head, _, line = fh.read().partition(b"\n")
+            header = json.loads(head.decode())
+        except (OSError, ValueError):
             self.misses += 1
             return None
-        if not isinstance(data, dict) \
-                or data.get("format") != STORE_FORMAT:
+        if not isinstance(header, dict) \
+                or header.get("format") != STORE_FORMAT:
             self.misses += 1
             return None
-        result = data.get("result")
-        intact = (data.get("digest") == digest
-                  and isinstance(result, dict)
-                  and data.get("payload_sha256")
-                  == hashlib.sha256(
-                      payload_bytes(result)).hexdigest())
-        if not intact:
+        if header.get("digest") != digest \
+                or header.get("payload_sha256") \
+                != hashlib.sha256(line).hexdigest():
             try:
                 os.remove(path)
             except OSError:
@@ -199,7 +209,7 @@ class ResultStore:
             self.misses += 1
             return None
         self.hits += 1
-        return result
+        return json.loads(line.decode())
 
     def put(self, cell, status, summary, error=""):
         """Store one cell's result; returns the entry path or None.
@@ -210,13 +220,13 @@ class ResultStore:
         if status != CELL_OK:
             return None
         digest = cell_digest(cell)
-        result = result_payload(status, summary, error)
-        return write_json(self.path(digest), {
+        line = payload_bytes(result_payload(status, summary, error)) \
+            + b"\n"
+        head = payload_bytes({
             "format": STORE_FORMAT, "digest": digest,
             "key": json.loads(canonical_form(cell)),
-            "payload_sha256": hashlib.sha256(
-                payload_bytes(result)).hexdigest(),
-            "result": result})
+            "payload_sha256": hashlib.sha256(line).hexdigest()})
+        return write_bytes(self.path(digest), head + b"\n" + line)
 
     def stats(self):
         """Hit/miss counters plus the number of entries on disk."""

@@ -153,46 +153,3 @@ class TestTracerUnit:
         data = tracer.trace_data()
         assert pickle.loads(pickle.dumps(data)) == data
 
-
-class TestEventLogRotation:
-    def make_log(self, n, max_events=8):
-        from repro.obs import EventLog
-        log = EventLog(max_events=max_events)
-        for index in range(n):
-            log.emit("tick", index=index)
-        return log
-
-    def test_growth_is_bounded(self):
-        log = self.make_log(1000, max_events=8)
-        # never more than the cap: rotation halves at the threshold
-        assert len(log.events) <= 8
-
-    def test_rotation_summarizes_the_dropped_half(self):
-        log = self.make_log(8, max_events=8)
-        rotated = [e for e in log.events if e["kind"] == "log_rotated"]
-        assert len(rotated) == 1
-        assert rotated[0]["dropped"] == 4
-        assert rotated[0]["dropped_total"] == 4
-        # the survivors are the newest events, order preserved
-        kept = [e["index"] for e in log.events if e["kind"] == "tick"]
-        assert kept == [4, 5, 6, 7]
-
-    def test_counts_include_rotated_out_events(self):
-        log = self.make_log(100, max_events=8)
-        assert log.counts()["tick"] == 100
-
-    def test_sequence_numbers_survive_rotation(self):
-        log = self.make_log(50, max_events=8)
-        stamps = [e["ts"] for e in log.events]
-        assert stamps == sorted(stamps)
-        assert len(set(stamps)) == len(stamps)
-
-    def test_identical_histories_rotate_identically(self):
-        a = self.make_log(123, max_events=8).trace_data()
-        b = self.make_log(123, max_events=8).trace_data()
-        assert a == b
-
-    def test_zero_cap_disables_rotation(self):
-        log = self.make_log(100, max_events=0)
-        assert len(log.events) == 100
-        assert log.counts() == {"tick": 100}

@@ -14,7 +14,7 @@ import pytest
 
 from repro.eval import parallel
 from repro.service import (CAMPAIGN_FORMAT, CELL_QUARANTINED,
-                           COMPLETED, CampaignScheduler,
+                           COMPLETED, PENDING, CampaignScheduler,
                            CampaignService, CampaignSpec,
                            ServiceClient, cell_digest)
 
@@ -57,7 +57,12 @@ class TestRunJob:
     def test_executes_caches_and_persists(self, ok_pool, tmp_path):
         scheduler = make_scheduler(tmp_path)
         job = scheduler.make_job("c1", grid_spec())
-        run_one(scheduler, job)
+        scheduler.submit(job)
+        # the submission is the pending state, spec and all
+        state = json.load(open(job.state_path))
+        assert state["status"] == PENDING
+        assert state["spec"] == job.spec.to_dict()
+        scheduler.run_pending()
 
         assert job.status == COMPLETED
         counts = job.counts()
@@ -69,10 +74,12 @@ class TestRunJob:
         state = json.load(open(job.state_path))
         assert state["format"] == CAMPAIGN_FORMAT
         assert state["status"] == COMPLETED
-        kinds = [e["kind"] for e in state["events"]["events"]]
-        assert kinds[0] == "campaign_submitted"
-        assert kinds[-1] == "campaign_done"
-        assert "shard_done" in kinds
+        assert state["counts"] == counts
+        assert all(entry["source"] == "executed"
+                   for entry in state["cells"].values())
+        # one state checkpoint for the window of misses
+        counters = scheduler.metrics.snapshot()["counters"]
+        assert counters["campaign.shards"] == 1
 
     def test_resubmission_is_pure_cache(self, ok_pool, tmp_path):
         scheduler = make_scheduler(tmp_path)
@@ -158,6 +165,54 @@ class TestRunJob:
         assert job.status == COMPLETED
         assert sorted(os.listdir(tmp_path)) \
             == ["campaigns", "service-state.json", "store"]
+
+
+class TestRecords:
+    """Each campaign fact is recorded once: in the state document, a
+    cell entry, a quarantine entry or the metrics registry."""
+
+    def test_state_has_no_event_log(self, ok_pool, tmp_path):
+        scheduler = make_scheduler(tmp_path)
+        job = run_one(scheduler, scheduler.make_job("e1", grid_spec()))
+        state = json.load(open(job.state_path))
+        assert "events" not in state
+        assert sorted(state) == ["cache_hit_fraction", "cells", "counts",
+                                 "format", "id", "spec", "status"]
+
+    def test_executed_entries_carry_replayed(self, tmp_path,
+                                             monkeypatch):
+        """A replay is recorded on the cell it replayed; a cell whose
+        attempt succeeded says so too."""
+        marker = tmp_path / "raised"
+
+        def raise_once(cell):
+            if cell["name"] == "histogramfs" and not marker.exists():
+                marker.write_text("x")
+                raise RuntimeError("transient")
+            return dict(cell, ran=True)
+        monkeypatch.setattr(parallel, "_run_cell", raise_once)
+        scheduler = make_scheduler(tmp_path)
+        job = run_one(scheduler, scheduler.make_job("r1", grid_spec()))
+        assert job.status == COMPLETED
+
+        state = json.load(open(job.state_path))
+        by_name = {e["cell"]["name"]: e for e in state["cells"].values()}
+        assert by_name["histogramfs"]["status"] == "ok"
+        assert by_name["histogramfs"]["retried"] is True
+        assert by_name["histogramfs"]["replayed"] is True
+        assert by_name["histogram"]["retried"] is False
+        assert by_name["histogram"]["replayed"] is False
+
+    def test_inbox_keeps_only_rejected_specs(self, ok_pool, tmp_path):
+        service = CampaignService(root=str(tmp_path / "svc"), jobs=1)
+        client = ServiceClient(service.root)
+        ids = [client.submit(grid_spec(workloads=("histogram",)))
+               for _ in range(3)]
+        open(os.path.join(service.inbox_dir, "bad.json"), "w").write(
+            "{not json")
+        done = asyncio.run(service.serve(once=True))
+        assert sorted(job.id for job in done) == sorted(ids)
+        assert os.listdir(service.inbox_dir) == ["bad.json.rejected"]
 
 
 class TestQueue:

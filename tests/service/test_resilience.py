@@ -77,8 +77,10 @@ def poison_digest(spec=None):
                 if c["name"] == "histogramfs")
 
 
-def events_of(job, kind):
-    return [e for e in job.log.events if e["kind"] == kind]
+def quarantined_cells(job):
+    """Names of the job's cells whose entries say ``quarantined``."""
+    return [e["cell"]["name"] for e in job.cells.values()
+            if e["status"] == CELL_QUARANTINED]
 
 
 class TestRetryBudget:
@@ -100,13 +102,15 @@ class TestRetryBudget:
         # a quarantined cell never reaches the cache
         assert scheduler.store.get(digest) is None
 
-        # the replay is logged before the quarantine, once each
-        kinds = [e["kind"] for e in job.log.events
-                 if e.get("digest") == digest[:12]]
-        assert kinds == ["cell_replayed", "cell_quarantined"]
+        # the cell's entry records its replay, and the quarantine
+        # entry its two executions and the campaign
+        assert by_name["histogramfs"]["replayed"]
+        state = json.load(open(job.state_path))
+        assert state["cells"][digest] == by_name["histogramfs"]
 
         entry = sup.quarantine.get(digest)
         assert entry["format"] == QUARANTINE_FORMAT
+        assert entry["campaign"] == "b1"
         assert entry["attempts"] == 2
         assert entry["reason"] == "failed its replay"
         assert entry["cell"]["name"] == "histogramfs"
@@ -129,7 +133,9 @@ class TestRetryBudget:
         assert sup.quarantine.digests() == []
         assert scheduler.store.get(poison_digest()) is not None
         # the recovery was the cell's one replay
-        assert events_of(job, "cell_replayed")
+        entry = job.cells[poison_digest()]
+        assert entry["status"] == CELL_OK
+        assert entry["retried"] and entry["replayed"]
         counters = scheduler.metrics.snapshot()["counters"]
         assert counters["service.retry"] == 1
         assert "service.quarantined" not in counters
@@ -263,9 +269,12 @@ class TestTenantFairness:
         done = scheduler.run_pending()
         assert [job.id for job in done] == ["urgent", "late"]
         assert urgent.status == late.status == COMPLETED
-        assert not events_of(urgent, "cell_quarantined")
-        assert len(events_of(late, "cell_quarantined")) == 1
+        assert quarantined_cells(urgent) == []
+        assert quarantined_cells(late) == ["histogramfs"]
         assert sup.quarantine.digests() == [poison_digest()]
+        assert sup.quarantine.get(poison_digest())["campaign"] == "late"
+        counters = scheduler.metrics.snapshot()["counters"]
+        assert counters["service.quarantined"] == 1
 
 
 class TestClientWait:

@@ -1,12 +1,16 @@
-"""Restart resume: unrebuildable state files, warm serves.
+"""Restart resume: unrebuildable state files, the accept order, warm
+serves.
 
 ``resume_incomplete`` runs on every ``serve``.  It must not wedge the
 service on a state file whose spec no longer validates, and it must
 not re-read the state files of campaigns this process has already seen
-finish.  A warm serve does no work the service already did: two state
-writes per campaign, one store read per distinct cell, and a constant
-number of id probes however often a spec was submitted.  Cells run on
-the fake-runner seam (monkeypatched ``repro.eval.parallel._run_cell``).
+finish.  An inbox spec leaves the inbox only after its campaign's
+state is written, so a service killed between the two loses nothing
+and runs nothing twice.  A warm serve does no work the service already
+did: two state writes per campaign, one store read per distinct cell,
+and a constant number of id probes however often a spec was
+submitted.  Cells run on the fake-runner seam (monkeypatched
+``repro.eval.parallel._run_cell``).
 """
 
 import asyncio
@@ -91,6 +95,71 @@ class TestUnrebuildableState:
         # the failed campaign is terminal: later serves pass it by
         assert asyncio.run(service.serve(once=True)) == []
         assert make_service(tmp_path).incomplete_campaigns() == []
+
+
+class TestOlderState:
+    def test_state_with_an_event_log_still_resumes(self, ok_pool,
+                                                   tmp_path):
+        """State files written while campaigns kept an event log carry
+        an ``events`` key that nothing reads; they still resume, and
+        the rewritten state drops it."""
+        service = make_service(tmp_path)
+        job = service.scheduler.make_job("old-1", tiny_spec())
+        state = dict(job.to_dict(), status="running",
+                     events={"version": "repro-trace/1", "meta": {},
+                             "counts": {}, "events": []})
+        with open(job.state_path, "w") as fh:
+            json.dump(state, fh)
+
+        done = asyncio.run(service.serve(once=True))
+        assert [job.id for job in done] == ["old-1"]
+        state = service.status("old-1")
+        assert state["status"] == COMPLETED
+        assert "events" not in state
+
+
+class TestAcceptOrder:
+    def test_kill_before_the_state_keeps_the_spec(self, ok_pool,
+                                                  tmp_path,
+                                                  monkeypatch):
+        service = make_service(tmp_path)
+        campaign_id = ServiceClient(service.root).submit(tiny_spec())
+        write_state = CampaignJob.write_state
+
+        def killed(job):
+            monkeypatch.setattr(CampaignJob, "write_state", write_state)
+            raise RuntimeError("killed before the state write")
+        monkeypatch.setattr(CampaignJob, "write_state", killed)
+        with pytest.raises(RuntimeError, match="killed"):
+            service.poll_inbox()
+        assert os.listdir(service.inbox_dir) == [f"{campaign_id}.json"]
+        assert service.status(campaign_id) is None
+
+        done = asyncio.run(make_service(tmp_path).serve(once=True))
+        assert [job.id for job in done] == [campaign_id]
+        assert done[0].status == COMPLETED
+        assert os.listdir(service.inbox_dir) == []
+
+    def test_kill_before_the_unlink_runs_the_campaign_once(
+            self, tmp_path, monkeypatch):
+        ran = []
+
+        def recording(cell):
+            ran.append(cell["name"])
+            return dict(cell, ran=True)
+        monkeypatch.setattr(parallel, "_run_cell", recording)
+        service = make_service(tmp_path)
+        spec = CampaignSpec(workloads=("histogram", "lreg"), scale=0.05)
+        campaign_id = ServiceClient(service.root).submit(spec)
+        # the killed service wrote the pending state; the spec stayed
+        service.scheduler.make_job(campaign_id, spec).write_state()
+        assert service.status(campaign_id)["status"] == "pending"
+
+        done = asyncio.run(make_service(tmp_path).serve(once=True))
+        assert [job.id for job in done] == [campaign_id]
+        assert done[0].status == COMPLETED
+        assert sorted(ran) == ["histogram", "lreg"]
+        assert os.listdir(service.inbox_dir) == []
 
 
 class TestWarmServe:

@@ -84,14 +84,16 @@ class TestAtomicReservation:
             client.submit(tiny_spec(), "dup")
 
     def test_reservation_skips_accepted_ids(self, ok_pool, tmp_path):
-        """An id whose inbox file was renamed ``.accepted`` (and whose
-        state lives in campaigns/) is never reused."""
+        """An id whose spec was accepted (its inbox file is gone, and
+        its state lives in campaigns/) is never reused."""
         service = make_service(tmp_path)
         client = ServiceClient(service.root)
         first = client.submit(tiny_spec())
         asyncio.run(service.serve(once=True))
+        assert not os.path.exists(os.path.join(
+            service.inbox_dir, f"{first}.json"))
         assert os.path.exists(os.path.join(
-            service.inbox_dir, f"{first}.json.accepted"))
+            service.campaigns_dir, f"{first}.json"))
 
         second = client.submit(tiny_spec())
         assert second != first

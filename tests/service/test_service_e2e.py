@@ -109,7 +109,10 @@ class TestClientProtocol:
 
         done = asyncio.run(service.serve(once=True))
         assert "via-client" in [job.id for job in done]
-        assert os.path.exists(spooled + ".accepted")
+        # accepted: the state holds the spec, the inbox does not
+        assert not os.path.exists(spooled)
+        assert client.status("via-client")["spec"] \
+            == narrow_spec().to_dict()
 
         state = client.status("via-client")
         assert state["status"] == COMPLETED

@@ -185,6 +185,18 @@ class TestWorkerCrash:
         state = service.status("crash-1")
         assert state["counts"]["retried"] == counts["retried"]
 
+    def test_recovery_is_recorded_retried_not_replayed(self,
+                                                       fault_pool,
+                                                       tmp_path):
+        service = CampaignService(root=str(tmp_path / "svc"), jobs=2)
+        service.run_spec(spec_of("histogram", "histogramfs"),
+                         campaign_id="crash-3")
+        state = service.status("crash-3")
+        by_name = {e["cell"]["name"]: e
+                   for e in state["cells"].values()}
+        assert by_name["histogramfs"]["retried"] is True
+        assert by_name["histogramfs"]["replayed"] is False
+
     def test_crash_loses_at_most_the_cells_in_flight(self, fault_pool,
                                                      tmp_path):
         """A dead worker costs the window in flight, run again in the

@@ -1,5 +1,6 @@
 """Content-addressed result store: digests, puts, misses, atomicity."""
 
+import hashlib
 import json
 import os
 
@@ -15,6 +16,18 @@ CELL = {"name": "histogram", "system": "pthreads", "scale": 0.05}
 
 def store_in(tmp_path):
     return ResultStore(str(tmp_path / "store"))
+
+
+def read_entry(path):
+    """An entry's header (parsed) and its payload line (bytes)."""
+    head, payload = open(path, "rb").read().split(b"\n", 1)
+    return json.loads(head), payload
+
+
+def write_entry(path, header, payload):
+    """Rewrite an entry from a header dict and a payload line."""
+    open(path, "wb").write(json.dumps(header).encode() + b"\n"
+                           + payload)
 
 
 class TestDigest:
@@ -80,18 +93,24 @@ class TestPutGet:
     def test_wrong_format_tag_is_a_miss(self, tmp_path):
         store = store_in(tmp_path)
         path = store.put(CELL, CELL_OK, {"cycles": 1})
-        entry = json.load(open(path))
-        entry["format"] = "other/1"
-        json.dump(entry, open(path, "w"))
+        header, payload = read_entry(path)
+        header["format"] = "other/1"
+        write_entry(path, header, payload)
         assert store.get(cell_digest(CELL)) is None
 
     def test_entry_carries_canonical_key(self, tmp_path):
         store = store_in(tmp_path)
         path = store.put(CELL, CELL_OK, {"cycles": 1})
-        entry = json.load(open(path))
-        assert entry["format"] == STORE_FORMAT
-        assert entry["digest"] == cell_digest(CELL)
-        assert entry["key"] == json.loads(canonical_form(CELL))
+        header, payload = read_entry(path)
+        assert header["format"] == STORE_FORMAT
+        assert header["digest"] == cell_digest(CELL)
+        assert header["key"] == json.loads(canonical_form(CELL))
+        # the payload line is the canonical bytes, checksummed as
+        # written, newline included
+        assert payload == payload_bytes(
+            result_payload(CELL_OK, {"cycles": 1})) + b"\n"
+        assert header["payload_sha256"] \
+            == hashlib.sha256(payload).hexdigest()
 
     def test_sharded_layout_and_stats(self, tmp_path):
         store = store_in(tmp_path)
@@ -114,9 +133,9 @@ class TestIntegrity:
     def test_tampered_payload_is_evicted(self, tmp_path):
         store = store_in(tmp_path)
         path = store.put(CELL, CELL_OK, {"cycles": 123})
-        entry = json.load(open(path))
-        entry["result"]["summary"]["cycles"] = 999  # bit-rot / edit
-        json.dump(entry, open(path, "w"))
+        header, payload = read_entry(path)
+        # bit-rot / edit
+        write_entry(path, header, payload.replace(b"123", b"999"))
 
         assert store.get(cell_digest(CELL)) is None
         assert store.evictions == 1 and store.misses == 1
@@ -144,32 +163,65 @@ class TestIntegrity:
     def test_pre_checksum_entry_is_evicted(self, tmp_path):
         store = store_in(tmp_path)
         path = store.put(CELL, CELL_OK, {"cycles": 1})
-        entry = json.load(open(path))
-        del entry["payload_sha256"]
-        json.dump(entry, open(path, "w"))
+        header, payload = read_entry(path)
+        del header["payload_sha256"]
+        write_entry(path, header, payload)
         assert store.get(cell_digest(CELL)) is None
         assert store.evictions == 1
+
+    def test_same_value_in_other_bytes_is_evicted(self, tmp_path):
+        """The checksum covers the bytes written, not the value they
+        decode to: a payload line re-spaced to the same JSON value is
+        evicted, not served."""
+        store = store_in(tmp_path)
+        path = store.put(CELL, CELL_OK, {"cycles": 1})
+        header, payload = read_entry(path)
+        respaced = json.dumps(json.loads(payload), sort_keys=True,
+                              separators=(", ", ": ")).encode() + b"\n"
+        assert respaced != payload
+        assert json.loads(respaced) == json.loads(payload)
+        write_entry(path, header, respaced)
+
+        assert store.get(cell_digest(CELL)) is None
+        assert store.evictions == 1
+        assert not os.path.exists(path)
 
     def test_wrong_format_is_a_miss_but_not_evicted(self, tmp_path):
         # a foreign file is not ours to delete; only correctly-tagged
         # entries that fail their own integrity checks get evicted
         store = store_in(tmp_path)
         path = store.put(CELL, CELL_OK, {"cycles": 1})
-        entry = json.load(open(path))
-        entry["format"] = "other/1"
-        json.dump(entry, open(path, "w"))
+        header, payload = read_entry(path)
+        header["format"] = "other/1"
+        write_entry(path, header, payload)
         assert store.get(cell_digest(CELL)) is None
         assert store.evictions == 0
+        assert os.path.exists(path)
+
+    def test_previous_format_entry_is_a_miss(self, tmp_path):
+        """A one-document ``repro-cell-result/1`` entry, checksum and
+        all, is another format: a miss, and the file stays."""
+        store = store_in(tmp_path)
+        digest = cell_digest(CELL)
+        result = result_payload(CELL_OK, {"cycles": 1})
+        path = store.path(digest)
+        os.makedirs(os.path.dirname(path))
+        json.dump({"format": "repro-cell-result/1", "digest": digest,
+                   "key": json.loads(canonical_form(CELL)),
+                   "payload_sha256": hashlib.sha256(
+                       payload_bytes(result)).hexdigest(),
+                   "result": result}, open(path, "w"))
+        assert store.get(digest) is None
+        assert store.misses == 1 and store.evictions == 0
         assert os.path.exists(path)
 
     def test_stats_reports_evictions(self, tmp_path):
         store = store_in(tmp_path)
         assert store.stats()["evictions"] == 0
         path = store.put(CELL, CELL_OK, {})
-        open(path, "a").write(" ")  # payload fine, but rewrite it
-        entry = json.load(open(path))
-        entry["payload_sha256"] = "0" * 64
-        json.dump(entry, open(path, "w"))
+        header, payload = read_entry(path)  # payload fine, but
+        header["payload_sha256"] = "0" * 64  # the checksum is not
+        write_entry(path, header, payload)
         store.get(cell_digest(CELL))
         assert store.stats()["evictions"] == 1
 
