@@ -7,9 +7,9 @@ transformations: :func:`plan_program` synthesizes a
 the ``static-repaired`` / ``static-tmi`` eval systems can run it.
 """
 
-from repro.analysis.repair.artifact import (PLAN_FORMAT, fill_metrics,
-                                            load_plan, plan_from_dict,
-                                            plan_to_dict, save_plan)
+from repro.analysis.repair.artifact import (PLAN_FORMAT, load_plan,
+                                            plan_from_dict, plan_to_dict,
+                                            save_plan)
 from repro.analysis.repair.cost import score_plan
 from repro.analysis.repair.planner import (ALIGN, Atom, LineRepair,
                                            NONE, PAD, REORDER,
@@ -23,7 +23,7 @@ from repro.analysis.repair.rewriter import (LayoutRewriter, RemapView,
 __all__ = [
     "ALIGN", "Atom", "LayoutRewriter", "LineRepair", "NONE", "PAD",
     "PLAN_FORMAT", "REORDER", "RemapView", "Relocation", "RepairPlan",
-    "RewriteStats", "SPLIT", "fill_metrics", "load_plan",
-    "plan_from_dict", "plan_program", "plan_to_dict", "plan_workload",
-    "rewrite_program", "save_plan", "score_plan",
+    "RewriteStats", "SPLIT", "load_plan", "plan_from_dict",
+    "plan_program", "plan_to_dict", "plan_workload", "rewrite_program",
+    "save_plan", "score_plan",
 ]

@@ -90,24 +90,3 @@ def load_plan(path: object) -> RepairPlan:
     """Load a ``repro-repair-plan/1`` artifact."""
     return plan_from_dict(json.loads(Path(path).read_text()))
 
-
-def fill_metrics(plan: RepairPlan, registry: object,
-                 rewriter: object = None) -> None:
-    """Publish planner (and optional rewrite) stats to a
-    :class:`~repro.obs.metrics.MetricsRegistry`."""
-    registry.ingest("repair.plan", {
-        "false_lines": plan.cost.get("total_false_lines", 0),
-        "fixed_lines": plan.cost.get("fixed_lines", 0),
-        "residual_lines": plan.cost.get("residual_lines", 0),
-        "arena_bytes": plan.arena_bytes,
-        "moved_bytes": plan.moved_bytes,
-        "relocations": len(plan.relocations),
-    }, workload=plan.workload)
-    if rewriter is not None:
-        stats = rewriter.stats
-        registry.ingest("repair.rewrite", {
-            "remapped_ops": stats.remapped_ops,
-            "split_runs": stats.split_runs,
-            "partial": stats.partial,
-            "spans_bound": stats.spans_bound,
-        }, workload=plan.workload)

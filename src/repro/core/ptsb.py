@@ -28,7 +28,7 @@ class PageTwinningStoreBuffer:
         self.machine = machine
         self.costs = costs
         self.huge_commit_optimization = huge_commit_optimization
-        self.on_commit = on_commit           # callback(CommitEvent-ish dict)
+        self.on_commit = on_commit           # callback(commit info dict)
         self.faults = faults                 # armed FaultInjector or None
         self.on_conflict = on_conflict       # callback(page_va)
         self.conflicts = 0

@@ -23,7 +23,6 @@ from repro.errors import ShmExhaustedError
 from repro.engine import layout
 from repro.engine.hooks import RuntimeHooks
 from repro.isa.disasm import Disassembler
-from repro.oskit.loader import CallbackTable
 from repro.oskit.perf import PerfSession
 from repro.oskit.procmaps import AddressMap
 from repro.oskit.shm import SharedMemoryNamespace
@@ -51,7 +50,6 @@ class TmiRuntime(RuntimeHooks):
         self.policy = CodeCentricPolicy(
             enabled=self.config.code_centric,
             flush_relaxed=self.config.flush_relaxed)
-        self.callbacks = CallbackTable()
         self.perf = None
         self.detector = None
         self.repair = None
@@ -109,10 +107,6 @@ class TmiRuntime(RuntimeHooks):
                 costs, period=self.config.period, faults=self.faults,
                 queue_limit=self.config.perf_queue_limit)
             machine.add_hitm_listener(self.perf.on_hitm)
-            self.callbacks.install(
-                self.name,
-                atomic_begin=lambda *a: 0, atomic_end=lambda *a: 0,
-                asm_begin=lambda *a: 0, asm_end=lambda *a: 0)
             self.detector = FalseSharingDetector(
                 Disassembler(program.binary),
                 AddressMap.from_aspace(aspace),
@@ -239,7 +233,6 @@ class TmiRuntime(RuntimeHooks):
     # code-centric consistency callbacks
     # ------------------------------------------------------------------
     def on_region_begin(self, engine, thread, kind, ordering):
-        self.callbacks.fire(f"{kind}_begin", thread)
         decision = self.policy.on_region_begin(thread, kind, ordering)
         cost = 0
         if decision.flush_ptsb:
@@ -252,7 +245,6 @@ class TmiRuntime(RuntimeHooks):
         return cost
 
     def on_region_end(self, engine, thread, kind):
-        self.callbacks.fire(f"{kind}_end", thread)
         self.policy.on_region_end(thread, kind)
         return 0
 
@@ -341,55 +333,13 @@ class TmiRuntime(RuntimeHooks):
         return report
 
     def fill_metrics(self, engine, registry):
-        """Typed TMI metrics on top of the generic report ingestion.
-
-        Adds counters for the detection/repair pipeline (intervals,
-        PEBS records, commits, flushes) and a histogram of per-commit
-        merged byte counts, so commit behaviour is visible as a
-        distribution rather than only a total.
-        """
-        super().fill_metrics(engine, registry)
-        stats = self.stats
-        system = self.name
-        registry.counter("tmi.intervals", system=system).inc(
-            stats.intervals)
-        registry.counter("tmi.pebs_records", system=system).inc(
-            stats.records_seen)
-        registry.counter("tmi.commits", system=system).inc(stats.commits)
-        registry.counter("tmi.commit_pages", system=system).inc(
-            stats.commit_pages)
-        registry.counter("tmi.commit_bytes", system=system).inc(
-            stats.commit_bytes)
-        registry.counter("tmi.ptsb_flushes", system=system).inc(
-            stats.ptsb_flushes)
-        registry.gauge("tmi.protected_pages", system=system).set(
-            stats.protected_pages)
-        registry.gauge("tmi.twin_bytes_peak", system=system).set(
-            stats.twin_bytes_peak)
+        """Per-commit merged byte counts as a histogram, so commit
+        behaviour is visible as a distribution; the totals are in
+        :meth:`report`."""
         histogram = registry.histogram("tmi.commit_size_bytes",
-                                       system=system)
-        for size in stats.commit_sizes:
+                                       system=self.name)
+        for size in self.stats.commit_sizes:
             histogram.observe(size)
-        registry.counter("tmi.records_dropped", system=system).inc(
-            stats.records_dropped)
-        registry.counter("tmi.repair_episodes", system=system).inc(
-            stats.repair_episodes)
-        registry.counter("tmi.repair_episode_failures",
-                         system=system).inc(
-            stats.repair_episode_failures)
-        registry.counter("tmi.commit_conflicts", system=system).inc(
-            stats.commit_conflicts)
-        registry.counter("tmi.pages_blacklisted", system=system).inc(
-            stats.pages_blacklisted)
-        registry.counter("tmi.degradations", system=system).inc(
-            len(stats.degradations))
-        if self.ladder is not None:
-            registry.gauge("tmi.ladder_level", system=system).set(
-                self.ladder.level_index)
-        if self.faults is not None:
-            for point, count in self.faults.fired_counts().items():
-                registry.counter("tmi.faults", system=system,
-                                 point=point).inc(count)
 
     def report(self, engine):
         out = {"stage": self.stage}

@@ -73,6 +73,7 @@ class TmiStats:
             "protected_pages": self.protected_pages,
             "ptsb_flushes": self.ptsb_flushes,
             "relaxed_fast_path": self.relaxed_fast_path,
+            "twin_bytes_peak": self.twin_bytes_peak,
             "records_dropped": self.records_dropped,
             "repair_episodes": self.repair_episodes,
             "repair_episode_failures": self.repair_episode_failures,

@@ -80,17 +80,6 @@ class RuntimeHooks:
         return thread.process.aspace.translate(va, width, is_write)
 
     # ------------------------------------------------------------------
-    # allocator
-    # ------------------------------------------------------------------
-    def malloc(self, engine, thread, size, align):
-        """Allocate heap memory; returns ``(addr, cost)``."""
-        return engine.allocator.malloc(thread.tid, size, align)
-
-    def free(self, engine, thread, addr):
-        """Free heap memory; returns cost."""
-        return engine.allocator.free(thread.tid, addr)
-
-    # ------------------------------------------------------------------
     # synchronization
     # ------------------------------------------------------------------
     def on_sync_object_init(self, engine, thread, obj):
@@ -134,20 +123,19 @@ class RuntimeHooks:
         """Runtime-specific memory overheads in bytes, by category."""
         return {}
 
-    def fill_metrics(self, engine, registry):
-        """Fold runtime statistics into a
-        :class:`~repro.obs.metrics.MetricsRegistry`.
+    def report(self, engine):
+        """End-of-run facts: a flat dict, nested dicts allowed.
 
-        The default folds the legacy ``report()`` dict (when the
-        runtime defines one) under ``runtime.*`` gauges labeled with
-        the runtime's name, so every system participates in the
-        metrics surface without bespoke code; runtimes with richer
-        statistics (TMI) override this and add typed instruments.
+        It becomes ``RunResult.runtime_report``, and ``Engine.metrics``
+        folds it into ``runtime.*`` gauges labeled with the runtime's
+        name, so a new fact needs only a key here.
         """
-        report = getattr(self, "report", None)
-        if callable(report):
-            registry.ingest("runtime", report(engine),
-                            system=self.name)
+        return {}
+
+    def fill_metrics(self, engine, registry):
+        """Add the instruments a flat :meth:`report` cannot carry
+        (TMI's commit-size histogram) to a
+        :class:`~repro.obs.metrics.MetricsRegistry`."""
 
     # ------------------------------------------------------------------
     # conveniences shared by concrete runtimes

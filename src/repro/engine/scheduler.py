@@ -33,6 +33,7 @@ from repro.engine.thread import (BLOCKED, DONE, PARKED, READY, SimProcess,
 from repro.errors import CycleBudgetError, DeadlockError, SimulationError
 from repro.isa import ops as O
 from repro.isa.lowering import validate_run
+from repro.mapping.placement import CompactPlacement
 from repro.sync.objects import Barrier, Condvar, Mutex
 
 
@@ -46,9 +47,10 @@ class Engine:
         if n_cores is None:
             n_cores = program.nthreads + 2
         self.machine = machine or Machine(n_cores=n_cores, costs=costs)
-        #: Thread-placement policy (repro.mapping); None keeps the
-        #: historical round-robin formula in :meth:`_create_thread`.
-        self.placement = placement
+        #: Thread-placement policy (repro.mapping): tid -> core, the
+        #: last core reserved for the service thread.
+        self.placement = placement or CompactPlacement(
+            self.machine.topology, self.machine.n_cores)
         self.costs = self.machine.costs
         self.program = program
         self.runtime = runtime
@@ -302,10 +304,7 @@ class Engine:
     def _create_thread(self, body, name, process):
         tid = self._next_tid
         self._next_tid += 1
-        if self.placement is not None:
-            core = self.placement.core_for(tid)
-        else:
-            core = tid % (self.machine.n_cores - 1)   # last core reserved
+        core = self.placement.core_for(tid)
         thread = SimThread(tid, name, core, process, body)
         ctx = ThreadCtx(self, thread, self.program.binary)
         thread.gen = body(ctx)
@@ -512,11 +511,11 @@ class Engine:
         return self.costs.fence, None, False
 
     def _exec_malloc(self, thread, op):
-        addr, cost = self.runtime.malloc(self, thread, op.size, op.align)
+        addr, cost = self.allocator.malloc(thread.tid, op.size, op.align)
         return cost, addr, False
 
     def _exec_free(self, thread, op):
-        cost = self.runtime.free(self, thread, op.addr)
+        cost = self.allocator.free(thread.tid, op.addr)
         return cost, None, False
 
     def _exec_thread_create(self, thread, op):
@@ -1048,10 +1047,11 @@ class Engine:
 
         One deterministic, labeled namespace over the machine
         (HITM/clock counters), the engine (ops, threads, faults,
-        memory), and the active runtime (via its ``fill_metrics``
-        hook).  Purely end-of-run reads — collecting metrics never
-        perturbs simulated state, and the snapshot is byte-identical
-        for identical simulations regardless of ``REPRO_JOBS``.
+        memory), and the active runtime (its ``report()`` as
+        ``runtime.*`` gauges, plus its ``fill_metrics`` hook).  Purely
+        end-of-run reads — collecting metrics never perturbs simulated
+        state, and the snapshot is byte-identical for identical
+        simulations regardless of ``REPRO_JOBS``.
         """
         from repro.obs import MetricsRegistry
         if registry is None:
@@ -1088,7 +1088,10 @@ class Engine:
                 vector.compiler.hits)
             registry.counter("vector.compile_misses").inc(
                 vector.compiler.misses)
-        self.runtime.fill_metrics(self, registry)
+        runtime = self.runtime
+        registry.ingest("runtime", runtime.report(self),
+                        system=runtime.name)
+        runtime.fill_metrics(self, registry)
         return registry
 
     def _build_result(self):
@@ -1116,18 +1119,11 @@ class Engine:
             faults=faults,
             alloc_bytes=self.allocator.allocated_bytes,
             memory_bytes=memory,
-            runtime_report=self.runtime_report(),
+            runtime_report=self.runtime.report(self),
             env=dict(self.program.env),
             validated=validated,
             error=error,
         )
-
-    def runtime_report(self):
-        """The runtime's end-of-run ``report()`` dict ({} if none)."""
-        report = getattr(self.runtime, "report", None)
-        if callable(report):
-            return report(self)
-        return {}
 
     def _app_memory_bytes(self):
         """Baseline application footprint: allocator arenas plus the

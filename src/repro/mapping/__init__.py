@@ -7,9 +7,9 @@ or across the QPI link.  This package implements the mapping policies
 the eval grid compares against TMI-style repair (see the "Thread and
 Data Mapping in Software Transactional Memory" survey in PAPERS.md):
 
-- thread placement (:mod:`repro.mapping.placement`): ``round-robin``
-  (the engine's historical default), ``compact``, ``scatter``, and
-  ``sharing-aware`` (placed by measured line-sharing affinity);
+- thread placement (:mod:`repro.mapping.placement`): ``compact`` (the
+  engine's default), ``scatter``, and ``sharing-aware`` (placed by
+  measured line-sharing affinity);
 - page placement: ``first-touch`` / ``interleave``, implemented by the
   machine itself (:data:`repro.sim.machine.PAGE_POLICIES`) and chosen
   per run;
@@ -23,8 +23,7 @@ consult wall-clock state, so grid cells stay byte-identical at any
 """
 
 from repro.mapping.placement import (PLACEMENT_NAMES, CompactPlacement,
-                                     Placement, RoundRobinPlacement,
-                                     ScatterPlacement,
+                                     Placement, ScatterPlacement,
                                      SharingAwarePlacement,
                                      make_placement)
 from repro.mapping.sharing import affinity_groups
@@ -32,7 +31,6 @@ from repro.mapping.sharing import affinity_groups
 __all__ = [
     "PLACEMENT_NAMES",
     "Placement",
-    "RoundRobinPlacement",
     "CompactPlacement",
     "ScatterPlacement",
     "SharingAwarePlacement",

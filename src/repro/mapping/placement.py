@@ -5,14 +5,11 @@ thread runs.  The engine reserves its last core for the monitor /
 detector service, so every policy places application threads onto
 cores ``[0, n_cores - 1)`` only.
 
-``round-robin`` is bit-for-bit the engine's historical formula
-(``tid % (n_cores - 1)``); with this repo's dense core ids (socket 0
-owns cores 0..k-1) it is also what "compact" placement means, so the
-two coincide whenever threads fit on the usable cores — ``compact``
-exists as a named policy so grids can say what they mean.  ``scatter``
-round-robins threads *across sockets*, and ``sharing-aware`` packs
-measured sharing groups onto single sockets (see
-:mod:`repro.mapping.sharing`).
+``compact`` is the engine's default: ``tid % (n_cores - 1)``, which
+with this repo's dense core ids (socket 0 owns cores 0..k-1) packs
+socket 0 before socket 1.  ``scatter`` round-robins threads *across
+sockets*, and ``sharing-aware`` packs measured sharing groups onto
+single sockets (see :mod:`repro.mapping.sharing`).
 """
 
 from typing import Optional, Sequence
@@ -21,8 +18,7 @@ from repro.errors import SimulationError
 from repro.sim.topology import Topology
 
 #: Placement policies the eval grid accepts.
-PLACEMENT_NAMES: tuple = ("round-robin", "compact", "scatter",
-                          "sharing-aware")
+PLACEMENT_NAMES: tuple = ("compact", "scatter", "sharing-aware")
 
 
 class Placement:
@@ -55,23 +51,9 @@ class Placement:
         return self._order[tid % len(self._order)]
 
 
-class RoundRobinPlacement(Placement):
-    """The engine's historical default: ``tid % (n_cores - 1)``.
-
-    Kept as an explicit policy so ``sockets=1`` grids and the
-    byte-identity tests can name the legacy behavior.
-    """
-
-    name = "round-robin"
-
-
 class CompactPlacement(Placement):
-    """Fill cores in id order, packing socket 0 before socket 1.
-
-    With dense core ids this is the same mapping as ``round-robin``;
-    the separate name documents intent in placement grids (pack
-    threads onto as few sockets as possible).
-    """
+    """Fill cores in id order, packing socket 0 before socket 1: the
+    engine's default, ``tid % (n_cores - 1)``."""
 
     name = "compact"
 
@@ -163,8 +145,6 @@ def make_placement(policy: str, topology: Topology, n_cores: int,
     ``groups`` is only consulted by ``sharing-aware`` (measured thread
     sharing groups); the other policies are purely topological.
     """
-    if policy == "round-robin":
-        return RoundRobinPlacement(topology, n_cores)
     if policy == "compact":
         return CompactPlacement(topology, n_cores)
     if policy == "scatter":

@@ -32,7 +32,7 @@ See the service section of ``docs/ARCHITECTURE.md`` and the
 "Running a campaign" walkthrough in ``EXPERIMENTS.md``.
 """
 
-from repro.service.client import ServiceClient, load_spec
+from repro.service.client import ServiceClient
 from repro.service.resilience import (CELL_QUARANTINED,
                                       QUARANTINE_FORMAT,
                                       SERVICE_STATE_FORMAT,
@@ -55,6 +55,6 @@ __all__ = [
     "ResilienceSupervisor", "ResultStore", "SERVICE_STATE_FORMAT",
     "SOURCE_QUARANTINE", "SPEC_FORMAT", "STORE_FORMAT",
     "ServiceClient", "TERMINAL", "canonical_form", "cell_digest",
-    "engine_version", "load_spec", "package_identity",
+    "engine_version", "package_identity",
     "payload_bytes", "result_payload",
 ]

@@ -15,7 +15,6 @@ import time
 
 from repro.errors import ServiceTimeoutError
 from repro.service.service import CampaignService, TERMINAL
-from repro.service.spec import CampaignSpec
 
 
 class ServiceClient:
@@ -85,7 +84,3 @@ class ServiceClient:
             time.sleep(min(delay, remaining))
             delay = min(delay * 2, max_poll)
 
-
-def load_spec(path):
-    """Read a campaign spec file (typed errors on malformed input)."""
-    return CampaignSpec.load(path)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 from repro.core.config import TmiConfig
 from repro.errors import CampaignSpecError
 from repro.eval.systems import SYSTEM_NAMES
+from repro.schedule.policy import POLICY_NAMES
 from repro.service import store
 from repro.workloads import has as workload_exists
 
@@ -42,6 +43,16 @@ DIGEST_MEMO_SPECS = 64
 #: ``(engine identity, canonical spec text)`` -> the spec's cell
 #: digests, in :meth:`CampaignSpec.cells` order.
 _CELL_DIGESTS = {}
+
+
+def _is_int(value):
+    """An int that is not a bool (JSON ``true`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    """An int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _tuple(value):
@@ -114,17 +125,34 @@ class CampaignSpec:
             if unknown:
                 raise CampaignSpecError(
                     f"unknown TMI config key(s) {sorted(unknown)}")
+            for key, value in config.items():
+                # every TmiConfig knob is an int, float or bool
+                if not isinstance(value, (int, float)):
+                    raise CampaignSpecError(
+                        f"TMI config {key!r} must be a number "
+                        f"(got {value!r})")
         for seed in self.seeds:
-            if seed is not None and not isinstance(seed, int):
+            if seed is not None and not _is_int(seed):
                 raise CampaignSpecError(
                     f"seeds must be ints (got {seed!r})")
         if self.kind != "grid" and any(s is None for s in self.seeds):
             raise CampaignSpecError(
                 f"{self.kind} campaigns need integer seeds")
-        if not (isinstance(self.scale, (int, float)) and self.scale > 0):
+        if not (_is_number(self.scale) and self.scale > 0):
             raise CampaignSpecError(f"bad scale {self.scale!r}")
-        if not isinstance(self.priority, int):
+        if self.nthreads is not None and not (
+                _is_int(self.nthreads) and self.nthreads > 0):
+            raise CampaignSpecError(f"bad nthreads {self.nthreads!r}")
+        if not _is_int(self.priority):
             raise CampaignSpecError(f"bad priority {self.priority!r}")
+        if self.policy not in POLICY_NAMES:
+            raise CampaignSpecError(
+                f"unknown schedule policy {self.policy!r} "
+                f"(known: {POLICY_NAMES})")
+        if not (_is_number(self.fault_intensity)
+                and self.fault_intensity >= 0):
+            raise CampaignSpecError(
+                f"bad fault_intensity {self.fault_intensity!r}")
 
     # ------------------------------------------------------------------
     # expansion

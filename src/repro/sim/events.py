@@ -3,8 +3,7 @@
 The coherence directory publishes :class:`HitmEvent` records whenever an
 access hits a remote core's Modified line — the hardware event underlying
 Intel's ``MEM_LOAD_UOPS_LLC_HIT_RETIRED.XSNP_HITM`` PEBS counter that TMI
-samples (paper section 2.1).  Fault events feed the memory-overhead and
-huge-page experiments.
+samples (paper section 2.1).
 """
 
 from dataclasses import dataclass
@@ -30,26 +29,3 @@ class HitmEvent:
     is_store: bool
     remote_core: int
 
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """A page fault serviced by the VM layer."""
-
-    cycle: int
-    tid: int
-    va: int
-    kind: str              # 'anon' | 'shared_file' | 'cow'
-    page_size: int
-    is_write: bool
-
-
-@dataclass(frozen=True)
-class CommitEvent:
-    """One PTSB commit (diff + merge of all protected dirty pages)."""
-
-    cycle: int
-    pid: int
-    tid: int
-    pages: int
-    bytes_merged: int
-    reason: str  # 'lock' | 'unlock' | 'barrier' | 'atomic' | 'asm' | 'exit'

@@ -138,3 +138,23 @@ class TestMemoryReport:
     def test_alloc_stage_reports_nothing_extra(self):
         result, _, _ = run_tmi(STAGE_ALLOC, iters=500)
         assert set(result.memory_bytes) == {"application"}
+
+
+class TestMetrics:
+    def test_report_is_the_metrics_and_the_histogram_is_extra(self):
+        """TMI's facts reach the registry once, as ``runtime.*``
+        gauges of its report; only the commit-size distribution, which
+        a flat report cannot carry, is a ``tmi.*`` instrument."""
+        from repro.eval.runner import run_workload
+        outcome = run_workload("histogramfs", "tmi-protect", scale=0.1,
+                               collect_metrics=True)
+        snap = outcome.metrics
+        label = "{system=tmi-protect}"
+        tmi = [key for family in ("counters", "gauges", "histograms")
+               for key in snap[family] if key.startswith("tmi.")]
+        assert tmi == [f"tmi.commit_size_bytes{label}"]
+        commits = snap["gauges"][f"runtime.commits{label}"]
+        assert commits > 0
+        assert snap["histograms"][tmi[0]]["count"] == commits
+        assert snap["gauges"][f"runtime.twin_bytes_peak{label}"] == \
+            outcome.result.runtime_report["twin_bytes_peak"]

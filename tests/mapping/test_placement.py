@@ -1,10 +1,10 @@
-"""Placement policies: legacy equivalence, socket packing, grouping.
+"""Placement policies: the default formula, socket packing, grouping.
 
-The round-robin policy must be *bit-for-bit* the engine's historical
-``tid % (n_cores - 1)`` formula — the sockets=1 byte-identity story
-depends on it — and every policy must be a pure function of
-(topology, n_cores, groups): same inputs, same core for every tid,
-regardless of construction order or process.
+The compact policy, the engine's default, must be *bit-for-bit* the
+round-robin formula ``tid % (n_cores - 1)`` — the sockets=1
+byte-identity story depends on it — and every policy must be a pure
+function of (topology, n_cores, groups): same inputs, same core for
+every tid, regardless of construction order or process.
 """
 
 import pytest
@@ -21,16 +21,28 @@ TOPO2 = Topology(2, 5)
 def test_round_robin_matches_legacy_formula():
     for n_cores in (2, 5, 8, 10):
         topo = Topology.fit(n_cores, 1)
-        pl = make_placement("round-robin", topo, n_cores)
+        pl = make_placement("compact", topo, n_cores)
         for tid in range(32):
             assert pl.core_for(tid) == tid % (n_cores - 1)
 
 
 def test_compact_equals_round_robin_on_dense_ids():
+    # two sockets: dense core ids make "pack socket 0 first" the
+    # round-robin formula too
     compact = make_placement("compact", TOPO2, 10)
-    rr = make_placement("round-robin", TOPO2, 10)
     assert [compact.core_for(t) for t in range(20)] == \
-        [rr.core_for(t) for t in range(20)]
+        [t % 9 for t in range(20)]
+
+
+def test_engine_defaults_to_compact_placement():
+    from repro.baselines.pthreads import PthreadsRuntime
+    from repro.engine import Engine
+    from repro.mapping import CompactPlacement
+    from repro.workloads import get
+    program = get("histogram", scale=0.05).build("default")
+    engine = Engine(program, PthreadsRuntime())
+    assert isinstance(engine.placement, CompactPlacement)
+    assert engine.placement.n_cores == engine.machine.n_cores
 
 
 def test_scatter_alternates_sockets():

@@ -34,6 +34,6 @@ class TestAcrossJobCounts:
         assert snap["gauges"]["machine.cycles"] == outcome.cycles
         assert "engine.ops" in snap["counters"]
         label = "{system=tmi-protect}"
-        assert snap["counters"][f"tmi.commits{label}"] > 0
+        assert snap["gauges"][f"runtime.commits{label}"] > 0
         hist = snap["histograms"][f"tmi.commit_size_bytes{label}"]
-        assert hist["count"] == snap["counters"][f"tmi.commits{label}"]
+        assert hist["count"] == snap["gauges"][f"runtime.commits{label}"]

@@ -1,4 +1,4 @@
-"""Shared-memory namespace and the loader callback table."""
+"""Shared-memory namespace: file-backed regions, names, exhaustion."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.errors import (InvalidMappingError, ShmError,
                           ShmExhaustedError, ShmNameError,
                           ShmSizeMismatchError)
 from repro.faults import FaultInjector
-from repro.oskit.loader import CallbackTable
 from repro.oskit.shm import SharedMemoryNamespace
 from repro.sim.physmem import PhysicalMemory
 
@@ -80,30 +79,3 @@ class TestShmErrorPaths:
             ns.shm_open("a", 4096)
         assert faults.fired_counts() == {"shm.exhausted": 1}
 
-
-class TestCallbackTable:
-    def test_default_callbacks_are_nops(self):
-        table = CallbackTable()
-        assert table.fire("atomic_begin") == 0
-        assert table.installed_by is None
-
-    def test_install_replaces_implementation(self):
-        table = CallbackTable()
-        calls = []
-        table.install("tmi", atomic_begin=lambda *a: calls.append(a) or 7)
-        assert table.fire("atomic_begin", "thread") == 7
-        assert calls == [("thread",)]
-        assert table.installed_by == "tmi"
-        # uninstalled callbacks stay NOPs
-        assert table.fire("asm_end") == 0
-
-    def test_unknown_callback_rejected(self):
-        with pytest.raises(KeyError):
-            CallbackTable().install("x", jit_enter=lambda: 1)
-
-    def test_reset_restores_nops(self):
-        table = CallbackTable()
-        table.install("tmi", asm_begin=lambda *a: 5)
-        table.reset()
-        assert table.fire("asm_begin") == 0
-        assert table.installed_by is None

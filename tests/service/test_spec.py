@@ -50,6 +50,32 @@ class TestValidation:
         with pytest.raises(CampaignSpecError, match=">= 1 workload"):
             CampaignSpec(workloads=())
 
+    @pytest.mark.parametrize("overrides, error", [
+        (dict(kind="chaos", seeds=(1,), fault_intensity="high"),
+         "fault_intensity"),
+        (dict(kind="chaos", seeds=(1,), fault_intensity=-0.5),
+         "fault_intensity"),
+        (dict(kind="fuzz", seeds=(1,), policy="bogus"),
+         "schedule policy"),
+        (dict(nthreads=0), "nthreads"),
+        (dict(nthreads=-3), "nthreads"),
+        (dict(nthreads="x"), "nthreads"),
+        (dict(nthreads=True), "nthreads"),
+        (dict(configs=({"period": "x"},)), "must be a number"),
+        (dict(scale=True), "scale"),
+        (dict(priority=True), "priority"),
+        (dict(kind="fuzz", seeds=(True,)), "seeds must be"),
+    ], ids=["intensity-word", "intensity-negative", "policy-unknown",
+            "nthreads-zero", "nthreads-negative", "nthreads-word",
+            "nthreads-bool", "config-word", "scale-bool",
+            "priority-bool", "seed-bool"])
+    def test_field_that_would_fail_in_a_worker_rejected(self, overrides,
+                                                        error):
+        """Each of these specs used to be accepted and then raise in
+        every cell (or run with a bool as a number)."""
+        with pytest.raises(CampaignSpecError, match=error):
+            grid_spec(**overrides)
+
     def test_error_is_value_error(self):
         # argparse/except ValueError call sites keep working
         with pytest.raises(ValueError):
