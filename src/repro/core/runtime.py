@@ -163,6 +163,8 @@ class TmiRuntime(RuntimeHooks):
         if ptsb is not None:
             cost = ptsb.commit(thread.core, "exit")
             self.stats.commit_cycles += cost
+            self.stats.twin_bytes_peak = max(self.stats.twin_bytes_peak,
+                                             ptsb.twin_bytes_peak)
             engine.machine.advance(thread.core, cost)
 
     # ------------------------------------------------------------------

@@ -1,21 +1,12 @@
 """Evaluation harness: systems, runners, and per-figure experiments."""
 
-from repro.eval.experiments import (ExperimentResult, ablation_allocator,
-                                    ablation_code_centric,
-                                    ablation_huge_commit,
-                                    ablation_ptsb_everywhere, figure4,
-                                    figure7, figure8, figure9, figure10,
-                                    table1, table2, table3)
 from repro.eval.runner import (BUDGET, DEADLOCK, HANG, INCOMPATIBLE,
                                INVALID, OK, RunOutcome, run_matrix,
                                run_workload)
 from repro.eval.systems import SYSTEM_NAMES, make_runtime
 
 __all__ = [
-    "ExperimentResult", "ablation_allocator", "ablation_code_centric",
-    "ablation_huge_commit", "ablation_ptsb_everywhere", "figure4",
-    "figure7", "figure8", "figure9", "figure10", "table1", "table2",
-    "table3", "BUDGET", "DEADLOCK", "HANG", "INCOMPATIBLE", "INVALID",
-    "OK", "RunOutcome", "run_matrix", "run_workload", "SYSTEM_NAMES",
+    "BUDGET", "DEADLOCK", "HANG", "INCOMPATIBLE", "INVALID", "OK",
+    "RunOutcome", "run_matrix", "run_workload", "SYSTEM_NAMES",
     "make_runtime",
 ]

@@ -1,9 +1,9 @@
 """Command-line interface for the evaluation harness.
 
-Regenerate any paper artifact without pytest::
+Regenerate the paper, or any one artifact of it::
 
-    python -m repro.eval.cli figure9 --scale 1.0
-    python -m repro.eval.cli table3
+    python -m repro.eval.cli reproduce --jobs 2
+    python -m repro.eval.cli table3 --scale 0.3 --no-save
     python -m repro.eval.cli run histogramfs tmi-protect --scale 0.5
     python -m repro.eval.cli run racy-flag pthreads --sanitize
     python -m repro.eval.cli run histogramfs tmi-protect --profile
@@ -13,7 +13,7 @@ Regenerate any paper artifact without pytest::
     python -m repro.eval.cli lint all --scale 0.05
     python -m repro.eval.cli lint all --format json --fail-on warning
     python -m repro.eval.cli repair histogram
-    python -m repro.eval.cli repair all --scale 0.05
+    python -m repro.eval.cli repair all
     python -m repro.eval.cli repair-compare --scale 0.1
     python -m repro.eval.cli fuzz --seeds 16 --budget 60
     python -m repro.eval.cli fuzz racy-flag --policy pct --seeds 32
@@ -88,6 +88,11 @@ def build_parser():
                         help="grid worker processes (default: REPRO_JOBS "
                              "env var, then cpu count); results are "
                              "identical at any job count")
+
+    reproduce = sub.add_parser(
+        "reproduce", help="regenerate every committed results/*.txt and "
+                          "check the paper's claims on it")
+    reproduce.add_argument("--jobs", type=int, default=None)
 
     run = sub.add_parser("run", help="run one workload under one system")
     run.add_argument("workload", choices=sorted(all_names()))
@@ -167,7 +172,8 @@ def build_parser():
                         choices=sorted(all_names()) + ["all"],
                         help="workload to plan, or 'all' for the "
                              "repair suite")
-    repair.add_argument("--scale", type=float, default=0.1)
+    repair.add_argument("--scale", type=float, default=0.05,
+                        help="default: the committed plans' scale")
     repair.add_argument("--variant", default="default",
                         help="build variant to plan against")
     repair.add_argument("--out-dir", default=None,
@@ -713,12 +719,20 @@ def main(argv=None):
                         "quarantine"):
         return _service_command(args)
 
+    if getattr(args, "jobs", None) is not None:
+        os.environ["REPRO_JOBS"] = str(args.jobs)
+
+    if args.command == "reproduce":
+        from repro.eval.claims import reproduce
+        problems = reproduce()
+        print("\n".join(problems) or "reproduce: every results/*.txt "
+              "unchanged, every claim holds")
+        return 1 if problems else 0
+
     fn = EXPERIMENTS[args.command]
     kwargs = {}
     if args.command not in _NO_SCALE and args.scale is not None:
         kwargs["scale"] = args.scale
-    if getattr(args, "jobs", None) is not None:
-        os.environ["REPRO_JOBS"] = str(args.jobs)
     result = fn(**kwargs)
     print(result.text)
     if not args.no_save:

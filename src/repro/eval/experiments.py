@@ -2,19 +2,19 @@
 
 Each function runs the required (workload x system) grid and returns an
 :class:`ExperimentResult` holding both structured data and the rendered
-paper-style table.  Scales default to values that keep a full
-regeneration in minutes; pass ``scale=1.0`` for the sized-up runs
-recorded in EXPERIMENTS.md.
+paper-style table.  A paper artifact's default ``scale`` is the one
+declaration of the scale its committed ``results/<name>.txt`` was made
+at; :func:`repro.eval.claims.reproduce` regenerates them all.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import TmiConfig
 from repro.core.consistency import TABLE2
 from repro.eval.charts import bar_chart
 from repro.eval.parallel import run_cells
 from repro.eval.report import format_table, geomean, save_text
-from repro.eval.runner import run_matrix, run_workload
+from repro.eval.runner import run_matrix
 from repro.workloads import figure7_names, repair_suite_names
 
 MB = 1024 * 1024
@@ -22,12 +22,11 @@ MB = 1024 * 1024
 
 @dataclass
 class ExperimentResult:
-    """One regenerated table/figure: data, rendered text, and notes."""
+    """One regenerated table/figure: data and rendered text."""
 
     name: str
     data: dict
     text: str
-    notes: list = field(default_factory=list)
 
     def save(self):
         """Write the rendered text under results/; returns the path."""
@@ -54,10 +53,10 @@ def figure4(scale=2.0, periods=(1, 5, 10, 50, 100, 1000)):
     """Runtime and recorded HITM events vs. perf period on leveldb."""
     rows = []
     data = {"periods": {}, "workload": "leveldb"}
-    for period in periods:
-        config = TmiConfig(period=period)
-        outcome = run_workload("leveldb", "tmi-detect", scale=scale,
-                               config=config)
+    outcomes = run_cells(
+        [dict(name="leveldb", system="tmi-detect", scale=scale,
+              config=TmiConfig(period=period)) for period in periods])
+    for period, outcome in zip(periods, outcomes):
         report = outcome.result.runtime_report
         entry = {
             "runtime_s": outcome.result.seconds,
@@ -79,7 +78,7 @@ def figure4(scale=2.0, periods=(1, 5, 10, 50, 100, 1000)):
 # ----------------------------------------------------------------------
 # Figure 7: detection overhead across all 35 workloads
 # ----------------------------------------------------------------------
-def figure7(scale=0.25, workloads=None):
+def figure7(scale=0.3, workloads=None):
     """Normalized runtime of sheriff-detect / tmi-alloc / tmi-detect."""
     workloads = workloads or figure7_names()
     systems = ["pthreads", "sheriff-detect", "tmi-alloc", "tmi-detect"]
@@ -130,7 +129,7 @@ def figure7(scale=0.25, workloads=None):
 # ----------------------------------------------------------------------
 # Figure 8: memory overhead
 # ----------------------------------------------------------------------
-def figure8(scale=0.25, workloads=None):
+def figure8(scale=0.3, workloads=None):
     """Memory usage (MB): pthreads vs TMI-full."""
     workloads = workloads or figure7_names()
     rows = []
@@ -139,14 +138,8 @@ def figure8(scale=0.25, workloads=None):
     outcomes = run_cells(
         [dict(name=name, system=system, scale=scale)
          for name in workloads for system in ("pthreads", "tmi-protect")])
-    by_cell = {}
-    for (name, system), outcome in zip(
-            [(n, s) for n in workloads
-             for s in ("pthreads", "tmi-protect")], outcomes):
-        by_cell[(name, system)] = outcome
-    for name in workloads:
-        base = by_cell[(name, "pthreads")]
-        tmi = by_cell[(name, "tmi-protect")]
+    for index, name in enumerate(workloads):
+        base, tmi = outcomes[2 * index:2 * index + 2]
         base_mb = base.result.total_memory / MB
         tmi_mb = tmi.result.total_memory / MB if tmi.ok else None
         data["workloads"][name] = {"pthreads_mb": base_mb,
@@ -165,7 +158,7 @@ def figure8(scale=0.25, workloads=None):
 # ----------------------------------------------------------------------
 # Figure 9 + Table 3: repair speedups and characterization
 # ----------------------------------------------------------------------
-def figure9(scale=0.6, workloads=None):
+def figure9(scale=1.0, workloads=None):
     """Speedup over pthreads for manual / sheriff-protect / LASER /
     TMI-protect on the false-sharing suite."""
     workloads = workloads or repair_suite_names()
@@ -216,17 +209,20 @@ def figure9(scale=0.6, workloads=None):
     return ExperimentResult("figure9", data, text)
 
 
-def table3(scale=0.6, workloads=None, figure9_result=None):
+def table3(scale=1.0, workloads=None, figure9_result=None):
     """Unrepaired time, T2P latency, and commit rate per repaired app."""
     workloads = workloads or repair_suite_names()
+    if figure9_result is not None:
+        reports = [figure9_result.data["workloads"][name]["tmi_report"]
+                   for name in workloads]
+    else:
+        reports = [outcome.result.runtime_report if outcome.ok else {}
+                   for outcome in run_cells(
+                       [dict(name=name, system="tmi-protect", scale=scale)
+                        for name in workloads])]
     rows = []
     data = {}
-    for name in workloads:
-        if figure9_result is not None:
-            report = figure9_result.data["workloads"][name]["tmi_report"]
-        else:
-            outcome = run_workload(name, "tmi-protect", scale=scale)
-            report = outcome.result.runtime_report if outcome.ok else {}
+    for name, report in zip(workloads, reports):
         entry = {
             "unrepaired_s": report.get("unrepaired_intervals", 0),
             "t2p_us": report.get("t2p_us", 0.0),
@@ -278,10 +274,12 @@ def figure10(scale=1.0, workloads=None):
 # ----------------------------------------------------------------------
 # Table 1: the requirements matrix
 # ----------------------------------------------------------------------
-def table1(figure7_result=None, figure9_result=None, scale=0.25):
-    """Compatibility / consistency / overhead / % of manual speedup."""
-    fig7 = figure7_result or figure7(scale=scale)
-    fig9 = figure9_result or figure9(scale=max(scale, 0.5))
+def table1(figure7_result=None, figure9_result=None, scale=None):
+    """Compatibility / consistency / overhead / % of manual speedup,
+    from Figure 7 and 9: a grid not given runs at ``scale`` if set."""
+    grid_scale = {} if scale is None else {"scale": scale}
+    fig7 = figure7_result or figure7(**grid_scale)
+    fig9 = figure9_result or figure9(**grid_scale)
     manual = fig9.data["geomean"]["manual"]
 
     def pct_of_manual(system):
@@ -355,17 +353,18 @@ def table2():
 # ----------------------------------------------------------------------
 # Ablations (section 4.3 and 4.4 call-outs)
 # ----------------------------------------------------------------------
-def ablation_ptsb_everywhere(scale=0.6,
+def ablation_ptsb_everywhere(scale=1.0,
                              workloads=("histogram", "histogramfs")):
     """Targeted repair vs. protecting all of memory (section 4.3)."""
+    variants = (("pthreads", None), ("tmi-protect", None),
+                ("tmi-protect", TmiConfig(targeted=False)))
+    outcomes = run_cells(
+        [dict(name=name, system=system, scale=scale, config=config)
+         for name in workloads for system, config in variants])
     rows = []
     data = {}
-    for name in workloads:
-        base = run_workload(name, "pthreads", scale=scale)
-        targeted = run_workload(name, "tmi-protect", scale=scale)
-        everywhere = run_workload(
-            name, "tmi-protect", scale=scale,
-            config=TmiConfig(targeted=False))
+    for index, name in enumerate(workloads):
+        base, targeted, everywhere = outcomes[3 * index:3 * index + 3]
         s_t = base.result.cycles / targeted.result.cycles
         s_e = base.result.cycles / everywhere.result.cycles
         data[name] = {"targeted": s_t, "everywhere": s_e}
@@ -376,16 +375,18 @@ def ablation_ptsb_everywhere(scale=0.6,
     return ExperimentResult("ablation_ptsb", data, text)
 
 
-def ablation_allocator(scale=0.25,
+def ablation_allocator(scale=0.3,
                        workloads=("kmeans", "reverse", "dedup",
                                   "wordcount", "histogram")):
     """Lockless vs glibc-style allocator (section 4.1: ~16%)."""
+    outcomes = run_cells(
+        [dict(name=name, system=system, scale=scale)
+         for name in workloads for system in ("pthreads", "glibc")])
     rows = []
     ratios = []
     data = {}
-    for name in workloads:
-        lockless = run_workload(name, "pthreads", scale=scale)
-        glibc = run_workload(name, "glibc", scale=scale)
+    for index, name in enumerate(workloads):
+        lockless, glibc = outcomes[2 * index:2 * index + 2]
         ratio = glibc.result.cycles / lockless.result.cycles
         data[name] = ratio
         ratios.append(ratio)
@@ -404,14 +405,11 @@ def ablation_huge_commit(scale=0.6, workload="histogramfs"):
     Forces paper-literal 2 MB page protection (no 4 KB split) so the
     commit path actually diffs whole huge pages.
     """
-    on = run_workload(workload, "tmi-protect", scale=scale,
-                      config=TmiConfig(huge_pages=True,
-                                       repair_page_split=False,
-                                       huge_commit_optimization=True))
-    off = run_workload(workload, "tmi-protect", scale=scale,
-                       config=TmiConfig(huge_pages=True,
-                                        repair_page_split=False,
-                                        huge_commit_optimization=False))
+    on, off = run_cells(
+        [dict(name=workload, system="tmi-protect", scale=scale,
+              config=TmiConfig(huge_pages=True, repair_page_split=False,
+                               huge_commit_optimization=optimized))
+         for optimized in (True, False)])
     data = {"optimized_cycles": on.result.cycles,
             "unoptimized_cycles": off.result.cycles,
             "benefit_pct": (off.result.cycles / on.result.cycles - 1)
@@ -424,13 +422,13 @@ def ablation_huge_commit(scale=0.6, workload="histogramfs"):
     return ExperimentResult("ablation_huge_commit", data, text)
 
 
-def ablation_code_centric(scale=0.6, workload="shptr-relaxed"):
+def ablation_code_centric(scale=1.0, workload="shptr-relaxed"):
     """Code-centric consistency on vs off for relaxed atomics."""
-    base = run_workload(workload, "pthreads", scale=scale)
-    with_cc = run_workload(workload, "tmi-protect", scale=scale)
-    no_relaxed = run_workload(
-        workload, "tmi-protect", scale=scale,
-        config=TmiConfig(flush_relaxed=True))
+    base, with_cc, no_relaxed = run_cells(
+        [dict(name=workload, system=system, scale=scale, config=config)
+         for system, config in (("pthreads", None), ("tmi-protect", None),
+                                ("tmi-protect",
+                                 TmiConfig(flush_relaxed=True)))])
     data = {
         "with_cc_speedup": base.result.cycles / with_cc.result.cycles,
         "relaxed_fast_path": with_cc.result.runtime_report.get(
@@ -547,7 +545,6 @@ def placement_repair(scale=0.3, workloads=None, sockets=2,
             "machine.hitm.cross_socket", 0)
 
     grid = {}
-    states_ok = True
     data = {"scale": scale, "sockets": sockets, "workloads": {}}
     for (name, system, placement, page), outcome in zip(combos,
                                                         outcomes):
@@ -560,18 +557,12 @@ def placement_repair(scale=0.3, workloads=None, sockets=2,
             "hitm": outcome.result.hitm_total,
             "cross_socket_hitm": cross_hitm(outcome),
         }
-    for name in names:
-        for system in systems:
-            reference = None
-            for placement in placements:
-                for page in pages:
-                    state = grid[(name, system, placement,
-                                  page)].final_state
-                    if reference is None:
-                        reference = state
-                    elif state != reference:
-                        states_ok = False
-    data["state_identical_all"] = states_ok
+    # every placement/page cell ends in its first cell's final state
+    data["state_identical_all"] = all(
+        grid[(name, system, placement, page)].final_state
+        == grid[(name, system, placements[0], pages[0])].final_state
+        for name in names for system in systems
+        for placement in placements for page in pages)
 
     # the mapping-vs-repair headline: aggregate cross-socket HITM of
     # the unrepaired runs under first-touch pages
@@ -609,14 +600,7 @@ def placement_repair(scale=0.3, workloads=None, sockets=2,
         title=(f"Placement vs repair on {sockets} sockets: runtime "
                f"normalized to compact/{pages[0]} pthreads, total and "
                f"cross-socket HITM"))
-    notes = [
-        f"sharing-aware cuts cross-socket HITM {compact_cross} -> "
-        f"{aware_cross} "
-        f"({data['sharing_aware_cross_reduction']:.1%}) vs compact",
-        "state-identity gate: "
-        + ("all placements bit-identical" if states_ok else "VIOLATED"),
-    ]
-    return ExperimentResult("placement_repair", data, text, notes)
+    return ExperimentResult("placement_repair", data, text)
 
 
 def repair_compare(scale=0.1, workloads=None):
@@ -630,12 +614,10 @@ def repair_compare(scale=0.1, workloads=None):
     fraction of falsely-shared-line HITM events eliminated, the
     precision/recall of its predicted-fixed claims, and the
     semantic-preservation gate (rewritten final state bit-identical to
-    the original under pthreads).  Every plan is saved as a
-    ``repro-repair-plan/1`` artifact under ``results/repair/``.
+    the original under pthreads).  The ``repair`` command writes the
+    plans themselves (``results/repair/``).
     """
     from repro.analysis.ground_truth import score_repair
-    from repro.analysis.repair import plan_from_dict, save_plan
-    from repro.eval.report import results_dir
     from repro.workloads import get as get_workload
 
     names = list(workloads) if workloads else repair_suite_names()
@@ -650,7 +632,6 @@ def repair_compare(scale=0.1, workloads=None):
     agg_base = agg_resid = 0
     total_tp = total_fp = total_fn = 0
     states_ok = True
-    plan_paths = []
     for name in names:
         base = grid[name]["pthreads"]
         assert base.ok, f"baseline failed on {name}: {base.detail}"
@@ -668,10 +649,6 @@ def repair_compare(scale=0.1, workloads=None):
             if norm is not None:
                 per_system[system].append(norm)
         runtime_rows.append(row)
-
-        plan_dict = grid[name]["static-repaired"].plan
-        if plan_dict is not None:
-            plan_paths.append(str(save_plan(plan_from_dict(plan_dict))))
 
         score = score_repair(get_workload(name, scale=scale))
         entry["score"] = score
@@ -710,7 +687,6 @@ def repair_compare(scale=0.1, workloads=None):
     data["precision"] = overall_p
     data["recall"] = overall_r
     data["state_identical_all"] = states_ok
-    data["plan_artifacts"] = plan_paths
 
     text = format_table(
         ["workload", "pthreads hitm",
@@ -726,9 +702,7 @@ def repair_compare(scale=0.1, workloads=None):
         validate_rows,
         title=("Planner validation vs simulated HITM ground truth "
                "(falsely-shared-line events, pthreads geometry)"))
-    import os
-    notes = [f"plans under {os.path.join(results_dir(), 'repair')}"]
-    return ExperimentResult("repair_compare", data, text, notes)
+    return ExperimentResult("repair_compare", data, text)
 
 
 def resilience_chaos(scale=0.05, jobs=None, root=None):
@@ -897,7 +871,4 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
     for key in sorted(slo):
         text += f"  {'PASS' if slo[key] else 'FAIL':4}  {key}\n"
     text += f"\noverall: {'PASS' if slo_ok else 'FAIL'}\n"
-    notes = [f"supervision record: {state_path} "
-             f"(sha256 {state_sha[:12]})",
-             f"fault plan: {plan_path}"]
-    return ExperimentResult("resilience_chaos", data, text, notes)
+    return ExperimentResult("resilience_chaos", data, text)

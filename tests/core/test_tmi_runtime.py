@@ -158,3 +158,8 @@ class TestMetrics:
         assert snap["histograms"][tmi[0]]["count"] == commits
         assert snap["gauges"][f"runtime.twin_bytes_peak{label}"] == \
             outcome.result.runtime_report["twin_bytes_peak"]
+        # the twins reach the report only through the commits at
+        # thread exit: their peak counts, twice in the PTSB memory
+        assert outcome.result.runtime_report["twin_bytes_peak"] == 8192
+        assert outcome.result.memory_bytes["ptsb"] == 16384
+        assert outcome.result.cycles == 1_101_961

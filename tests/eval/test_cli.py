@@ -62,6 +62,24 @@ class TestExecution:
         assert "TSO" in out
         assert (tmp_path / "table2.txt").exists()
 
+    @pytest.mark.parametrize("argv, kwargs", [
+        ([], {}), (["--scale", "0.05"], {"scale": 0.05})])
+    def test_table1_grids_run_at_scale_or_their_defaults(
+            self, monkeypatch, argv, kwargs):
+        from repro.eval import experiments
+        calls = []
+        fig7 = experiments.ExperimentResult("figure7", {
+            "sheriff_compatible": 11, "workloads": {},
+            "geomean": {"sheriff-detect": 1.5, "tmi-detect": 1.0}}, "")
+        fig9 = experiments.ExperimentResult(
+            "figure9", {"geomean": {"manual": 2.0}}, "")
+        for fake in (fig7, fig9):
+            monkeypatch.setattr(experiments, fake.name,
+                                lambda fake=fake, **given: calls.append(
+                                    (fake.name, given)) or fake)
+        assert main(["table1", "--no-save", *argv]) == 0
+        assert calls == [("figure7", kwargs), ("figure9", kwargs)]
+
     def test_run_small_workload(self, capsys):
         assert main(["run", "swaptions", "pthreads",
                      "--scale", "0.05"]) == 0

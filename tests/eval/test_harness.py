@@ -3,7 +3,8 @@
 import pytest
 
 from repro.eval import (HANG, INCOMPATIBLE, INVALID, OK, SYSTEM_NAMES,
-                        make_runtime, run_matrix, run_workload, table2)
+                        experiments, make_runtime, run_matrix,
+                        run_workload)
 from repro.eval.report import format_table, geomean
 from repro.eval.systems import workload_variant
 
@@ -52,6 +53,18 @@ class TestRunner:
                    for o in row.values())
 
 
+class TestJobs:
+    def test_ablation_fans_out_and_renders_the_same(self, monkeypatch):
+        """One ``run_cells`` call, so ``--jobs`` reaches it."""
+        real, calls, texts = experiments.run_cells, [], []
+        monkeypatch.setattr(experiments, "run_cells", lambda cells: (
+            calls.append(len(cells)) or real(cells)))
+        for jobs in ("1", "2"):
+            monkeypatch.setenv("REPRO_JOBS", jobs)
+            texts.append(experiments.ablation_code_centric(scale=0.05).text)
+        assert calls == [3, 3] and texts[0] == texts[1]
+
+
 class TestReport:
     def test_format_table_aligns(self):
         text = format_table(["a", "bb"], [(1, 2.5), ("xx", "y")],
@@ -66,6 +79,6 @@ class TestReport:
         assert geomean([0, 5]) == pytest.approx(5.0)
 
     def test_table2_renders_without_running_anything(self):
-        result = table2()
+        result = experiments.table2()
         assert "TSO" in result.text
         assert "[PTSB]" in result.text
