@@ -15,16 +15,14 @@ from repro.sim.costs import PAGE_2M
 class PthreadsRuntime(RuntimeHooks):
     """No interposition: the program runs natively.
 
-    Anonymous heap/globals memory is mapped with 2 MB pages by default,
-    modelling Linux's transparent huge pages on the paper's Ubuntu
-    systems; pass ``page_size=PAGE_4K`` to disable THP.
+    Anonymous heap/globals memory is mapped with 2 MB pages, modelling
+    Linux's transparent huge pages on the paper's Ubuntu systems.
     """
 
     name = "pthreads"
 
-    def __init__(self, allocator_kind="lockless", page_size=PAGE_2M):
+    def __init__(self, allocator_kind="lockless"):
         self.allocator_kind = allocator_kind
-        self.page_size = page_size
 
     # ------------------------------------------------------------------
     def setup(self, engine):
@@ -37,11 +35,11 @@ class PthreadsRuntime(RuntimeHooks):
 
         globals_backing = Backing(physmem, layout.GLOBALS_SIZE, "globals")
         aspace.mmap(layout.GLOBALS_BASE, layout.GLOBALS_SIZE,
-                    globals_backing, page_size=self.page_size,
+                    globals_backing, page_size=PAGE_2M,
                     name="globals")
         heap_backing = Backing(physmem, heap_bytes, "heap")
         aspace.mmap(layout.HEAP_BASE, heap_bytes, heap_backing,
-                    page_size=self.page_size, name="heap")
+                    page_size=PAGE_2M, name="heap")
         libc_backing = Backing(physmem, layout.LIBC_SIZE, "libc")
         aspace.mmap(layout.LIBC_BASE, layout.LIBC_SIZE, libc_backing,
                     name="libc")

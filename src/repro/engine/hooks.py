@@ -17,8 +17,6 @@ ground-truth collector — attaches instead as an
 results.
 """
 
-from repro.sim.costs import PAGE_4K
-
 
 class RuntimeHooks:
     """Base runtime: override points with no-op defaults."""
@@ -40,9 +38,6 @@ class RuntimeHooks:
         allocator.  Must set ``engine.root_aspace`` and
         ``engine.allocator``."""
         raise NotImplementedError
-
-    def teardown(self, engine):
-        """End-of-program work (final commits, report finalization)."""
 
     def check_workload(self, program):
         """Raise :class:`~repro.errors.IncompatibleWorkloadError` if this
@@ -136,9 +131,3 @@ class RuntimeHooks:
         """Add the instruments a flat :meth:`report` cannot carry
         (TMI's commit-size histogram) to a
         :class:`~repro.obs.metrics.MetricsRegistry`."""
-
-    # ------------------------------------------------------------------
-    # conveniences shared by concrete runtimes
-    # ------------------------------------------------------------------
-    #: Default page size runtimes use for their mappings.
-    page_size = PAGE_4K

@@ -81,7 +81,6 @@ class Engine:
         self.sync_objects = []
         #: Service core for the monitor/detector (last core).
         self.service_core = self.machine.n_cores - 1
-        self._finished = False
         #: Analysis observer (repro.analysis); None keeps every
         #: emission guard a single attribute test on the hot path.
         self._observer = None
@@ -187,7 +186,7 @@ class Engine:
                       if t.state != DONE]
         if unfinished:
             raise DeadlockError(unfinished)
-        return self.finish()
+        return self._build_result()
 
     def _build_vector(self):
         """Construct the vector executor when the run is eligible.
@@ -290,13 +289,6 @@ class Engine:
         return {"policy": self.policy.name,
                 "seed": getattr(self.policy, "seed", None),
                 "decisions": list(self.schedule_decisions)}
-
-    def finish(self):
-        """Teardown and result collection."""
-        if not self._finished:
-            self.runtime.teardown(self)
-            self._finished = True
-        return self._build_result()
 
     # ------------------------------------------------------------------
     # thread management

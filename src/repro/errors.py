@@ -153,22 +153,5 @@ class RecordFormatError(ReproError, ValueError):
 
 class CampaignSpecError(ReproError, ValueError):
     """A campaign spec is malformed (unknown workload/system, bad
-    format tag, invalid knob values)."""
-
-
-class ServiceTimeoutError(ReproError, TimeoutError):
-    """A client-side wait on a campaign outlived its budget.
-
-    Names the campaign and the last state the client observed — the
-    campaign itself keeps running; only the wait is abandoned.  Also a
-    :class:`TimeoutError` so pre-existing callers that caught the bare
-    builtin keep working.
-    """
-
-    def __init__(self, campaign_id, last_status, timeout):
-        self.campaign_id = campaign_id
-        self.last_status = last_status
-        self.timeout = timeout
-        super().__init__(
-            f"campaign {campaign_id} not terminal after {timeout}s "
-            f"(last observed: {last_status})")
+    format tag, invalid knob values), or a campaign name or id is not
+    a plain file name."""

@@ -34,26 +34,3 @@ def bar_chart(title, rows, unit="x", width=46, baseline=None):
         lines.append(f"  {label.ljust(label_width)} |{bar.ljust(width)}"
                      f" {value:.2f}{unit} {note}".rstrip())
     return "\n".join(lines)
-
-
-def series_chart(title, xs, series, width=50, height=12):
-    """Tiny scatter/line chart for Figure 4's runtime-vs-period sweep.
-
-    ``series`` is ``{name: [values aligned with xs]}``; each series is
-    scaled independently (the paper's Figure 4 uses two y-axes).
-    """
-    lines = [title]
-    glyphs = "*o+x"
-    for index, (name, values) in enumerate(series.items()):
-        top = max(values) or 1
-        bottom = min(values)
-        span = (top - bottom) or 1
-        row = []
-        for value in values:
-            level = int((value - bottom) / span * 8)
-            row.append(str(level))
-        lines.append(f"  {glyphs[index % len(glyphs)]} {name}: "
-                     f"levels {' '.join(row)}  "
-                     f"(min {bottom:.3g}, max {top:.3g})")
-    lines.append(f"  x = {xs}")
-    return "\n".join(lines)

@@ -256,16 +256,11 @@ def build_parser():
     submit.add_argument("--id", dest="campaign_id", default=None,
                         help="explicit campaign id (default: derived "
                              "from the spec digest)")
-    submit.add_argument("--kind", default="grid",
-                        choices=("grid", "fuzz", "chaos"))
     submit.add_argument("--workloads", default=None,
                         help="comma-separated workload names")
     submit.add_argument("--systems", default="pthreads",
                         help="comma-separated system names")
     submit.add_argument("--scale", type=float, default=0.1)
-    submit.add_argument("--seeds", default=None,
-                        help="comma-separated integer seeds "
-                             "(fuzz/chaos campaigns)")
     submit.add_argument("--priority", type=int, default=0,
                         help="lower runs sooner")
     submit.add_argument("--name", default="")
@@ -335,6 +330,7 @@ def _service_command(args):
     import asyncio
     import json
 
+    from repro.errors import CampaignSpecError
     from repro.service import (CampaignService, CampaignSpec,
                                ServiceClient)
 
@@ -357,39 +353,37 @@ def _service_command(args):
         return _quarantine_command(args)
 
     if args.command == "submit":
-        if args.spec is not None:
-            spec = CampaignSpec.load(args.spec)
-        else:
-            if not args.workloads:
-                print("submit: need a spec file or --workloads",
-                      file=sys.stderr)
-                return 2
-            seeds = None
-            if args.seeds:
-                seeds = tuple(int(s)
-                              for s in args.seeds.split(","))
-            spec = CampaignSpec(
-                workloads=tuple(args.workloads.split(",")),
-                systems=tuple(args.systems.split(",")),
-                kind=args.kind, scale=args.scale, seeds=seeds,
-                priority=args.priority, name=args.name)
-        if args.run:
-            service = CampaignService(root=args.root, jobs=args.jobs)
-            job = service.run_spec(spec,
-                                   campaign_id=args.campaign_id)
-            print(_campaign_summary(job.to_dict()))
-            return 0 if job.status == "completed" else 1
-        client = ServiceClient(root=args.root)
+        if args.spec is None and not args.workloads:
+            print("submit: need a spec file or --workloads",
+                  file=sys.stderr)
+            return 2
         try:
-            campaign_id = client.submit(
+            if args.spec is not None:
+                spec = CampaignSpec.load(args.spec)
+            else:
+                spec = CampaignSpec(
+                    workloads=tuple(args.workloads.split(",")),
+                    systems=tuple(args.systems.split(",")),
+                    scale=args.scale, priority=args.priority,
+                    name=args.name)
+            if args.run:
+                service = CampaignService(root=args.root,
+                                          jobs=args.jobs)
+                job = service.run_spec(spec,
+                                       campaign_id=args.campaign_id)
+                print(_campaign_summary(job.to_dict()))
+                return 0 if job.status == "completed" else 1
+            campaign_id = ServiceClient(root=args.root).submit(
                 spec, campaign_id=args.campaign_id)
+        except CampaignSpecError as exc:
+            print(f"submit: {exc}", file=sys.stderr)
+            return 2
         except FileExistsError:
             print(f"submit: campaign id {args.campaign_id!r} already "
                   f"has a spec waiting in the inbox",
                   file=sys.stderr)
             return 2
-        print(f"submitted {campaign_id} "
-              f"({len(spec.cells())} cells, kind={spec.kind}); "
+        print(f"submitted {campaign_id} ({len(spec.cells())} cells); "
               f"run `serve` against the same root to execute")
         return 0
 

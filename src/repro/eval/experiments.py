@@ -757,10 +757,6 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
             workloads=("histogramfs",),
             systems=("pthreads", "tmi-protect"), scale=scale,
             name="bolt-grid", priority=1),
-        "acme-chaos": CampaignSpec(
-            workloads=("histogramfs",), systems=("tmi-protect",),
-            kind="chaos", seeds=(1, 2), scale=scale,
-            name="acme-chaos"),
     }
 
     # fault targets, named by cell digest (the store/quarantine key)

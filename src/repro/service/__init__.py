@@ -1,14 +1,15 @@
 """Campaign service: experiment campaigns over the hardened grid.
 
-Clients submit :class:`CampaignSpec` requests (grid / fuzz / chaos);
-one scheduler streams their cells through one hardened
-:mod:`repro.eval.parallel` worker pool per serve pass, and a
-content-addressed :class:`ResultStore` serves any cell that has ever
-been computed — keyed by a canonical digest of the cell's kwargs plus
-an engine identity hashed from the code, so resubmitted or
-overlapping campaigns get cached cells byte-identical and free.  The store is
-also the only checkpoint: resuming a campaign means running the cells
-it does not hold.
+Clients submit :class:`CampaignSpec` requests, each one grid of
+(workload, system, config) cells; one scheduler streams their cells
+through one hardened :mod:`repro.eval.parallel` worker pool per serve
+pass, and a content-addressed :class:`ResultStore` serves any cell
+that has ever been computed — keyed by a canonical digest of the
+cell's kwargs plus an engine identity hashed from the code, so
+resubmitted or overlapping campaigns get cached cells byte-identical
+and free.  The store is also the only checkpoint: resuming a campaign
+means running the cells it does not hold.  Schedule fuzzing and fault
+injection are the ``fuzz`` and ``chaos`` commands, not campaigns.
 
 Pieces:
 
@@ -42,7 +43,7 @@ from repro.service.scheduler import (CAMPAIGN_FORMAT, COMPLETED,
                                      FAILED, PENDING, RUNNING,
                                      CampaignJob, CampaignScheduler)
 from repro.service.service import TERMINAL, CampaignService
-from repro.service.spec import KINDS, SPEC_FORMAT, CampaignSpec
+from repro.service.spec import SPEC_FORMAT, CampaignSpec
 from repro.service.store import (STORE_FORMAT, ResultStore,
                                  canonical_form, cell_digest,
                                  engine_version, package_identity,
@@ -51,7 +52,7 @@ from repro.service.store import (STORE_FORMAT, ResultStore,
 __all__ = [
     "CAMPAIGN_FORMAT", "CELL_QUARANTINED", "COMPLETED", "CampaignJob",
     "CampaignScheduler", "CampaignService", "CampaignSpec", "FAILED",
-    "KINDS", "PENDING", "QUARANTINE_FORMAT", "Quarantine", "RUNNING",
+    "PENDING", "QUARANTINE_FORMAT", "Quarantine", "RUNNING",
     "ResilienceSupervisor", "ResultStore", "SERVICE_STATE_FORMAT",
     "SOURCE_QUARANTINE", "SPEC_FORMAT", "STORE_FORMAT",
     "ServiceClient", "TERMINAL", "canonical_form", "cell_digest",

@@ -11,10 +11,8 @@ service is down — the spec waits in the inbox until the next
 """
 
 import os
-import time
 
-from repro.errors import ServiceTimeoutError
-from repro.service.service import CampaignService, TERMINAL
+from repro.service.service import CampaignService
 
 
 class ServiceClient:
@@ -55,32 +53,3 @@ class ServiceClient:
         """Per-cell results (see
         :meth:`repro.service.CampaignService.results`)."""
         return self._service.results(campaign_id)
-
-    def wait(self, campaign_id, timeout=60.0, poll=0.1,
-             max_poll=2.0):
-        """Block until the campaign reaches a terminal status.
-
-        Polls with capped exponential backoff: the interval starts at
-        ``poll`` and doubles up to ``max_poll``, so a short wait stays
-        responsive while a long one stops hammering the state file.
-        Returns the final state document; raises
-        :class:`~repro.errors.ServiceTimeoutError` (a
-        :class:`TimeoutError` subclass) naming the campaign and the
-        last observed state when the budget runs out first — the
-        campaign keeps running; only the wait is abandoned.
-        """
-        deadline = time.monotonic() + timeout
-        delay = poll
-        while True:
-            state = self.status(campaign_id)
-            if state is not None and state.get("status") in TERMINAL:
-                return state
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ServiceTimeoutError(
-                    campaign_id,
-                    state.get("status") if state else "unknown",
-                    timeout)
-            time.sleep(min(delay, remaining))
-            delay = min(delay * 2, max_poll)
-

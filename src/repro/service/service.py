@@ -30,7 +30,7 @@ from repro.errors import CampaignSpecError
 from repro.eval.report import results_dir
 from repro.service.scheduler import (CAMPAIGN_FORMAT, COMPLETED,
                                      FAILED, CampaignScheduler)
-from repro.service.spec import CampaignSpec
+from repro.service.spec import CampaignSpec, check_name
 from repro.service.store import write_json
 
 __all__ = ["CampaignService", "CAMPAIGN_FORMAT"]
@@ -104,7 +104,7 @@ class CampaignService:
         for the stem, not at 1, so the n-th resubmission of a spec
         costs two probes instead of n.
         """
-        stem = f"{spec.name or spec.kind}-{spec.digest()}"
+        stem = f"{spec.name or 'grid'}-{spec.digest()}"
         for ordinal in itertools.count(self._ordinals.get(stem, 1)):
             campaign_id = f"{stem}-{ordinal}"
             if not self._campaign_id_taken(campaign_id):
@@ -129,8 +129,13 @@ class CampaignService:
         spec digest end up with distinct ordinals and neither
         submission is silently lost.  With an explicit ``campaign_id``
         an existing submission under that id raises
-        ``FileExistsError`` rather than clobbering it.
+        ``FileExistsError`` rather than clobbering it, and an id that
+        is not a plain file name raises
+        :class:`~repro.errors.CampaignSpecError` before anything is
+        written.
         """
+        if campaign_id is not None:
+            check_name(campaign_id, "campaign id")
         os.makedirs(self.inbox_dir, exist_ok=True)
         tmp = os.path.join(
             self.inbox_dir,
@@ -155,6 +160,7 @@ class CampaignService:
     def submit(self, spec, campaign_id=None):
         """Validate and queue one campaign; returns its job."""
         campaign_id = campaign_id or self.new_campaign_id(spec)
+        check_name(campaign_id, "campaign id")
         self._finished.discard(campaign_id)
         return self.scheduler.submit(
             self.scheduler.make_job(campaign_id, spec))
@@ -186,21 +192,23 @@ class CampaignService:
         written first, and only then is the spec file removed.  A
         service killed between the two leaves both; the restart
         resumes the campaign from its state and removes the spec then
-        (:meth:`resume_incomplete`).  Malformed specs are renamed to
-        ``.rejected`` with the campaign left unscheduled.
+        (:meth:`resume_incomplete`).  Malformed specs, and specs whose
+        file name is not a campaign id, are renamed to ``.rejected``
+        with the campaign left unscheduled.
         """
         accepted = []
         for fname in sorted(os.listdir(self.inbox_dir)):
             if not fname.endswith(".json"):
                 continue
             path = os.path.join(self.inbox_dir, fname)
+            campaign_id = fname[:-len(".json")]
             try:
+                check_name(campaign_id, "campaign id")
                 spec = CampaignSpec.load(path)
             except Exception:  # noqa: BLE001 - client input boundary
                 os.replace(path, path + ".rejected")
                 continue
-            accepted.append(self.submit(
-                spec, campaign_id=fname[:-len(".json")]))
+            accepted.append(self.submit(spec, campaign_id=campaign_id))
             os.remove(path)
         return accepted
 
@@ -233,14 +241,16 @@ class CampaignService:
         killed between accepting it and removing it left behind, is
         removed, so :meth:`poll_inbox` does not submit it again.  A
         state file whose spec no longer validates (an unknown
-        workload, a spec written by an older format) cannot be
-        resumed: its campaign is marked ``failed`` with the error
-        recorded in its state, and the others go on.
+        workload, a retired field) or whose file name is not a
+        campaign id cannot be resumed: its campaign is marked
+        ``failed`` with the error recorded in its state, and the
+        others go on.
         """
         jobs = []
         for campaign_id, state in self._unfinished():
             try:
                 spec = CampaignSpec.from_dict(state.get("spec"))
+                jobs.append(self.submit(spec, campaign_id=campaign_id))
             except CampaignSpecError as exc:
                 state["status"] = FAILED
                 state["error"] = f"cannot resume: {exc}"
@@ -248,7 +258,6 @@ class CampaignService:
                                         f"{campaign_id}.json"), state)
                 self._finished.add(campaign_id)
                 continue
-            jobs.append(self.submit(spec, campaign_id=campaign_id))
             with contextlib.suppress(FileNotFoundError):
                 os.remove(self._inbox_path(campaign_id))
         return jobs

@@ -1,10 +1,10 @@
 """Versioned campaign specifications (``repro-campaign-spec/1``).
 
 A :class:`CampaignSpec` is the unit of work a client submits to the
-campaign service: a request kind (``grid`` | ``fuzz`` | ``chaos``), the
-workload/system/config/seed axes to cross, and a scheduling priority.
-Specs are validated eagerly at construction — an unknown workload or a
-misspelled TMI config knob fails at submission time with a
+campaign service: one grid, the workload/system/config axes to cross
+at one scale, and a scheduling priority.  Specs are validated eagerly
+at construction — an unknown workload, a misspelled TMI config knob
+or a name that is not a plain file name fails at submission time with a
 :class:`~repro.errors.CampaignSpecError`, not an hour later inside a
 worker process — and serialize to a stable JSON document whose digest
 contributes the campaign's identity.
@@ -12,26 +12,26 @@ contributes the campaign's identity.
 :meth:`CampaignSpec.cells` expands the spec into the exact keyword
 dicts :func:`repro.eval.runner.run_workload` takes, which is also the
 identity the content-addressed store hashes: two specs that overlap on
-some (workload, system, config, seed) tuples will derive the same
+some (workload, system, config) tuples will derive the same
 digests for those cells and share results.
 """
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields as dc_fields
+import re
+from dataclasses import dataclass, fields as dc_fields
 
 from repro.core.config import TmiConfig
 from repro.errors import CampaignSpecError
 from repro.eval.systems import SYSTEM_NAMES
-from repro.schedule.policy import POLICY_NAMES
 from repro.service import store
 from repro.workloads import has as workload_exists
 
 #: Versioned spec format tag.
 SPEC_FORMAT = "repro-campaign-spec/1"
 
-#: Campaign request kinds.
-KINDS = ("grid", "fuzz", "chaos")
+#: What a campaign name or id may be: each becomes part of a file name.
+NAME_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 #: Valid TMI config override keys (the TmiConfig field names).
 CONFIG_KEYS = frozenset(f.name for f in dc_fields(TmiConfig))
@@ -55,6 +55,14 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def check_name(value, what):
+    """Raise :class:`CampaignSpecError` unless ``value`` is a string
+    matching :data:`NAME_PATTERN`; ``what`` names it in the error."""
+    if not (isinstance(value, str) and NAME_PATTERN.fullmatch(value)):
+        raise CampaignSpecError(
+            f"bad {what} {value!r} (allowed: {NAME_PATTERN.pattern})")
+
+
 def _tuple(value):
     if value is None:
         return ()
@@ -65,39 +73,25 @@ def _tuple(value):
 
 @dataclass
 class CampaignSpec:
-    """One experiment-campaign request.
-
-    The cell axes are ``workloads x systems x configs x seeds``;
-    ``seeds`` parameterize schedule fuzzing (``fuzz``) or fault plans
-    (``chaos``) and default to a single unseeded cell for plain
-    ``grid`` requests.
-    """
+    """One experiment-campaign request: the grid
+    ``workloads x systems x configs`` at one ``scale``."""
 
     workloads: tuple
     systems: tuple = ("pthreads",)
-    kind: str = "grid"
     #: TMI config override dicts; one empty dict = the stock config.
     configs: tuple = ({},)
-    seeds: tuple = (None,)
     scale: float = 0.1
     nthreads: object = None
     #: Lower runs sooner (the scheduler's heap ordering).
     priority: int = 0
+    #: Campaign id stem (``grid`` when empty).
     name: str = ""
-    #: Schedule-perturbation policy for ``fuzz`` campaigns.
-    policy: str = "random"
-    #: Fault-rate intensity for ``chaos`` campaigns (see
-    #: :func:`repro.faults.default_rates`).
-    fault_intensity: float = 0.5
-    #: Free-form client metadata (not part of any cell identity).
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.workloads = _tuple(self.workloads)
         self.systems = _tuple(self.systems)
         self.configs = tuple(dict(c) for c in _tuple(self.configs)) \
             or ({},)
-        self.seeds = _tuple(self.seeds) or (None,)
         self.validate()
 
     # ------------------------------------------------------------------
@@ -105,9 +99,6 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     def validate(self):
         """Raise :class:`CampaignSpecError` on any malformed field."""
-        if self.kind not in KINDS:
-            raise CampaignSpecError(
-                f"unknown campaign kind {self.kind!r} (known: {KINDS})")
         if not self.workloads:
             raise CampaignSpecError("a campaign needs >= 1 workload")
         for name in self.workloads:
@@ -131,13 +122,6 @@ class CampaignSpec:
                     raise CampaignSpecError(
                         f"TMI config {key!r} must be a number "
                         f"(got {value!r})")
-        for seed in self.seeds:
-            if seed is not None and not _is_int(seed):
-                raise CampaignSpecError(
-                    f"seeds must be ints (got {seed!r})")
-        if self.kind != "grid" and any(s is None for s in self.seeds):
-            raise CampaignSpecError(
-                f"{self.kind} campaigns need integer seeds")
         if not (_is_number(self.scale) and self.scale > 0):
             raise CampaignSpecError(f"bad scale {self.scale!r}")
         if self.nthreads is not None and not (
@@ -145,14 +129,8 @@ class CampaignSpec:
             raise CampaignSpecError(f"bad nthreads {self.nthreads!r}")
         if not _is_int(self.priority):
             raise CampaignSpecError(f"bad priority {self.priority!r}")
-        if self.policy not in POLICY_NAMES:
-            raise CampaignSpecError(
-                f"unknown schedule policy {self.policy!r} "
-                f"(known: {POLICY_NAMES})")
-        if not (_is_number(self.fault_intensity)
-                and self.fault_intensity >= 0):
-            raise CampaignSpecError(
-                f"bad fault_intensity {self.fault_intensity!r}")
+        if self.name != "":
+            check_name(self.name, "campaign name")
 
     # ------------------------------------------------------------------
     # expansion
@@ -164,27 +142,15 @@ class CampaignSpec:
         store hashes exactly these dicts.
         """
         out = []
-        # a plain grid has one deterministic result per cell; replica
-        # seeds would only re-derive identical digests
-        seeds = (None,) if self.kind == "grid" else self.seeds
         axes = itertools.product(self.workloads, self.systems,
-                                 self.configs, seeds)
-        for workload, system, config, seed in axes:
+                                 self.configs)
+        for workload, system, config in axes:
             cell = {"name": workload, "system": system,
                     "scale": self.scale}
             if self.nthreads is not None:
                 cell["nthreads"] = self.nthreads
             if config:
                 cell["config"] = dict(config)
-            if self.kind == "fuzz":
-                cell["schedule"] = {"policy": self.policy,
-                                    "seed": int(seed)}
-            elif self.kind == "chaos":
-                from repro.faults import default_rates
-                cell["faults"] = {
-                    "seed": int(seed),
-                    "rates": default_rates(self.fault_intensity),
-                    "limits": {}}
             out.append(cell)
         return out
 
@@ -210,15 +176,12 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     def to_dict(self):
         """The spec as a stable ``repro-campaign-spec/1`` document."""
-        return {"format": SPEC_FORMAT, "kind": self.kind,
+        return {"format": SPEC_FORMAT,
                 "workloads": list(self.workloads),
                 "systems": list(self.systems),
                 "configs": [dict(c) for c in self.configs],
-                "seeds": list(self.seeds), "scale": self.scale,
-                "nthreads": self.nthreads, "priority": self.priority,
-                "name": self.name, "policy": self.policy,
-                "fault_intensity": self.fault_intensity,
-                "meta": dict(self.meta)}
+                "scale": self.scale, "nthreads": self.nthreads,
+                "priority": self.priority, "name": self.name}
 
     @classmethod
     def from_dict(cls, data):

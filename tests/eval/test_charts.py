@@ -1,6 +1,6 @@
 """ASCII chart rendering."""
 
-from repro.eval.charts import bar_chart, series_chart
+from repro.eval.charts import bar_chart
 
 
 class TestBarChart:
@@ -26,11 +26,3 @@ class TestBarChart:
         text = bar_chart("t", [("a", 3.14159, "")], unit="x")
         assert "3.14x" in text
 
-
-class TestSeriesChart:
-    def test_levels_cover_range(self):
-        text = series_chart("s", [1, 10, 100],
-                            {"runtime": [5.0, 4.0, 3.0],
-                             "events": [100, 50, 10]})
-        assert "runtime" in text and "events" in text
-        assert "x = [1, 10, 100]" in text

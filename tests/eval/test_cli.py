@@ -196,20 +196,22 @@ class TestRepairCommand:
 class TestQuarantineInspect:
     def test_replay_command_runs_the_stored_cell(self, capsys, tmp_path,
                                                  monkeypatch):
-        """A chaos-kind cell carries faults: the printed command must
-        run that exact cell, not a bare ``run <name> <system>``."""
+        """A cell with a config and a thread count: the printed
+        command must run that exact cell, not a bare ``run <name>
+        <system>``."""
         import shlex
 
         from repro.eval import runner
         from repro.service import CampaignSpec, Quarantine
 
         cell = CampaignSpec(workloads=("histogram",),
-                            systems=("tmi-protect",), kind="chaos",
-                            seeds=(4,), scale=0.05,
+                            systems=("tmi-protect",),
+                            configs=({"period": 25},), scale=0.05,
                             nthreads=2).cells()[0]
-        assert cell["faults"]["seed"] == 4
+        assert cell["config"] == {"period": 25}
+        assert cell["nthreads"] == 2
         Quarantine(str(tmp_path / "quarantine")).add(
-            "ab" * 32, cell, "chaos-1", attempts=2,
+            "ab" * 32, cell, "grid-1", attempts=2,
             reason="failed its replay")
         assert main(["quarantine", "inspect", "abab",
                      "--root", str(tmp_path)]) == 0

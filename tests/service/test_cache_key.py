@@ -117,16 +117,13 @@ _SPECS = st.builds(
                        min_size=1, max_size=2),
     systems=st.lists(st.sampled_from(["pthreads", "laser"]),
                      min_size=1, max_size=2),
-    kind=st.sampled_from(["grid", "fuzz", "chaos"]),
     configs=st.lists(st.dictionaries(
         st.sampled_from(sorted(spec_mod.CONFIG_KEYS)[:3]),
         st.integers(2, 3), max_size=1), min_size=1, max_size=2),
-    seeds=st.lists(st.integers(0, 2), min_size=1, max_size=2),
     scale=st.sampled_from([0.05, 0.1]),
     nthreads=st.sampled_from([None, 2]),
-    policy=st.sampled_from(["random", "pct"]),
-    fault_intensity=st.sampled_from([0.25, 0.5]),
-    priority=st.integers(0, 1))
+    priority=st.integers(0, 1),
+    name=st.sampled_from(["", "n"]))
 
 
 @_SETTINGS

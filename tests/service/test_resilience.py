@@ -16,14 +16,13 @@ import time
 
 import pytest
 
-from repro.errors import ReproError, ServiceTimeoutError
 from repro.eval import parallel
 from repro.eval.parallel import CELL_OK
 from repro.service import (CELL_QUARANTINED, COMPLETED,
                            QUARANTINE_FORMAT, SERVICE_STATE_FORMAT,
                            SOURCE_QUARANTINE, CampaignScheduler,
                            CampaignService, CampaignSpec,
-                           ServiceClient, cell_digest)
+                           cell_digest)
 
 _MAIN_PID = os.getpid()
 
@@ -275,28 +274,6 @@ class TestTenantFairness:
         assert sup.quarantine.get(poison_digest())["campaign"] == "late"
         counters = scheduler.metrics.snapshot()["counters"]
         assert counters["service.quarantined"] == 1
-
-
-class TestClientWait:
-    def test_timeout_is_typed_and_names_the_campaign(self, tmp_path):
-        client = ServiceClient(root=str(tmp_path / "svc"))
-        with pytest.raises(ServiceTimeoutError) as excinfo:
-            client.wait("ghost-1", timeout=0.05, poll=0.01)
-        err = excinfo.value
-        assert isinstance(err, ReproError)
-        assert isinstance(err, TimeoutError)
-        assert err.campaign_id == "ghost-1"
-        assert err.last_status == "unknown"
-        assert "ghost-1" in str(err) and "unknown" in str(err)
-
-    def test_timeout_reports_last_observed_status(self, tmp_path):
-        service = CampaignService(root=str(tmp_path / "svc"))
-        job = service.scheduler.make_job("stuck-1", grid_spec())
-        job.write_state()  # pending, and nothing will drain it
-        client = ServiceClient(root=service.root)
-        with pytest.raises(ServiceTimeoutError) as excinfo:
-            client.wait("stuck-1", timeout=0.05, poll=0.01)
-        assert excinfo.value.last_status == "pending"
 
 
 @pytest.mark.skipif(

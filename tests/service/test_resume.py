@@ -77,9 +77,11 @@ class TestUnrebuildableState:
     @pytest.mark.parametrize("changes, error", [
         ({"workloads": ["no-such-workload"]}, "unknown workload"),
         ({"tenant": "acme", "arrival": None}, "tenant"),
-        ({"kind": "chaos", "seeds": [1], "fault_intensity": "high"},
-         "fault_intensity"),
-    ], ids=["unknown-workload", "retired-fields", "intensity-word"])
+        ({"kind": "grid", "seeds": [None], "policy": "random",
+          "fault_intensity": 0.5, "meta": {}}, "kind"),
+        ({"configs": [{"period": "fast"}]}, "must be a number"),
+    ], ids=["unknown-workload", "retired-fields", "retired-grid-fields",
+            "config-word"])
     def test_marked_failed_and_others_resume(self, ok_pool, tmp_path,
                                              changes, error):
         service = make_service(tmp_path)
@@ -102,22 +104,23 @@ class TestUnrebuildableState:
 class TestMalformedSpool:
     def test_rejected_at_the_inbox_and_the_service_goes_on(self, ok_pool,
                                                           tmp_path):
-        """A spooled chaos spec whose intensity is a word fails
-        validation when the inbox is polled: it is renamed
-        ``.rejected``, no state is written for it, nothing is
-        quarantined, and the next spec is served."""
+        """A spooled spec whose config value is a word, or that carries
+        a retired field, fails validation when the inbox is polled:
+        it is renamed ``.rejected``, no state is written for it,
+        nothing is quarantined, and the next spec is served."""
         service = make_service(tmp_path)
-        bad = dict(CampaignSpec(workloads=("histogram",), kind="chaos",
-                                seeds=(1,), scale=0.05).to_dict(),
-                   fault_intensity="high")
-        with open(service._inbox_path("bad"), "w") as fh:
-            json.dump(bad, fh)
+        spooled = tiny_spec().to_dict()
+        for campaign_id, changes in (
+                ("bad", {"configs": [{"period": "fast"}]}),
+                ("old", {"kind": "grid"})):
+            with open(service._inbox_path(campaign_id), "w") as fh:
+                json.dump(dict(spooled, **changes), fh)
         tiny_spec().save(service._inbox_path("good"))
 
         done = asyncio.run(service.serve(once=True))
         assert [job.id for job in done] == ["good"]
         assert sorted(os.listdir(service.inbox_dir)) == \
-            ["bad.json.rejected"]
+            ["bad.json.rejected", "old.json.rejected"]
         assert os.listdir(service.campaigns_dir) == ["good.json"]
         assert service.resilience.quarantine.digests() == []
 

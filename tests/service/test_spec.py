@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import CampaignSpecError
 from repro.service import SPEC_FORMAT, CampaignSpec
+from repro.workloads import repair_suite_names
 
 
 def grid_spec(**overrides):
@@ -24,10 +25,6 @@ class TestValidation:
         with pytest.raises(CampaignSpecError, match="unknown system"):
             grid_spec(systems=("pthreads", "xen"))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(CampaignSpecError, match="campaign kind"):
-            grid_spec(kind="sweep")
-
     def test_unknown_config_key_rejected(self):
         with pytest.raises(CampaignSpecError, match="config key"):
             grid_spec(configs=({"perod": 100},))
@@ -40,23 +37,11 @@ class TestValidation:
         with pytest.raises(CampaignSpecError, match="scale"):
             grid_spec(scale=0)
 
-    def test_fuzz_needs_integer_seeds(self):
-        with pytest.raises(CampaignSpecError, match="integer seeds"):
-            grid_spec(kind="fuzz")
-        with pytest.raises(CampaignSpecError, match="seeds must be"):
-            grid_spec(kind="fuzz", seeds=("a",))
-
     def test_empty_workloads_rejected(self):
         with pytest.raises(CampaignSpecError, match=">= 1 workload"):
             CampaignSpec(workloads=())
 
     @pytest.mark.parametrize("overrides, error", [
-        (dict(kind="chaos", seeds=(1,), fault_intensity="high"),
-         "fault_intensity"),
-        (dict(kind="chaos", seeds=(1,), fault_intensity=-0.5),
-         "fault_intensity"),
-        (dict(kind="fuzz", seeds=(1,), policy="bogus"),
-         "schedule policy"),
         (dict(nthreads=0), "nthreads"),
         (dict(nthreads=-3), "nthreads"),
         (dict(nthreads="x"), "nthreads"),
@@ -64,11 +49,9 @@ class TestValidation:
         (dict(configs=({"period": "x"},)), "must be a number"),
         (dict(scale=True), "scale"),
         (dict(priority=True), "priority"),
-        (dict(kind="fuzz", seeds=(True,)), "seeds must be"),
-    ], ids=["intensity-word", "intensity-negative", "policy-unknown",
-            "nthreads-zero", "nthreads-negative", "nthreads-word",
+    ], ids=["nthreads-zero", "nthreads-negative", "nthreads-word",
             "nthreads-bool", "config-word", "scale-bool",
-            "priority-bool", "seed-bool"])
+            "priority-bool"])
     def test_field_that_would_fail_in_a_worker_rejected(self, overrides,
                                                         error):
         """Each of these specs used to be accepted and then raise in
@@ -79,7 +62,21 @@ class TestValidation:
     def test_error_is_value_error(self):
         # argparse/except ValueError call sites keep working
         with pytest.raises(ValueError):
-            grid_spec(kind="sweep")
+            grid_spec(systems=("xen",))
+
+    @pytest.mark.parametrize("name", [
+        "a/b", "../campaigns/evil", ".hidden", "-x", "a b", "a\\b",
+        None])
+    def test_name_that_is_not_a_file_name_rejected(self, name):
+        """A name becomes part of the campaign id, and the id a file
+        name under the service root."""
+        with pytest.raises(CampaignSpecError, match="campaign name"):
+            grid_spec(name=name)
+
+    @pytest.mark.parametrize("name", ["", "t", "table1-repair",
+                                      "v1.2_rc-3"])
+    def test_plain_names_accepted(self, name):
+        assert grid_spec(name=name).name == name
 
 
 class TestCells:
@@ -92,27 +89,18 @@ class TestCells:
             ("histogramfs", "tmi-protect")}
         assert all(c["scale"] == 0.05 for c in cells)
 
-    def test_grid_ignores_seeds(self):
-        # a deterministic grid cell has one result; replica seeds
-        # would only re-derive identical digests
-        assert len(grid_spec(seeds=(0, 1, 2)).cells()) == 4
-
-    def test_fuzz_cells_carry_schedule(self):
-        spec = grid_spec(kind="fuzz", seeds=(3, 4), policy="pct",
-                         systems=("pthreads",),
-                         workloads=("racy-flag",))
-        cells = spec.cells()
-        assert len(cells) == 2
-        assert cells[0]["schedule"] == {"policy": "pct", "seed": 3}
-        assert cells[1]["schedule"]["seed"] == 4
-
-    def test_chaos_cells_carry_faults(self):
-        spec = grid_spec(kind="chaos", seeds=(7,),
-                         systems=("tmi-protect",),
-                         workloads=("histogramfs",))
-        (cell,) = spec.cells()
-        assert cell["faults"]["seed"] == 7
-        assert cell["faults"]["rates"]          # stock table, scaled
+    def test_repair_grid_is_its_cross_product_in_order(self):
+        """The shape of the benchmark's Table 1 repair spec: exactly
+        one ``{name, system, scale}`` dict per (workload, system),
+        workload-major, so its store keys follow only the engine."""
+        workloads = repair_suite_names()
+        systems = ("pthreads", "manual", "sheriff-protect", "laser",
+                   "tmi-protect")
+        spec = CampaignSpec(workloads=workloads, systems=systems,
+                            scale=0.1, name="table1-repair")
+        assert spec.cells() == [
+            {"name": w, "system": s, "scale": 0.1}
+            for w in workloads for s in systems]
 
     def test_config_lands_in_cells(self):
         spec = grid_spec(configs=({"period": 25},),
@@ -124,23 +112,27 @@ class TestCells:
 
 class TestRoundTrip:
     def test_dict_round_trip(self):
-        spec = grid_spec(priority=3, name="t", meta={"owner": "ci"})
+        spec = grid_spec(priority=3, name="t", nthreads=2,
+                         configs=({"period": 25}, {}))
         clone = CampaignSpec.from_dict(spec.to_dict())
         assert clone.to_dict() == spec.to_dict()
         assert clone.cells() == spec.cells()
 
     def test_file_round_trip(self, tmp_path):
-        spec = grid_spec(kind="fuzz", seeds=(1, 2))
+        spec = grid_spec(configs=({"period": 50},), name="f")
         path = spec.save(str(tmp_path / "spec.json"))
         clone = CampaignSpec.load(path)
         assert clone.to_dict() == spec.to_dict()
         assert json.load(open(path))["format"] == SPEC_FORMAT
 
-    @pytest.mark.parametrize("key, value", [("tenant", ""),
-                                            ("arrival", None)])
+    @pytest.mark.parametrize("key, value", [
+        ("tenant", ""), ("arrival", None), ("kind", "grid"),
+        ("seeds", [None]), ("policy", "random"),
+        ("fault_intensity", 0.5), ("meta", {})])
     def test_retired_fields_rejected(self, key, value):
-        """Tenant and arrival fields were removed: a document that
-        still carries them fails with the typed error."""
+        """Retired fields, each at the value the last spec that wrote
+        it gave a grid: a document that still carries one fails with
+        the typed error."""
         data = dict(grid_spec().to_dict(), **{key: value})
         with pytest.raises(CampaignSpecError, match=key):
             CampaignSpec.from_dict(data)
