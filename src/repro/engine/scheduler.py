@@ -12,7 +12,11 @@ off the ready heap; stop-the-world requests (the monitor's ptrace
 attach) park every thread at its next op boundary — exactly where a
 real signal stop would land.  A batched op (``AccessRun``, ``RmwSeq``,
 ``StoreSeq``) runs as a continuation on the thread, sub-op by sub-op,
-and yields the core wherever the unbatched loop would have.
+and yields the core wherever the unbatched loop would have.  When it
+yields only to another mid-run thread, the continuation makes the
+loop's next dispatch itself and runs that thread on (the band, in
+:meth:`Engine._run_seq`), so contended runs trade the core without a
+trip through the loop.
 
 A :class:`~repro.schedule.SchedulePolicy` passed as ``policy=`` is the
 loop's pick step: whenever more than one thread is runnable, the policy
@@ -106,8 +110,8 @@ class Engine:
 
         # Type-keyed dispatch: one dict probe on the op's exact class
         # instead of walking an isinstance chain per op.  Op classes are
-        # final (frozen, slotted dataclasses), so exact-class keying is
-        # sound.
+        # final (slotted dataclasses, never subclassed), so exact-class
+        # keying is sound.
         self._exec_table = {
             O.Compute: self._exec_compute,
             O.Load: self._exec_access,
@@ -218,13 +222,21 @@ class Engine:
     def _run_loop(self):
         """The scheduling loop: pop the earliest live ready-heap entry,
         let the schedule policy (if any) pick the thread to run instead
-        (:meth:`_pick`), and dispatch one op of it."""
+        (:meth:`_pick`), and dispatch one op of it.
+
+        A dispatch first brings the thread's core clock up to its ready
+        time and charges its pending penalty.  A thread mid-way through
+        a batched op then resumes it (:meth:`_run_seq`); any other
+        thread's generator yields its next op, which runs through the
+        type-keyed handler table."""
         heap = self._heap
         threads = self.threads
         core_clock = self.machine.core_clock
         max_cycles = self.max_cycles
         vector = self._vector
         policy = self.policy
+        policy_notify = self._policy_notify
+        exec_table = self._exec_table
         if policy is not None:
             policy.reset(self)
         while heap:
@@ -238,7 +250,39 @@ class Engine:
             if policy is not None and heap:
                 ready_time, seq, tid = self._pick((ready_time, seq, tid))
                 thread = threads[tid]
-            self._dispatch(thread, ready_time)
+            core = thread.core
+            clock = core_clock[core]
+            if ready_time > clock:
+                clock = ready_time
+            core_clock[core] = clock + thread.pending_penalty
+            thread.pending_penalty = 0
+            if thread.run_op is not None:
+                # resume an in-flight AccessRun/RmwSeq/StoreSeq without
+                # re-entering the generator
+                if policy_notify:
+                    policy.notify_op(tid, thread.run_op.__class__.__name__)
+                self._run_seq(thread)
+            else:
+                try:
+                    op = thread.gen.send(thread.pending_value)
+                except StopIteration:
+                    self._finish_thread(thread)
+                else:
+                    thread.pending_value = None
+                    thread.ops += 1
+                    if policy_notify:
+                        policy.notify_op(tid, op.__class__.__name__)
+                    handler = exec_table.get(op.__class__)
+                    if handler is None:
+                        raise SimulationError(f"unknown op {op!r}")
+                    cost, value, blocked = handler(thread, op)
+                    if not blocked:
+                        # handlers may advance the clock themselves: add
+                        # to the live one
+                        core_clock[core] += cost
+                        thread.cycles += cost
+                        thread.pending_value = value
+                        self._schedule(thread, core_clock[core])
             if vector is not None and vector.hint:
                 vector.hint = False
                 vector.try_lockstep()
@@ -401,43 +445,6 @@ class Engine:
                 thread.pending_penalty = 0
                 self._schedule(thread,
                                max(thread.ready_time, stop_time) + penalty)
-
-    def _dispatch(self, thread, ready_time):
-        core_clock = self.machine.core_clock
-        core = thread.core
-        clock = core_clock[core]
-        if ready_time > clock:
-            clock = ready_time
-        core_clock[core] = clock + thread.pending_penalty
-        thread.pending_penalty = 0
-        if thread.run_op is not None:
-            # resume an in-flight AccessRun/RmwSeq/StoreSeq without
-            # re-entering the generator
-            if self._policy_notify:
-                self.policy.notify_op(thread.tid,
-                                      thread.run_op.__class__.__name__)
-            self._run_seq(thread)
-            return
-        try:
-            op = thread.gen.send(thread.pending_value)
-        except StopIteration:
-            self._finish_thread(thread)
-            return
-        thread.pending_value = None
-        thread.ops += 1
-        if self._policy_notify:
-            self.policy.notify_op(thread.tid, op.__class__.__name__)
-        handler = self._exec_table.get(op.__class__)
-        if handler is None:
-            raise SimulationError(f"unknown op {op!r}")
-        cost, value, blocked = handler(thread, op)
-        if blocked:
-            return
-        # handlers may advance the clock themselves: add to the live one
-        core_clock[core] += cost
-        thread.cycles += cost
-        thread.pending_value = value
-        self._schedule(thread, core_clock[core])
 
     def _finish_thread(self, thread):
         if thread.region_stack:
@@ -651,53 +658,30 @@ class Engine:
         element * stride``.  ``run_index`` counts sub-ops, so a break
         can land between an element's load and its store.  The phases
         come from the op, never from its lowered shape.
+
+        A thread that yields only because the earliest live ready-heap
+        entry is due hands the core to that entry's thread without a
+        trip through the scheduling loop, when that thread is itself
+        mid-run and the break is no lockstep hint: this is the band.
+        The routine then makes the loop's next dispatch itself.  It
+        reschedules the thread with the next ``seq``, replaces the head
+        on the ready heap with it, applies the head's dispatch prologue
+        (core clock up to its ready time, plus its pending penalty) and
+        continues with the head.  Between those two dispatches the loop
+        would run no tick, no budget error, no stop-the-world and no
+        vector window, so the band makes the same calls in the same
+        order at the same clocks.  Every other break returns to the
+        loop, and under a schedule policy there is no band.
         """
-        op = thread.run_op
         machine = self.machine
-        core = thread.core
         core_clock = machine.core_clock
         heap = self._heap
         threads = self.threads
-        tid = thread.tid
-        cls = op.__class__
-        is_rmw = cls is O.RmwSeq
-        is_run = cls is O.AccessRun
-        width = op.width
-        volatile = op.volatile
-        compute = 0 if is_run else op.compute
-        value = None
-        if is_rmw:
-            addrs = op.addrs
-            deltas = op.deltas
-            const_delta = deltas if isinstance(deltas, int) else None
-            count = len(addrs)
-            nphases = 3 if compute else 2
-            mask = (1 << (8 * width)) - 1
-            load_site = op.load_site
-            store_site = op.store_site
-        else:
-            # one access per element, at base + element * stride
-            access_site = op.site
-            base = op.addr
-            if is_run:
-                seq_values = None
-                count = op.count
-                stride = op.stride
-                run_write = op.is_write
-                value = op.value
-                nphases = 1
-            else:
-                seq_values = op.values
-                count = len(seq_values)
-                stride = 0
-                run_write = True
-                nphases = 2 if compute else 1
-        total = count * nphases
         max_cycles = self.max_cycles
         next_tick = self._next_tick
         # a head-ready break after a fast hit is the round-robin steady
         # state the lockstep kernel extrapolates; it runs sequences only
-        vector = None if is_run else self._vector
+        seq_vector = self._vector
         load_hit = self.costs.load_hit
         store_hit = self.costs.store_hit
         observer = self._observer
@@ -706,130 +690,195 @@ class Engine:
         # per access only when that hook is live
         override = (runtime.exec_access_override if self._rt_override
                     else None)
-        aspace = thread.process.aspace
-        # a bound object, not a snapshot: _tcache is mutated in place
-        # (cleared, never reassigned) so the binding stays live
-        tcache = aspace._tcache
         mem_access = machine.mem_access
-        routed = thread.routes(op)
-        # whether the latest access was hit-priced
-        fastish = False
-        # only this core's clock moves while the continuation runs, and
-        # it only grows, so machine.now is max(clock, now0) throughout
-        now0 = max(core_clock)
-        index = thread.run_index
-        if self.policy is not None:
-            # every access is a schedule decision point: every clock is
-            # past this bound, so the continuation yields after each
-            head_ready = 0
-        else:
-            # nothing is pushed to or popped from the ready heap while
-            # the continuation runs, so the earliest other ready time is
-            # a constant: drop stale heap entries once and peek once,
-            # exactly as the scheduling loop would have before each op
-            while heap:
-                ready_time, seq, next_tid = heap[0]
-                waiter = threads[next_tid]
-                if waiter.state == READY and waiter.seq == seq:
-                    break
-                heapq.heappop(heap)
-            head_ready = heap[0][0] if heap else None
-        clock = core_clock[core]
+        # under a schedule policy every access is a decision point
+        band = self.policy is None
         while True:
-            element, phase = divmod(index, nphases)
-            if phase == 0:
-                if is_rmw:
-                    site = load_site
-                    addr = addrs[element]
-                    is_write = False
-                else:
-                    site = access_site
-                    addr = base + element * stride
-                    is_write = run_write
-                    if seq_values is not None:
-                        value = seq_values[element]
-            elif phase == 1 and is_rmw:
-                site = store_site
-                addr = addrs[element]
-                is_write = True
-                value = (thread.run_values
-                         + (const_delta if const_delta is not None
-                            else deltas[element])) & mask
+            op = thread.run_op
+            core = thread.core
+            tid = thread.tid
+            cls = op.__class__
+            is_rmw = cls is O.RmwSeq
+            is_run = cls is O.AccessRun
+            width = op.width
+            volatile = op.volatile
+            compute = 0 if is_run else op.compute
+            value = None
+            if is_rmw:
+                addrs = op.addrs
+                deltas = op.deltas
+                const_delta = deltas if isinstance(deltas, int) else None
+                count = len(addrs)
+                nphases = 3 if compute else 2
+                mask = (1 << (8 * width)) - 1
+                load_site = op.load_site
+                store_site = op.store_site
             else:
-                site = None
-            if site is None:
-                cost = compute
-            else:
-                if observer is not None:
-                    observer.on_access(tid, site, addr, width, is_write,
-                                       volatile)
-                handled = None
-                if override is not None:
-                    handled = override(
-                        self, thread,
-                        O.Store(site, addr, value, width, volatile)
-                        if is_write else
-                        O.Load(site, addr, width, volatile))
-                if handled is not None:
-                    cost, loaded = handled
+                # one access per element, at base + element * stride
+                access_site = op.site
+                base = op.addr
+                if is_run:
+                    seq_values = None
+                    count = op.count
+                    stride = op.stride
+                    run_write = op.is_write
+                    value = op.value
+                    nphases = 1
                 else:
-                    if routed:
-                        translation = runtime.translate(
-                            self, thread, op, addr, width, is_write)
-                        pa = translation.pa
-                        cost = translation.cost
+                    seq_values = op.values
+                    count = len(seq_values)
+                    stride = 0
+                    run_write = True
+                    nphases = 2 if compute else 1
+            total = count * nphases
+            vector = None if is_run else seq_vector
+            aspace = thread.process.aspace
+            # a bound object, not a snapshot: _tcache is mutated in
+            # place (cleared, never reassigned) so the binding stays live
+            tcache = aspace._tcache
+            routed = thread.routes(op)
+            # whether the latest access was hit-priced
+            fastish = False
+            # only this core's clock moves while the thread runs, and it
+            # only grows, so machine.now is max(clock, now0) throughout
+            now0 = max(core_clock)
+            index = thread.run_index
+            if band:
+                # nothing is pushed to or popped from the ready heap
+                # while the thread runs, so the earliest other ready
+                # time is a constant: drop stale heap entries once and
+                # peek once, exactly as the scheduling loop would have
+                # before each op
+                while heap:
+                    ready_time, seq, next_tid = heap[0]
+                    waiter = threads[next_tid]
+                    if waiter.state == READY and waiter.seq == seq:
+                        break
+                    heapq.heappop(heap)
+                head_ready = heap[0][0] if heap else None
+            else:
+                # every clock is past this bound, so the thread yields
+                # after each sub-op
+                head_ready = 0
+            clock = core_clock[core]
+            head = None
+            while True:
+                element, phase = divmod(index, nphases)
+                if phase == 0:
+                    if is_rmw:
+                        site = load_site
+                        addr = addrs[element]
+                        is_write = False
                     else:
-                        entry = tcache.get(addr >> 12)
-                        if entry is not None and addr + width <= entry[1]:
-                            pa = addr + entry[0]
-                            cost = 0
-                        else:
-                            translation = aspace.translate(addr, width,
-                                                           is_write)
+                        site = access_site
+                        addr = base + element * stride
+                        is_write = run_write
+                        if seq_values is not None:
+                            value = seq_values[element]
+                elif phase == 1 and is_rmw:
+                    site = store_site
+                    addr = addrs[element]
+                    is_write = True
+                    value = (thread.run_values
+                             + (const_delta if const_delta is not None
+                                else deltas[element])) & mask
+                else:
+                    site = None
+                if site is None:
+                    cost = compute
+                else:
+                    if observer is not None:
+                        observer.on_access(tid, site, addr, width,
+                                           is_write, volatile)
+                    handled = None
+                    if override is not None:
+                        handled = override(
+                            self, thread,
+                            O.Store(site, addr, value, width, volatile)
+                            if is_write else
+                            O.Load(site, addr, width, volatile))
+                    if handled is not None:
+                        cost, loaded = handled
+                    else:
+                        if routed:
+                            translation = runtime.translate(
+                                self, thread, op, addr, width, is_write)
                             pa = translation.pa
                             cost = translation.cost
-                    traffic, loaded = mem_access(
-                        core, tid, site.pc, addr, pa, width, is_write,
-                        value)
-                    cost += traffic
-                    if is_write:
-                        thread.stores += 1
-                    else:
-                        thread.loads += 1
-                fastish = cost <= (store_hit if is_write else load_hit)
-                if is_rmw:
-                    # an RMW carries its loaded value to its store
-                    thread.run_values = loaded
-                elif not is_write:
-                    # an AccessRun's loads go back to the generator
-                    thread.run_values.append(loaded)
-            # handlers may advance the core clock internally (e.g. a
-            # store-buffer drain), so add the returned cost on top of
-            # the live clock exactly as _dispatch does
-            core_clock[core] += cost
+                        else:
+                            entry = tcache.get(addr >> 12)
+                            if entry is not None \
+                                    and addr + width <= entry[1]:
+                                pa = addr + entry[0]
+                                cost = 0
+                            else:
+                                translation = aspace.translate(
+                                    addr, width, is_write)
+                                pa = translation.pa
+                                cost = translation.cost
+                        traffic, loaded = mem_access(
+                            core, tid, site.pc, addr, pa, width, is_write,
+                            value)
+                        cost += traffic
+                        if is_write:
+                            thread.stores += 1
+                        else:
+                            thread.loads += 1
+                    fastish = cost <= (store_hit if is_write else load_hit)
+                    if is_rmw:
+                        # an RMW carries its loaded value to its store
+                        thread.run_values = loaded
+                    elif not is_write:
+                        # an AccessRun's loads go back to the generator
+                        thread.run_values.append(loaded)
+                # handlers may advance the core clock internally (e.g. a
+                # store-buffer drain), so add the returned cost on top of
+                # the live clock exactly as a dispatch does
+                core_clock[core] += cost
+                clock = core_clock[core]
+                thread.cycles += cost
+                index += 1
+                if index >= total:
+                    break
+                # --- would the serial engine have switched away here? ---
+                if self._stop_world:
+                    break
+                now = clock if clock > now0 else now0
+                if next_tick is not None and now >= next_tick:
+                    break
+                if now > max_cycles:
+                    break
+                if head_ready is not None and head_ready <= clock:
+                    if fastish and vector is not None:
+                        vector.hint = True
+                    elif band:
+                        # heap[0] is still the live entry peeked above
+                        head = threads[heap[0][2]]
+                        if head.run_op is None:
+                            head = None
+                    break
+            thread.run_index = index
+            if head is None:
+                if index >= total:
+                    thread.run_op = None
+                    thread.pending_value = (thread.run_values if is_run
+                                            else None)
+                    thread.run_values = None
+                self._schedule(thread, clock)
+                return
+            # the band: the loop's next dispatch, made here (a running
+            # thread is READY already)
+            thread.ready_time = clock
+            self._seq += 1
+            thread.seq = self._seq
+            heapq.heapreplace(heap, (clock, self._seq, tid))
+            thread = head
+            core = thread.core
             clock = core_clock[core]
-            thread.cycles += cost
-            index += 1
-            if index >= total:
-                break
-            # --- would the serial engine have switched away here? ---
-            if self._stop_world:
-                break
-            now = clock if clock > now0 else now0
-            if next_tick is not None and now >= next_tick:
-                break
-            if now > max_cycles:
-                break
-            if head_ready is not None and head_ready <= clock:
-                if fastish and vector is not None:
-                    vector.hint = True
-                break
-        thread.run_index = index
-        if index >= total:
-            thread.run_op = None
-            thread.pending_value = thread.run_values if is_run else None
-            thread.run_values = None
-        self._schedule(thread, clock)
+            if head_ready > clock:
+                clock = head_ready
+            core_clock[core] = clock + thread.pending_penalty
+            thread.pending_penalty = 0
 
     def _exec_bulk(self, thread, op):
         """Analytic streaming over a large range (native-input scale)."""

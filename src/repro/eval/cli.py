@@ -399,7 +399,11 @@ def _service_command(args):
             if not listed:
                 print("no campaigns")
             return 0
-        state = client.status(args.campaign)
+        try:
+            state = client.status(args.campaign)
+        except CampaignSpecError as exc:
+            print(f"status: {exc}", file=sys.stderr)
+            return 2
         if state is None:
             print(f"unknown campaign {args.campaign!r}",
                   file=sys.stderr)
@@ -417,7 +421,11 @@ def _service_command(args):
         return 0 if state.get("status") == "completed" else 1
 
     # results
-    rows = client.results(args.campaign)
+    try:
+        rows = client.results(args.campaign)
+    except CampaignSpecError as exc:
+        print(f"results: {exc}", file=sys.stderr)
+        return 2
     if rows is None:
         print(f"unknown campaign {args.campaign!r}", file=sys.stderr)
         return 2
@@ -470,10 +478,18 @@ def _quarantine_command(args):
                    if d.startswith(prefix)]
         return matches[0] if len(matches) == 1 else prefix
 
+    try:
+        if args.action == "release":
+            digests = (quarantine.digests() if args.digest == "all"
+                       else [resolve(args.digest)])
+            released = [d for d in digests if quarantine.release(d)]
+        else:
+            entry = quarantine.get(resolve(args.digest))
+    except ValueError as exc:
+        print(f"quarantine {args.action}: {exc}", file=sys.stderr)
+        return 2
+
     if args.action == "release":
-        digests = (quarantine.digests() if args.digest == "all"
-                   else [resolve(args.digest)])
-        released = [d for d in digests if quarantine.release(d)]
         for digest in released:
             print(f"released {digest}")
         if not released:
@@ -485,7 +501,6 @@ def _quarantine_command(args):
         return 0
 
     # inspect
-    entry = quarantine.get(resolve(args.digest))
     if entry is None:
         print(f"no quarantine entry for {args.digest!r}",
               file=sys.stderr)

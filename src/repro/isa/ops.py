@@ -13,6 +13,13 @@ Region markers (``RegionBegin``/``RegionEnd``) are the code-centric
 consistency callbacks of section 3.4.2 — in the paper an LLVM pass
 inserts them; here workload "compilation" emits them around atomic and
 inline-assembly code.
+
+Ops are slotted dataclasses but not frozen: a workload builds one per
+yield, and a frozen dataclass's ``__init__`` pays one
+``object.__setattr__`` per field, several times the cost of a plain
+build.  Nothing hashes or mutates an op; the repair rewriter derives
+patched ops with :func:`dataclasses.replace`.  :class:`InstrSite`
+stays frozen: a site is built once per binary and never changes.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +45,7 @@ class InstrSite:
     width: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Load:
     site: InstrSite
     addr: int
@@ -46,7 +53,7 @@ class Load:
     volatile: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Store:
     site: InstrSite
     addr: int
@@ -55,7 +62,7 @@ class Store:
     volatile: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AtomicRMW:
     """LOCK-prefixed read-modify-write; returns the old value.
 
@@ -72,7 +79,7 @@ class AtomicRMW:
     expected: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AtomicLoad:
     site: InstrSite
     addr: int
@@ -80,7 +87,7 @@ class AtomicLoad:
     ordering: str = SEQ_CST
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AtomicStore:
     site: InstrSite
     addr: int
@@ -89,7 +96,7 @@ class AtomicStore:
     ordering: str = SEQ_CST
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AccessRun:
     """A run of ``count`` same-site plain accesses ``stride`` bytes apart.
 
@@ -113,7 +120,7 @@ class AccessRun:
     volatile: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RmwSeq:
     """A sequence of plain load/store/compute read-modify-write steps.
 
@@ -139,7 +146,7 @@ class RmwSeq:
     volatile: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StoreSeq:
     """A sequence of plain store/compute steps to one address.
 
@@ -158,19 +165,19 @@ class StoreSeq:
     volatile: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Fence:
     site: InstrSite
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Compute:
     """Pure CPU work: advances the clock without touching memory."""
 
     cycles: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BulkTouch:
     """Analytic streaming access over [addr, addr+nbytes).
 
@@ -185,33 +192,33 @@ class BulkTouch:
     is_write: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RegionBegin:
     kind: str                  # REGION_ATOMIC | REGION_ASM
     ordering: str = SEQ_CST    # for atomic regions
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RegionEnd:
     kind: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MutexLock:
     mutex: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MutexUnlock:
     mutex: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BarrierWait:
     barrier: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CondWait:
     """pthread_cond_wait: atomically release ``mutex`` and sleep."""
 
@@ -219,13 +226,13 @@ class CondWait:
     mutex: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CondSignal:
     condvar: object
     broadcast: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Malloc:
     """Heap allocation through the active runtime's allocator."""
 
@@ -233,12 +240,12 @@ class Malloc:
     align: int = 0             # 0 = allocator default
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FreeOp:
     addr: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ThreadCreate:
     """Spawn a new application thread running ``body(ctx)``."""
 
@@ -247,6 +254,6 @@ class ThreadCreate:
     args: tuple = field(default_factory=tuple)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ThreadJoin:
     tid: int

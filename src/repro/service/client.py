@@ -13,6 +13,7 @@ service is down — the spec waits in the inbox until the next
 import os
 
 from repro.service.service import CampaignService
+from repro.service.spec import NAME_PATTERN
 
 
 class ServiceClient:
@@ -45,7 +46,8 @@ class ServiceClient:
         """Every campaign id known under this service root (sorted)."""
         out = []
         for fname in sorted(os.listdir(self._service.campaigns_dir)):
-            if fname.endswith(".json"):
+            if fname.endswith(".json") \
+                    and NAME_PATTERN.fullmatch(fname[:-len(".json")]):
                 out.append(fname[:-len(".json")])
         return out
 

@@ -26,6 +26,7 @@ byte-identical across ``REPRO_JOBS`` settings.
 
 import json
 import os
+import re
 from typing import Any, Dict, List, Optional
 
 from repro.eval.parallel import CELL_FAILED, CellRecord
@@ -43,6 +44,9 @@ CELL_QUARANTINED = "quarantined"
 #: Cell-entry source for quarantine skips (neither cache nor pool).
 SOURCE_QUARANTINE = "quarantine"
 
+#: A quarantine key: a cell digest, 64 lowercase hex characters.
+DIGEST_PATTERN = re.compile(r"[0-9a-f]{64}")
+
 
 class Quarantine:
     """Persisted poison-cell registry keyed by cell digest.
@@ -57,7 +61,12 @@ class Quarantine:
         self.root = root
 
     def path(self, digest: str) -> str:
-        """Where the entry for ``digest`` lives."""
+        """Where the entry for ``digest`` lives.  Raises ``ValueError``
+        for anything that is not a 64-hex digest, so no caller can
+        name a file outside the quarantine directory."""
+        if not DIGEST_PATTERN.fullmatch(digest):
+            raise ValueError(
+                f"bad digest {digest!r} (want 64 hex characters)")
         return os.path.join(self.root, f"{digest}.json")
 
     def add(self, digest: str, cell: Dict[str, Any], campaign_id: str,
@@ -71,8 +80,9 @@ class Quarantine:
 
     def get(self, digest: str) -> Optional[Dict[str, Any]]:
         """The quarantine entry for ``digest``, or None."""
+        path = self.path(digest)
         try:
-            with open(self.path(digest)) as fh:
+            with open(path) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
@@ -91,12 +101,14 @@ class Quarantine:
             return []
         return sorted(name[:-len(".json")]
                       for name in os.listdir(self.root)
-                      if name.endswith(".json"))
+                      if name.endswith(".json")
+                      and DIGEST_PATTERN.fullmatch(name[:-len(".json")]))
 
     def release(self, digest: str) -> bool:
         """Drop ``digest`` from quarantine; False when unknown."""
+        path = self.path(digest)
         try:
-            os.remove(self.path(digest))
+            os.remove(path)
         except OSError:
             return False
         return True

@@ -30,7 +30,7 @@ from repro.errors import CampaignSpecError
 from repro.eval.report import results_dir
 from repro.service.scheduler import (CAMPAIGN_FORMAT, COMPLETED,
                                      FAILED, CampaignScheduler)
-from repro.service.spec import CampaignSpec, check_name
+from repro.service.spec import NAME_PATTERN, CampaignSpec, check_name
 from repro.service.store import write_json
 
 __all__ = ["CampaignService", "CAMPAIGN_FORMAT"]
@@ -218,6 +218,7 @@ class CampaignService:
         for fname in sorted(os.listdir(self.campaigns_dir)):
             campaign_id = fname[:-len(".json")]
             if not fname.endswith(".json") \
+                    or not NAME_PATTERN.fullmatch(campaign_id) \
                     or campaign_id in self._finished:
                 continue
             state = self.status(campaign_id)
@@ -286,7 +287,10 @@ class CampaignService:
     # query
     # ------------------------------------------------------------------
     def status(self, campaign_id):
-        """The campaign's state document, or None when unknown."""
+        """The campaign's state document, or None when unknown.  Raises
+        :class:`~repro.errors.CampaignSpecError` for an id that is not
+        a file name, as the write side does."""
+        check_name(campaign_id, "campaign id")
         path = os.path.join(self.campaigns_dir, f"{campaign_id}.json")
         try:
             with open(path) as fh:

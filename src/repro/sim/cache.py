@@ -102,7 +102,8 @@ class CoherenceDirectory:
             out.hitm_remotes = []
 
         if first == last:
-            entry = self._fast.get(first)
+            fast = self._fast
+            entry = fast.get(first)
             if entry is not None and entry[0] == core:
                 _owner, holders, mine = entry
                 mine[0] = now
@@ -116,162 +117,172 @@ class CoherenceDirectory:
                 self.access_count += 1
                 return out
 
-            # single-line slow path (the overwhelmingly common shape)
-            self._fast.pop(first, None)
-            self._access_line(core, first, is_write, out)
-            out.cost += self._contention(core, first, is_write, now)
+            # single-line slow path (the overwhelmingly common shape):
+            # another core's entry goes before the full protocol runs
+            if entry is not None:
+                del fast[first]
+            self._line(core, first, is_write, now, out, fast)
             self.access_count += 1
-
-            holders = self._lines.get(first)
-            if holders is not None and len(holders) == 1:
-                state = holders.get(core)
-                if state is MODIFIED or state is EXCLUSIVE:
-                    recent = self._recent.get(first)
-                    if recent is not None and len(recent) == 1 \
-                            and core in recent:
-                        self._fast[first] = (core, holders, recent[core])
             return out
 
         out.lines = 0
+        fast = self._fast
         line = first
         while line <= last:
-            self._fast.pop(line, None)
-            self._access_line(core, line, is_write, out)
-            out.cost += self._contention(core, line, is_write, now)
+            fast.pop(line, None)
+            self._line(core, line, is_write, now, out, None)
             out.lines += 1
             line += LINE_SIZE
         self.access_count += 1
         return out
 
-    def _contention(self, core, line, is_write, now):
-        """Hot-line queueing tax (see CostModel.contend_penalty).
+    def _line(self, core, line, is_write, now, out, fast):
+        """One line's share of an access, in one step: the MESI
+        transition (HITM counters and NUMA costs included), then the
+        hot-line contention tax, both added to ``out``.
 
-        A serialized per-op simulation understates how badly a line that
-        several cores conflict on behaves: in hardware, every access to
-        such a line queues behind in-flight ownership transfers.  We
-        charge each access a penalty per remote core that touched the
-        line within a recent window, whenever the conflict involves a
-        writer (SWMR serialization); read-only sharing stays free.
+        The contention tax (see CostModel.contend_penalty): a serialized
+        per-op simulation understates how badly a line that several
+        cores conflict on behaves, because in hardware every access to
+        such a line queues behind in-flight ownership transfers.  Each
+        access pays a penalty per remote core that touched the line
+        within a recent window, whenever the conflict involves a writer
+        (SWMR serialization); read-only sharing stays free.
+
+        ``fast`` is the owner micro-cache of a single-line access, whose
+        caller has already dropped any entry for ``line``: the step
+        installs one when ``core`` is left the line's sole M/E holder
+        and sole recent toucher.  A multi-line access passes None and
+        installs nothing.
         """
-        recent = self._recent.get(line)
-        if recent is None:
-            self._recent[line] = {core: [now, now if is_write else None]}
-            return 0
-        horizon = now - self._contend_window
-        conflicting = 0
-        stale = None
-        for other, (last_any, last_write) in recent.items():
-            if other == core:
-                continue
-            if last_any < horizon:
-                stale = other if stale is None else stale
-                continue
-            if is_write or (last_write is not None
-                            and last_write >= horizon):
-                conflicting += 1
-        if stale is not None and len(recent) > 4:
-            for other in [o for o, (la, _lw) in recent.items()
-                          if la < horizon and o != core]:
-                del recent[other]
-        mine = recent.get(core)
-        if mine is None:
-            recent[core] = [now, now if is_write else None]
-        else:
-            mine[0] = now
-            if is_write:
-                mine[1] = now
-        if not conflicting:
-            return 0
-        self.contended_accesses += 1
-        return self._contend_penalty * min(conflicting,
-                                           self._contend_max_cores)
-
-    def _access_line(self, core, line, is_write, out):
         costs = self.costs
         holders = self._lines.get(line)
         if holders is None:
-            holders = {}
-            self._lines[line] = holders
+            holders = self._lines[line] = {}
         mine = holders.get(core)
-
         if not is_write:
             if mine is not None:
                 out.cost += costs.load_hit
-                return
-            remote_m = _modified_holder(holders, core)
+            else:
+                remote_m = None
+                for other, state in holders.items():
+                    if state == MODIFIED:
+                        remote_m = other
+                        break
+                if remote_m is not None:
+                    # HITM: remote Modified line supplies the data.
+                    holders[remote_m] = SHARED_ST
+                    holders[core] = SHARED_ST
+                    out.cost += costs.hitm_load
+                    out.hitm_remotes.append(remote_m)
+                    self.hitm_load_count += 1
+                    if self._multi and \
+                            self._socket_of[remote_m] != self._socket_of[core]:
+                        out.cost += costs.qpi_hop
+                        self.qpi_hops += 1
+                        self.hitm_cross_socket_count += 1
+                elif holders:
+                    if self._multi:
+                        my_socket = self._socket_of[core]
+                        if all(self._socket_of[o] != my_socket
+                               for o in holders):
+                            out.cost += costs.qpi_hop
+                            self.qpi_hops += 1
+                    for other in holders:
+                        if holders[other] == EXCLUSIVE:
+                            holders[other] = SHARED_ST
+                    holders[core] = SHARED_ST
+                    out.cost += costs.shared_fill
+                else:
+                    holders[core] = EXCLUSIVE
+                    out.cost += costs.mem_fill
+                    if self._multi and \
+                            self._home_of(line, core) != self._socket_of[core]:
+                        out.cost += costs.numa_remote_fill
+                        self.remote_mem_fills += 1
+        elif mine == MODIFIED:
+            out.cost += costs.store_hit
+        elif mine == EXCLUSIVE:
+            holders[core] = MODIFIED
+            out.cost += costs.store_hit
+        else:
+            remote_m = None
+            others = []
+            for other, state in holders.items():
+                if other != core:
+                    if remote_m is None and state == MODIFIED:
+                        remote_m = other
+                    others.append(other)
             if remote_m is not None:
-                # HITM: remote Modified line supplies the data.
-                holders[remote_m] = SHARED_ST
-                holders[core] = SHARED_ST
-                out.cost += costs.hitm_load
+                # store that invalidates a remote Modified line (store
+                # HITM)
+                del holders[remote_m]
+                holders[core] = MODIFIED
+                out.cost += costs.hitm_store
                 out.hitm_remotes.append(remote_m)
-                self.hitm_load_count += 1
+                self.hitm_store_count += 1
                 if self._multi and \
                         self._socket_of[remote_m] != self._socket_of[core]:
                     out.cost += costs.qpi_hop
                     self.qpi_hops += 1
                     self.hitm_cross_socket_count += 1
-            elif holders:
+            elif mine == SHARED_ST or others:
                 if self._multi:
                     my_socket = self._socket_of[core]
-                    if all(self._socket_of[o] != my_socket
-                           for o in holders):
+                    if any(self._socket_of[o] != my_socket for o in others):
                         out.cost += costs.qpi_hop
                         self.qpi_hops += 1
-                for other in holders:
-                    if holders[other] == EXCLUSIVE:
-                        holders[other] = SHARED_ST
-                holders[core] = SHARED_ST
-                out.cost += costs.shared_fill
+                for other in others:
+                    del holders[other]
+                holders[core] = MODIFIED
+                out.cost += (costs.upgrade if mine == SHARED_ST
+                             else costs.mem_fill)
             else:
-                holders[core] = EXCLUSIVE
+                holders[core] = MODIFIED
                 out.cost += costs.mem_fill
                 if self._multi and \
                         self._home_of(line, core) != self._socket_of[core]:
                     out.cost += costs.numa_remote_fill
                     self.remote_mem_fills += 1
-            return
 
-        # write
-        if mine == MODIFIED:
-            out.cost += costs.store_hit
-            return
-        if mine == EXCLUSIVE:
-            holders[core] = MODIFIED
-            out.cost += costs.store_hit
-            return
-        remote_m = _modified_holder(holders, core)
-        if remote_m is not None:
-            # store that invalidates a remote Modified line (store HITM)
-            del holders[remote_m]
-            holders[core] = MODIFIED
-            out.cost += costs.hitm_store
-            out.hitm_remotes.append(remote_m)
-            self.hitm_store_count += 1
-            if self._multi and \
-                    self._socket_of[remote_m] != self._socket_of[core]:
-                out.cost += costs.qpi_hop
-                self.qpi_hops += 1
-                self.hitm_cross_socket_count += 1
-            return
-        others = [c for c in holders if c != core]
-        if mine == SHARED_ST or others:
-            if self._multi:
-                my_socket = self._socket_of[core]
-                if any(self._socket_of[o] != my_socket for o in others):
-                    out.cost += costs.qpi_hop
-                    self.qpi_hops += 1
-            for other in others:
-                del holders[other]
-            holders[core] = MODIFIED
-            out.cost += costs.upgrade if mine == SHARED_ST else costs.mem_fill
-            return
-        holders[core] = MODIFIED
-        out.cost += costs.mem_fill
-        if self._multi and \
-                self._home_of(line, core) != self._socket_of[core]:
-            out.cost += costs.numa_remote_fill
-            self.remote_mem_fills += 1
+        # contention tax, from the line's recent-toucher history
+        recent = self._recent.get(line)
+        if recent is None:
+            cell = [now, now if is_write else None]
+            recent = self._recent[line] = {core: cell}
+        else:
+            horizon = now - self._contend_window
+            conflicting = 0
+            stale = False
+            for other, (last_any, last_write) in recent.items():
+                if other == core:
+                    continue
+                if last_any < horizon:
+                    stale = True
+                    continue
+                if is_write or (last_write is not None
+                                and last_write >= horizon):
+                    conflicting += 1
+            if stale and len(recent) > 4:
+                for other in [o for o, (la, _lw) in recent.items()
+                              if la < horizon and o != core]:
+                    del recent[other]
+            cell = recent.get(core)
+            if cell is None:
+                cell = recent[core] = [now, now if is_write else None]
+            else:
+                cell[0] = now
+                if is_write:
+                    cell[1] = now
+            if conflicting:
+                self.contended_accesses += 1
+                out.cost += self._contend_penalty * min(
+                    conflicting, self._contend_max_cores)
+
+        if fast is not None and len(holders) == 1 and len(recent) == 1:
+            state = holders[core]
+            if state is MODIFIED or state is EXCLUSIVE:
+                fast[line] = (core, holders, cell)
 
     # ------------------------------------------------------------------
     def flush_range(self, pa, nbytes):
@@ -326,9 +337,3 @@ class CoherenceDirectory:
                     f"line {line:#x}: E holder with other sharers")
         return len(self._lines)
 
-
-def _modified_holder(holders, exclude):
-    for core, state in holders.items():
-        if core != exclude and state == MODIFIED:
-            return core
-    return None

@@ -9,7 +9,7 @@ samples (paper section 2.1).
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HitmEvent:
     """One access that hit a remote Modified cache line.
 

@@ -8,6 +8,12 @@ private lines and on one falsely shared line, once through the batched
 op and once one op at a time; cycles, HITM counts, data ops, every
 core's clock and every loaded value must match.  The same holds under
 LASER, whose store buffer intercepts every access of a run.
+
+Contended runs take turns inside one engine call (the band: a thread
+that yields to a mid-run thread hands it the core without a trip
+through the scheduling loop).  The band pins run the falsely shared
+hammer without the vector core, under LASER and under TMI, and check
+that every way a band ends leaves the per-op results unchanged.
 """
 
 import pytest
@@ -15,6 +21,7 @@ import pytest
 from helpers import make_program
 from repro.baselines import LaserRuntime
 from repro.baselines.pthreads import PthreadsRuntime
+from repro.core import TmiConfig, TmiRuntime
 from repro.engine import Engine
 from repro.isa import Binary
 
@@ -33,75 +40,86 @@ ROUND_OPS = {"store": RUN, "load": RUN + 1, "rmw_seq": 2 * RUN + 1,
              "store_seq": RUN + 1}
 
 
-def _round(w, kind, batched, slot, r, st, ld):
+def _round(w, kind, batched, slot, r, st, ld, vol=False):
     """One worker round of ``kind``; returns the values it loaded.
 
     "store": ``RUN`` stores of the slot.  "load": one store of the
     slot, then ``RUN`` loads of consecutive words from the start of its
     line.  "rmw_seq": ``RUN`` load/add/store/compute increments of the
     slot, then one load of it.  "store_seq": ``RUN`` store/compute
-    steps of distinct values to the slot, then one load of it.
+    steps of distinct values to the slot, then one load of it.  ``vol``
+    makes every access of the round volatile.
     """
     value = w.tid * 1000 + r
     if kind == "store":
         if batched:
-            yield from w.store_run(slot, value, RUN, 0, site=st)
+            yield from w.store_run(slot, value, RUN, 0, site=st,
+                                   volatile=vol)
         else:
             for _ in range(RUN):
-                yield from w.store(slot, value, site=st)
+                yield from w.store(slot, value, site=st, volatile=vol)
         return []
     if kind == "load":
-        yield from w.store(slot, value, site=st)
+        yield from w.store(slot, value, site=st, volatile=vol)
         line = slot & ~63
         if batched:
-            got = yield from w.load_run(line, RUN, 8, site=ld)
+            got = yield from w.load_run(line, RUN, 8, site=ld,
+                                        volatile=vol)
             return got
         got = []
         for i in range(RUN):
-            v = yield from w.load(line + i * 8, site=ld)
+            v = yield from w.load(line + i * 8, site=ld, volatile=vol)
             got.append(v)
         return got
     if kind == "rmw_seq":
         if batched:
             yield from w.rmw_seq([slot] * RUN, 8, w.tid, COMPUTE,
-                                 load_site=ld, store_site=st)
+                                 load_site=ld, store_site=st,
+                                 volatile=vol)
         else:
             for _ in range(RUN):
-                v = yield from w.load(slot, site=ld)
-                yield from w.store(slot, v + w.tid, site=st)
+                v = yield from w.load(slot, site=ld, volatile=vol)
+                yield from w.store(slot, v + w.tid, site=st, volatile=vol)
                 yield from w.compute(COMPUTE)
     else:
         values = [value + i for i in range(RUN)]
         if batched:
-            yield from w.store_seq(slot, values, 8, COMPUTE, site=st)
+            yield from w.store_seq(slot, values, 8, COMPUTE, site=st,
+                                   volatile=vol)
         else:
             for v in values:
-                yield from w.store(slot, v, site=st)
+                yield from w.store(slot, v, site=st, volatile=vol)
                 yield from w.compute(COMPUTE)
-    got = yield from w.load(slot, site=ld)
+    got = yield from w.load(slot, site=ld, volatile=vol)
     return [got]
 
 
-def _hammer(slot_stride, kind, batched):
+def _hammer(slot_stride, kind, batched, volatile=False):
     """Per round, each worker runs one ``kind`` round (see
-    :func:`_round`) as one batched op or one op at a time.  Returns the
-    program and the list its workers append their loaded values to."""
+    :func:`_round`) as one batched op or one op at a time; with
+    ``volatile`` the odd workers' accesses are volatile.  Returns the
+    program, the list its workers append their loaded values to, and
+    the one-element list main puts the slots' block in."""
     binary = Binary("hammer")
     st = binary.store_site("st", 8)
     ld = binary.load_site("ld", 8)
     loaded = []
+    block_box = []
 
     def main(t):
         block = yield from t.malloc(4096, align=64)
+        block_box.append(block)
         start = yield from t.barrier(NWORKERS, "start")
 
         def worker(w):
             slot = block + (w.tid - 1) * slot_stride
+            vol = volatile and w.tid % 2 == 1
             # overlap the workers: pthread_create staggers their starts
             # by more than a whole worker's run
             yield from w.barrier_wait(start)
             for r in range(ROUNDS):
-                got = yield from _round(w, kind, batched, slot, r, st, ld)
+                got = yield from _round(w, kind, batched, slot, r, st, ld,
+                                        vol)
                 if got:
                     loaded.append((w.tid, r, tuple(got)))
 
@@ -113,7 +131,7 @@ def _hammer(slot_stride, kind, batched):
             yield from t.join(tid)
 
     return make_program(main, "hammer", nthreads=NWORKERS,
-                        binary=binary), loaded
+                        binary=binary), loaded, block_box
 
 
 def _outcome(engine, loaded):
@@ -127,7 +145,7 @@ def _outcome(engine, loaded):
 def test_batched_and_per_op_loops_are_cycle_identical(kind, slots):
     outcomes = {}
     for batched in (True, False):
-        program, loaded = _hammer(STRIDES[slots], kind, batched)
+        program, loaded, _block = _hammer(STRIDES[slots], kind, batched)
         outcomes[batched] = _outcome(Engine(program, PthreadsRuntime()),
                                      loaded)
     assert outcomes[True] == outcomes[False]
@@ -135,6 +153,65 @@ def test_batched_and_per_op_loops_are_cycle_identical(kind, slots):
     assert data_ops == NWORKERS * ROUNDS * ROUND_OPS[kind]
     if slots == "falsely_shared":
         assert hitm_loads + hitm_stores > 0, "packed slots must contend"
+
+
+#: Runtimes of the band pins.  Without the vector core every
+#: head-ready break between two mid-run threads is a band switch.
+#: LASER's detector instruments the hammer's sites at a tick, and from
+#: then on its store buffer takes every access (the override lane).
+#: TMI's detector ticks and its T2P stop-the-world land inside bands,
+#: and after the repair the odd workers' volatile runs are routed
+#: around the PTSB.
+BAND_SYSTEMS = ("pthreads-serial", "laser", "tmi-protect")
+
+
+def _band_engine(system, program):
+    if system == "laser":
+        runtime = LaserRuntime()
+    elif system == "tmi-protect":
+        runtime = TmiRuntime("protect", TmiConfig())
+    else:
+        runtime = PthreadsRuntime()
+    return Engine(program, runtime, vector=system != "pthreads-serial")
+
+
+def _repaired(engine):
+    """Whether the run's runtime repaired the shared line: LASER
+    instrumented a site, or TMI converted the threads to processes."""
+    runtime = engine.runtime
+    if isinstance(runtime, LaserRuntime):
+        return bool(runtime.instrumented_pcs)
+    return len(engine.processes) > 1
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_OPS))
+@pytest.mark.parametrize("system", BAND_SYSTEMS)
+def test_contended_bands_match_per_op_loops(system, kind):
+    """Four workers' runs on one falsely shared line form bands.  A
+    band ends at a run's last sub-op, at a generator thread's ready
+    time (the "load" round's store and each round's closing load are
+    single ops), at a detector tick, and at TMI's T2P stop-the-world.
+    Cycles, HITMs, data ops, core clocks, loaded values and the slots'
+    final contents all match the per-op loops."""
+    stride = STRIDES["falsely_shared"]
+    outcomes = {}
+    for batched in (True, False):
+        program, loaded, block = _hammer(stride, kind, batched,
+                                         volatile=True)
+        engine = _band_engine(system, program)
+        outcome = _outcome(engine, loaded)
+        final = [engine.read_memory(block[0] + i * stride, 8)
+                 for i in range(NWORKERS)]
+        outcomes[batched] = outcome + (final, _repaired(engine))
+    assert outcomes[True] == outcomes[False]
+    _cycles, hitm_loads, hitm_stores, data_ops = outcomes[True][:4]
+    assert data_ops == NWORKERS * ROUNDS * ROUND_OPS[kind]
+    assert hitm_loads + hitm_stores > 0, "packed slots must contend"
+    if system != "pthreads-serial" and kind != "load":
+        # the repair landed while the workers still ran (the load
+        # round reads its neighbours' slots: true sharing, which
+        # neither runtime repairs)
+        assert outcomes[True][-1]
 
 
 #: Rounds of the LASER alias case.

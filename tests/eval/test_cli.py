@@ -229,3 +229,42 @@ class TestQuarantineInspect:
         exec(argv[2], {})
         assert ran == [cell]
         capsys.readouterr()
+
+
+class TestQuarantineDigests:
+    """``inspect``/``release`` take a 64-hex digest or a unique prefix
+    of one; anything else is refused before a file is touched."""
+
+    def _held(self, tmp_path):
+        from repro.service import Quarantine
+        quarantine = Quarantine(str(tmp_path / "quarantine"))
+        quarantine.add("cd" * 32, {"name": "histogram"}, "grid-1",
+                       attempts=2, reason="failed its replay")
+        keep = tmp_path / "campaigns" / "keep.json"
+        keep.parent.mkdir()
+        keep.write_text("{}\n")
+        return quarantine, keep
+
+    @pytest.mark.parametrize("action", ["release", "inspect"])
+    @pytest.mark.parametrize("digest", ["../campaigns/keep", "c" * 63,
+                                        "CD" * 32],
+                             ids=["escape", "short", "upper"])
+    def test_non_digest_is_refused_and_outside_file_survives(
+            self, capsys, tmp_path, action, digest):
+        quarantine, keep = self._held(tmp_path)
+        assert main(["quarantine", action, digest,
+                     "--root", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"quarantine {action}: bad digest {digest!r} "
+                       f"(want 64 hex characters)\n")
+        assert keep.read_text() == "{}\n"
+        assert quarantine.digests() == ["cd" * 32]
+
+    def test_unique_prefix_still_releases(self, capsys, tmp_path):
+        quarantine, keep = self._held(tmp_path)
+        assert main(["quarantine", "release", "cdcd",
+                     "--root", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith(f"released {'cd' * 32}\n")
+        assert quarantine.digests() == []
+        assert keep.exists()

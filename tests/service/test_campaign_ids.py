@@ -74,6 +74,28 @@ class TestClientAndService:
             service.submit(tiny_spec(), campaign_id)
         assert files_under(str(tmp_path)) == []
 
+    @pytest.mark.parametrize("campaign_id", ["../../other/x", "a/b", ".x"])
+    def test_status_and_results_refuse_an_id_that_is_not_a_file_name(
+            self, capsys, tmp_path, campaign_id):
+        """The read side checks an id as the write side does: a state
+        file outside ``campaigns/`` is never read."""
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "x.json").write_text(json.dumps(
+            {"format": "repro-campaign/1", "id": "x",
+             "status": "completed"}))
+        root = tmp_path / "svc"
+        service = CampaignService(root=str(root))
+        for read in (service.status, service.results):
+            with pytest.raises(CampaignSpecError, match="campaign id"):
+                read(campaign_id)
+        for command in ("status", "results"):
+            assert main([command, campaign_id, "--root", str(root)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"{command}: bad campaign id ")
+            assert err.count("\n") == 1
+
     def test_unnamed_campaigns_get_grid_ids(self, tmp_path):
         spec = tiny_spec()
         client = ServiceClient(root=str(tmp_path / "svc"))
