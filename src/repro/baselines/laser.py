@@ -11,7 +11,7 @@ synchronization is too frequent for its TSO store buffer (Figure 9).
 """
 
 from repro.baselines.pthreads import PthreadsRuntime
-from repro.core.config import TmiConfig
+from repro.core.config import TmiConfig, check_detect_interval
 from repro.core.detector import FalseSharingDetector
 from repro.isa.disasm import Disassembler
 from repro.isa.ops import (AtomicLoad, AtomicRMW, AtomicStore, Fence,
@@ -48,6 +48,7 @@ class LaserRuntime(PthreadsRuntime):
 
     # ------------------------------------------------------------------
     def setup(self, engine):
+        check_detect_interval(self.tick_cycles, engine.costs)
         super().setup(engine)
         self.perf = PerfSession(engine.costs, period=self.config.period)
         engine.machine.add_hitm_listener(self.perf.on_hitm)

@@ -14,6 +14,7 @@ interval-seconds.  EXPERIMENTS.md documents this substitution.
 
 from dataclasses import dataclass
 
+from repro.errors import DetectIntervalError
 from repro.sim.costs import PAGE_2M, PAGE_4K
 
 
@@ -84,3 +85,12 @@ class TmiConfig:
     @property
     def app_page_size(self):
         return PAGE_2M if self.huge_pages else PAGE_4K
+
+
+def check_detect_interval(interval, costs):
+    """Raise :class:`~repro.errors.DetectIntervalError` unless a
+    detection interval of ``interval`` cycles is above ``costs``'
+    fixed analysis cost per interval (``detect_fixed``), the least
+    each tick charges the service core."""
+    if not interval > costs.detect_fixed:
+        raise DetectIntervalError(interval, costs.detect_fixed)

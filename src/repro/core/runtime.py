@@ -13,7 +13,7 @@ Three stages match the evaluation's configurations:
 """
 
 from repro.alloc import LocklessAllocator, RegionBump
-from repro.core.config import TmiConfig
+from repro.core.config import TmiConfig, check_detect_interval
 from repro.core.consistency import CodeCentricPolicy
 from repro.core.detector import FalseSharingDetector
 from repro.core.ladder import DegradationLadder
@@ -66,6 +66,8 @@ class TmiRuntime(RuntimeHooks):
         costs = engine.costs
         program = engine.program
         page_size = self.config.app_page_size
+        if self.stage != STAGE_ALLOC:
+            check_detect_interval(self.tick_cycles, costs)
         self._engine = engine
 
         self.shm = SharedMemoryNamespace(machine.physmem,

@@ -10,20 +10,25 @@ ties break by insertion order.  Each op's cycle cost advances that
 thread's core clock.  Blocking (locks, barriers, joins) parks threads
 off the ready heap; stop-the-world requests (the monitor's ptrace
 attach) park every thread at its next op boundary — exactly where a
-real signal stop would land.  A batched op (``AccessRun``, ``RmwSeq``,
+real signal stop would land.  When the thread that just ran would be
+popped next anyway, with nothing due in between, its generator is sent
+its next value at once (run-on, in :meth:`Engine._run_loop`), without
+a trip through the heap.  A batched op (``AccessRun``, ``RmwSeq``,
 ``StoreSeq``) runs as a continuation on the thread, sub-op by sub-op,
 and yields the core wherever the unbatched loop would have.  When it
 yields only to another mid-run thread, the continuation makes the
 loop's next dispatch itself and runs that thread on (the band, in
 :meth:`Engine._run_seq`), so contended runs trade the core without a
-trip through the loop.
+trip through the loop; only a break the lockstep kernel would take a
+window at returns there.
 
 A :class:`~repro.schedule.SchedulePolicy` passed as ``policy=`` is the
 loop's pick step: whenever more than one thread is runnable, the policy
 picks the next one from the runnable set, the engine records the
 decision, and the log replays any interleaving exactly (see
 :mod:`repro.schedule`).  Continuations then yield after every access,
-so each access is a decision point.
+so each access is a decision point, and there is no run-on, band or
+lockstep kernel.
 """
 
 import heapq
@@ -228,7 +233,16 @@ class Engine:
         time and charges its pending penalty.  A thread mid-way through
         a batched op then resumes it (:meth:`_run_seq`); any other
         thread's generator yields its next op, which runs through the
-        type-keyed handler table."""
+        type-keyed handler table.
+
+        Run-on: after a generator op that did not block, the loop would
+        pop the same thread next, and do nothing else first, when there
+        is no schedule policy, no pending stop-the-world or penalty, no
+        due tick, the budget holds and the thread's clock is strictly
+        below every ready time on the heap.  Then the generator is sent
+        its next value at once, with no heap entry and no ``seq``: only
+        the relative order of heap entries matters, and it does not
+        change."""
         heap = self._heap
         threads = self.threads
         core_clock = self.machine.core_clock
@@ -237,6 +251,8 @@ class Engine:
         policy = self.policy
         policy_notify = self._policy_notify
         exec_table = self._exec_table
+        # under a schedule policy every op is a decision point
+        run_on = policy is None
         if policy is not None:
             policy.reset(self)
         while heap:
@@ -263,11 +279,13 @@ class Engine:
                     policy.notify_op(tid, thread.run_op.__class__.__name__)
                 self._run_seq(thread)
             else:
-                try:
-                    op = thread.gen.send(thread.pending_value)
-                except StopIteration:
-                    self._finish_thread(thread)
-                else:
+                gen = thread.gen
+                while True:
+                    try:
+                        op = gen.send(thread.pending_value)
+                    except StopIteration:
+                        self._finish_thread(thread)
+                        break
                     thread.pending_value = None
                     thread.ops += 1
                     if policy_notify:
@@ -276,13 +294,29 @@ class Engine:
                     if handler is None:
                         raise SimulationError(f"unknown op {op!r}")
                     cost, value, blocked = handler(thread, op)
-                    if not blocked:
-                        # handlers may advance the clock themselves: add
-                        # to the live one
-                        core_clock[core] += cost
-                        thread.cycles += cost
-                        thread.pending_value = value
-                        self._schedule(thread, core_clock[core])
+                    if blocked:
+                        break
+                    # handlers may advance the clock themselves: add to
+                    # the live one
+                    clock = core_clock[core] + cost
+                    core_clock[core] = clock
+                    thread.cycles += cost
+                    thread.pending_value = value
+                    # run on: when this thread's clock is strictly before
+                    # every ready time on the heap (a stale head only
+                    # lowers the bound), the loop would pop it next, with
+                    # nothing to do in between, so send it its next value
+                    # now, with no heap entry and no seq
+                    if run_on and not (heap and heap[0][0] <= clock) \
+                            and not self._stop_world \
+                            and not thread.pending_penalty:
+                        now = max(core_clock)
+                        next_tick = self._next_tick
+                        if (next_tick is None or now < next_tick) \
+                                and now <= max_cycles:
+                            continue
+                    self._schedule(thread, clock)
+                    break
             if vector is not None and vector.hint:
                 vector.hint = False
                 vector.try_lockstep()
@@ -670,7 +704,13 @@ class Engine:
         continues with the head.  Between those two dispatches the loop
         would run no tick, no budget error, no stop-the-world and no
         vector window, so the band makes the same calls in the same
-        order at the same clocks.  Every other break returns to the
+        order at the same clocks.
+
+        A break after a fast hit in a sequence is a lockstep hint only
+        when :meth:`~repro.engine.vector.VectorExecutor.window_due` says
+        the kernel would try a window now (it keeps the kernel's
+        backoff); the break then returns to the loop, which offers the
+        window.  Every break that is no band switch returns to the
         loop, and under a schedule policy there is no band.
         """
         machine = self.machine
@@ -680,7 +720,8 @@ class Engine:
         max_cycles = self.max_cycles
         next_tick = self._next_tick
         # a head-ready break after a fast hit is the round-robin steady
-        # state the lockstep kernel extrapolates; it runs sequences only
+        # state the lockstep kernel extrapolates; it runs sequences only,
+        # and says when it would try a window
         seq_vector = self._vector
         load_hit = self.costs.load_hit
         store_hit = self.costs.store_hit
@@ -849,12 +890,16 @@ class Engine:
                 if now > max_cycles:
                     break
                 if head_ready is not None and head_ready <= clock:
-                    if fastish and vector is not None:
-                        vector.hint = True
-                    elif band:
+                    if band:
                         # heap[0] is still the live entry peeked above
                         head = threads[heap[0][2]]
                         if head.run_op is None:
+                            head = None
+                        elif fastish and vector is not None \
+                                and vector.window_due(head):
+                            # the loop offers the lockstep kernel a
+                            # window instead
+                            vector.hint = True
                             head = None
                     break
             thread.run_index = index

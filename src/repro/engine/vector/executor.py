@@ -6,7 +6,10 @@ metrics) ends byte-identical to the serial interpreter.
 
 The scheduling loop calls :meth:`VectorExecutor.try_lockstep` when a
 :class:`~repro.isa.ops.RmwSeq` / :class:`~repro.isa.ops.StoreSeq`
-dispatch ends on another thread's ready time right after a fast hit.
+dispatch ends on another mid-run thread's ready time right after a
+fast hit, and :meth:`VectorExecutor.window_due` (the backoff) says a
+window is worth trying; every other such break is the band's
+(``Engine._run_seq``).
 Sequence sub-op costs cycle through load/store/compute phases, so the
 steady state of a band of such threads is not a fixed round-robin:
 threads drift through phase offsets and each dispatch runs a variable
@@ -59,14 +62,15 @@ class VectorExecutor:
         self.batches = 0
         self.lockstep_batches = 0
         #: Set by the engine when a sequence dispatch ended on another
-        #: thread's ready time after a fast hit — the scheduling loop
-        #: then tries a window.
+        #: mid-run thread's ready time after a fast hit and
+        #: :meth:`window_due` agreed — the scheduling loop then tries a
+        #: window.
         self.hint = False
         #: After a declined window: ``(thread, op, run_index)`` the
         #: rejected thread must reach before re-attempting.
         self._seq_block = None
         #: Exponential backoff on contended phases: consecutive
-        #: declines suppress the next ``2**streak`` hints (capped), so
+        #: declines suppress the next ``2**streak`` offers (capped), so
         #: heavily contended stretches pay O(log n) attempt setups
         #: instead of one per contended element.
         self._seq_streak = 0
@@ -98,6 +102,31 @@ class VectorExecutor:
         return False
 
     # ------------------------------------------------------------------
+    def window_due(self, head):
+        """Whether :meth:`try_lockstep` should try a window now, asked
+        by ``Engine._run_seq`` at a break after a fast hit whose next
+        dispatch is ``head``, a thread mid-run.
+
+        An ``AccessRun`` head gets no window.  Otherwise this is where
+        the backoff lives: a cool-down after a declined window skips the
+        next ``2**streak`` offers, and a declined window stays declined
+        until the thread it rejected progresses past the rejection point
+        serially.  A ``False`` leaves the break to the band.
+        """
+        if head.run_op.__class__ is AccessRun:
+            return False
+        if self._seq_cool > 0:
+            self._seq_cool -= 1
+            return False
+        blk = self._seq_block
+        if blk is not None:
+            t, op, idx_needed = blk
+            if t.run_op is op and t.run_index < idx_needed:
+                self._seq_decline()
+                return False
+            self._seq_block = None
+        return True
+
     def try_lockstep(self):
         """Extrapolate one window of sequence dispatches over the band
         of READY threads, or decline with no state touched.
@@ -134,18 +163,6 @@ class VectorExecutor:
         first_op = ready[0].run_op
         if first_op is None or first_op.__class__ is AccessRun:
             return
-        if self._seq_cool > 0:
-            self._seq_cool -= 1
-            return
-        blk = self._seq_block
-        if blk is not None:
-            # a declined window stays declined until the rejected
-            # thread progresses past the rejection point serially
-            t, op, idx_needed = blk
-            if t.run_op is op and t.run_index < idx_needed:
-                self._seq_decline()
-                return
-            self._seq_block = None
         max_cycles = engine.max_cycles
         band = []
         cores = set()

@@ -86,6 +86,21 @@ class HangError(SimulationError):
         super().__init__(f"thread {tid} hang detected: {detail}")
 
 
+class DetectIntervalError(ReproError, ValueError):
+    """A detection interval no longer than the detector's fixed
+    per-interval analysis cost.  Each tick charges at least that cost
+    to the service core, so the next tick would always be due already
+    and the run would spend its cycle budget on ticks."""
+
+    def __init__(self, interval, detect_fixed):
+        self.interval = interval
+        self.detect_fixed = detect_fixed
+        super().__init__(
+            f"detect_interval_cycles {interval} must be above the "
+            f"detector's fixed analysis cost per interval, "
+            f"CostModel.detect_fixed {detect_fixed}")
+
+
 class IncompatibleWorkloadError(ReproError):
     """A runtime system cannot run a workload (e.g. Sheriff on leveldb)."""
 

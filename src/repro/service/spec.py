@@ -21,10 +21,11 @@ import json
 import re
 from dataclasses import dataclass, fields as dc_fields
 
-from repro.core.config import TmiConfig
-from repro.errors import CampaignSpecError
+from repro.core.config import TmiConfig, check_detect_interval
+from repro.errors import CampaignSpecError, DetectIntervalError
 from repro.eval.systems import SYSTEM_NAMES
 from repro.service import store
+from repro.sim.costs import DEFAULT_COSTS
 from repro.workloads import has as workload_exists
 
 #: Versioned spec format tag.
@@ -122,6 +123,13 @@ class CampaignSpec:
                     raise CampaignSpecError(
                         f"TMI config {key!r} must be a number "
                         f"(got {value!r})")
+            if "detect_interval_cycles" in config:
+                # campaign cells run with the default cost model
+                try:
+                    check_detect_interval(
+                        config["detect_interval_cycles"], DEFAULT_COSTS)
+                except DetectIntervalError as exc:
+                    raise CampaignSpecError(str(exc)) from exc
         if not (_is_number(self.scale) and self.scale > 0):
             raise CampaignSpecError(f"bad scale {self.scale!r}")
         if self.nthreads is not None and not (

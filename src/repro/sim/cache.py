@@ -42,15 +42,20 @@ class CoherenceDirectory:
     line it already owns in M/E with no other core in the line's recent
     contention history.  ``_fast`` is an *owner micro-cache* for exactly
     that case: line -> (owner core, holders dict, owner's ``_recent``
-    timestamp cell).  A hit charges ``load_hit``/``store_hit``, performs
-    the E->M upgrade in place, and refreshes the owner's contention
-    timestamps — byte-for-byte what the slow path would compute —
-    without walking ``_lines``/``_recent``.  Entries are evicted
-    whenever the line takes the slow path (any other core touching it,
-    or a multi-line access) and on :meth:`flush_range`; they are only
-    (re)installed from the slow path once the sole-owner condition is
-    re-established.  ``ReferenceDirectory`` in ``cache_ref.py`` keeps
-    the unoptimized model for differential testing.
+    timestamp cell).  The hit itself is
+    :meth:`~repro.sim.machine.Machine.mem_access`'s: it charges
+    ``load_hit``/``store_hit``, performs the E->M upgrade in place, and
+    refreshes the owner's contention timestamps — byte-for-byte what
+    :meth:`access` would compute — without walking
+    ``_lines``/``_recent``.  :meth:`access` itself always runs the
+    protocol: it drops the line's entry first, and a single-line access
+    reinstalls it when the sole-owner condition holds after the step,
+    so a fast-owned line costs and ends the same either way (PTSB
+    commit probes call :meth:`access` directly).  Entries are evicted
+    whenever the line takes the protocol (any other core touching it,
+    or a multi-line access) and on :meth:`flush_range`.
+    ``ReferenceDirectory`` in ``cache_ref.py`` keeps the unoptimized
+    model for differential testing.
     """
 
     def __init__(self, costs, n_cores, topology=None, home_of=None):
@@ -101,32 +106,16 @@ class CoherenceDirectory:
         if out.hitm_remotes:
             out.hitm_remotes = []
 
+        fast = self._fast
         if first == last:
-            fast = self._fast
-            entry = fast.get(first)
-            if entry is not None and entry[0] == core:
-                _owner, holders, mine = entry
-                mine[0] = now
-                if is_write:
-                    mine[1] = now
-                    if holders[core] is EXCLUSIVE:
-                        holders[core] = MODIFIED
-                    out.cost = self.costs.store_hit
-                else:
-                    out.cost = self.costs.load_hit
-                self.access_count += 1
-                return out
-
-            # single-line slow path (the overwhelmingly common shape):
-            # another core's entry goes before the full protocol runs
-            if entry is not None:
-                del fast[first]
+            # the line's micro-cache entry goes before the full protocol
+            # runs; the step reinstalls it if the core still owns it
+            fast.pop(first, None)
             self._line(core, first, is_write, now, out, fast)
             self.access_count += 1
             return out
 
         out.lines = 0
-        fast = self._fast
         line = first
         while line <= last:
             fast.pop(line, None)

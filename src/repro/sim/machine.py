@@ -7,14 +7,19 @@ feeds the simulated PEBS machinery.
 """
 
 from repro.errors import SimulationError
-from repro.sim.cache import CoherenceDirectory
-from repro.sim.costs import DEFAULT_COSTS
+from repro.sim.cache import EXCLUSIVE, MODIFIED, CoherenceDirectory
+from repro.sim.costs import DEFAULT_COSTS, LINE_SIZE
 from repro.sim.events import HitmEvent
-from repro.sim.physmem import PhysicalMemory
+# the fast hit moves its word through physical memory's own codecs
+from repro.sim.physmem import (_CHUNK, _CHUNK_MASK, _INT_CODEC, _INT_MASK,
+                               PhysicalMemory)
 from repro.sim.topology import Topology
 
 #: Page-placement policies a multi-socket machine understands.
 PAGE_POLICIES = ("first-touch", "interleave")
+
+_LINE_BASE = -LINE_SIZE
+_LINE_OFFSET = LINE_SIZE - 1
 
 
 class Machine:
@@ -50,6 +55,12 @@ class Machine:
         self.core_clock = [0] * n_cores
         self._hitm_listeners = []
         self.hitm_events = 0
+        # bound containers, never reassigned (the micro-cache is
+        # cleared in place), and cost constants, never mutated
+        self._fast = self.directory._fast
+        self._chunks = self.physmem._chunks
+        self._load_hit = self.costs.load_hit
+        self._store_hit = self.costs.store_hit
 
     def _home_of(self, line, core):
         """Home node of ``line``'s frame, assigning it on first miss."""
@@ -83,8 +94,38 @@ class Machine:
 
         Returns ``(cost, loaded_value)``; ``loaded_value`` is None for
         stores.  Fires HITM listeners and accumulates their costs.
+
+        The fast hit is this one frame: a single-line access of a
+        power-of-two width to a line ``core`` owns in the directory's
+        owner micro-cache.  It makes exactly the directory's own update
+        for that case (the owner's timestamps, the one E->M upgrade,
+        ``access_count``), charges the hit price, which can raise no
+        HITM, and moves the word to or from its 4 KB chunk.  Every
+        other access goes through :meth:`CoherenceDirectory.access`.
         """
         now = self.core_clock[core]
+        entry = self._fast.get(pa & _LINE_BASE)
+        if entry is not None and entry[0] == core \
+                and (pa & _LINE_OFFSET) + width <= LINE_SIZE:
+            codec = _INT_CODEC.get(width)
+            if codec is not None:
+                mine = entry[2]
+                mine[0] = now
+                self.directory.access_count += 1
+                off = pa & _CHUNK_MASK
+                chunk = self._chunks.get(pa - off)
+                if is_write:
+                    mine[1] = now
+                    holders = entry[1]
+                    if holders[core] is EXCLUSIVE:
+                        holders[core] = MODIFIED
+                    if chunk is None:
+                        chunk = self._chunks[pa - off] = bytearray(_CHUNK)
+                    codec.pack_into(chunk, off, value & _INT_MASK[width])
+                    return self._store_hit, None
+                if chunk is None:
+                    return self._load_hit, 0
+                return self._load_hit, codec.unpack_from(chunk, off)[0]
         outcome = self.directory.access(core, pa, width, is_write, now=now)
         cost = outcome.cost
         if outcome.hitm_remotes:

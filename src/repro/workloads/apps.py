@@ -99,12 +99,10 @@ class LevelDB(Workload):
                         yield from w.compute(300)
                     # per-thread op statistics (the injected bug packs
                     # these into one line); leveldb bumps several fields
-                    # per operation
-                    for _ in range(3):
-                        value = yield from w.load(my_count, 8,
-                                                  site=ld_cnt)
-                        yield from w.store(my_count, value + 1, 8,
-                                           site=st_cnt)
+                    # per operation: 3 x (load, store value + 1)
+                    yield from w.rmw_seq((my_count,) * 3, 8, 1, 0,
+                                         load_site=ld_cnt,
+                                         store_site=st_cnt)
 
             yield from spawn_join(t, nworkers, worker)
             values = yield from t.load_run(counters, nworkers,

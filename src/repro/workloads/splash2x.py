@@ -162,15 +162,14 @@ class LuNcb(Workload):
             def worker(w):
                 wi = worker_index(w)
                 base = daxpy + wi * part
+                # the daxpy body cycles over the partition's 8 words:
+                # 120 x (load, store value + s, compute 45) per step
+                addrs = tuple(base + (i % 8) * 8 for i in range(120))
                 for s in range(steps):
                     yield from w.bulk_touch(
                         matrix + wi * (192 * 1024), 192 * 1024, site=ld)
-                    for i in range(120):
-                        off = (i % 8) * 8
-                        value = yield from w.load(base + off, 8, site=ld)
-                        yield from w.store(base + off, value + s, 8,
-                                           site=st)
-                        yield from w.compute(45)
+                    yield from w.rmw_seq(addrs, 8, s, 45, load_site=ld,
+                                         store_site=st)
                     yield from w.barrier_wait(bar)
 
             yield from spawn_join(t, nworkers, worker)

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.baselines import PthreadsRuntime
+from repro.baselines import LaserRuntime, PthreadsRuntime
 from repro.core import STAGE_ALLOC, STAGE_DETECT, STAGE_PROTECT
 from repro.core import TmiConfig, TmiRuntime
 from repro.engine import Engine
 from repro.engine import layout
+from repro.errors import DetectIntervalError
 
 from helpers import fs_counter_program
 
@@ -163,3 +164,59 @@ class TestMetrics:
         assert outcome.result.runtime_report["twin_bytes_peak"] == 8192
         assert outcome.result.memory_bytes["ptsb"] == 16384
         assert outcome.result.cycles == 1_101_961
+
+
+#: The runtimes that tick a detector.
+TICKING = ("tmi-detect", "tmi-protect", "laser")
+
+
+def ticking_runtime(system, config):
+    if system == "laser":
+        return LaserRuntime(config)
+    return TmiRuntime(system.split("-")[1], config)
+
+
+class TestDetectInterval:
+    """Each tick charges the service core at least
+    ``CostModel.detect_fixed``, so an interval no longer than that
+    leaves the next tick due after every tick, and the loop would run
+    ticks after every op until the cycle budget."""
+
+    @pytest.mark.parametrize("interval", [20_000, 50_000])
+    @pytest.mark.parametrize("system", TICKING)
+    def test_refused_at_setup(self, system, interval):
+        runtime = ticking_runtime(
+            system, TmiConfig(detect_interval_cycles=interval, period=5))
+        with pytest.raises(DetectIntervalError) as info:
+            Engine(fs_counter_program(iters=100), runtime)
+        assert (info.value.interval, info.value.detect_fixed) == \
+            (interval, 50_000)
+        assert f"{interval}" in str(info.value)
+        assert "50000" in str(info.value)
+
+    @pytest.mark.parametrize("system", TICKING)
+    def test_an_interval_above_the_fixed_cost_is_accepted(self, system):
+        runtime = ticking_runtime(
+            system, TmiConfig(detect_interval_cycles=50_001))
+        Engine(fs_counter_program(iters=100), runtime)
+
+    def test_alloc_stage_never_ticks(self):
+        result, _, _ = run_tmi(
+            STAGE_ALLOC, TmiConfig(detect_interval_cycles=20_000),
+            iters=100)
+        assert result.validated
+
+    @pytest.mark.parametrize("config", [
+        TmiConfig(), TmiConfig(period=10), TmiConfig(huge_pages=False),
+        TmiConfig(targeted=False),
+        TmiConfig(huge_pages=True, repair_page_split=False),
+        TmiConfig(flush_relaxed=True)],
+        ids=["default", "period", "4k-pages", "everywhere",
+             "huge-commit", "flush-relaxed"])
+    @pytest.mark.parametrize("system", TICKING)
+    def test_every_experiment_config_still_runs(self, system, config):
+        """The configs the experiments build keep the default
+        interval, and run."""
+        program = fs_counter_program(iters=2_000)
+        result = Engine(program, ticking_runtime(system, config)).run()
+        assert result.validated

@@ -18,6 +18,10 @@ that every way a band ends leaves the per-op results unchanged.
 
 import pytest
 
+from helpers import HAMMER_ROUNDS as ROUNDS
+from helpers import HAMMER_RUN as RUN
+from helpers import HAMMER_WORKERS as NWORKERS
+from helpers import hammer_program as _hammer
 from helpers import make_program
 from repro.baselines import LaserRuntime
 from repro.baselines.pthreads import PthreadsRuntime
@@ -25,113 +29,16 @@ from repro.core import TmiConfig, TmiRuntime
 from repro.engine import Engine
 from repro.isa import Binary
 
-NWORKERS = 4
-ROUNDS = 40
-#: Accesses per run: stores of the slot, or loads of consecutive words
-#: from the start of the slot's line (two lines' worth).  Sequence
-#: kinds run this many elements.
-RUN = 16
-#: Compute cycles after each sequence element.
-COMPUTE = 5
 #: Slot spacing: one line per worker, or four slots on one line.
 STRIDES = {"private": 256, "falsely_shared": 8}
 #: Data ops per worker round, by kind.
 ROUND_OPS = {"store": RUN, "load": RUN + 1, "rmw_seq": 2 * RUN + 1,
              "store_seq": RUN + 1}
-
-
-def _round(w, kind, batched, slot, r, st, ld, vol=False):
-    """One worker round of ``kind``; returns the values it loaded.
-
-    "store": ``RUN`` stores of the slot.  "load": one store of the
-    slot, then ``RUN`` loads of consecutive words from the start of its
-    line.  "rmw_seq": ``RUN`` load/add/store/compute increments of the
-    slot, then one load of it.  "store_seq": ``RUN`` store/compute
-    steps of distinct values to the slot, then one load of it.  ``vol``
-    makes every access of the round volatile.
-    """
-    value = w.tid * 1000 + r
-    if kind == "store":
-        if batched:
-            yield from w.store_run(slot, value, RUN, 0, site=st,
-                                   volatile=vol)
-        else:
-            for _ in range(RUN):
-                yield from w.store(slot, value, site=st, volatile=vol)
-        return []
-    if kind == "load":
-        yield from w.store(slot, value, site=st, volatile=vol)
-        line = slot & ~63
-        if batched:
-            got = yield from w.load_run(line, RUN, 8, site=ld,
-                                        volatile=vol)
-            return got
-        got = []
-        for i in range(RUN):
-            v = yield from w.load(line + i * 8, site=ld, volatile=vol)
-            got.append(v)
-        return got
-    if kind == "rmw_seq":
-        if batched:
-            yield from w.rmw_seq([slot] * RUN, 8, w.tid, COMPUTE,
-                                 load_site=ld, store_site=st,
-                                 volatile=vol)
-        else:
-            for _ in range(RUN):
-                v = yield from w.load(slot, site=ld, volatile=vol)
-                yield from w.store(slot, v + w.tid, site=st, volatile=vol)
-                yield from w.compute(COMPUTE)
-    else:
-        values = [value + i for i in range(RUN)]
-        if batched:
-            yield from w.store_seq(slot, values, 8, COMPUTE, site=st,
-                                   volatile=vol)
-        else:
-            for v in values:
-                yield from w.store(slot, v, site=st, volatile=vol)
-                yield from w.compute(COMPUTE)
-    got = yield from w.load(slot, site=ld, volatile=vol)
-    return [got]
-
-
-def _hammer(slot_stride, kind, batched, volatile=False):
-    """Per round, each worker runs one ``kind`` round (see
-    :func:`_round`) as one batched op or one op at a time; with
-    ``volatile`` the odd workers' accesses are volatile.  Returns the
-    program, the list its workers append their loaded values to, and
-    the one-element list main puts the slots' block in."""
-    binary = Binary("hammer")
-    st = binary.store_site("st", 8)
-    ld = binary.load_site("ld", 8)
-    loaded = []
-    block_box = []
-
-    def main(t):
-        block = yield from t.malloc(4096, align=64)
-        block_box.append(block)
-        start = yield from t.barrier(NWORKERS, "start")
-
-        def worker(w):
-            slot = block + (w.tid - 1) * slot_stride
-            vol = volatile and w.tid % 2 == 1
-            # overlap the workers: pthread_create staggers their starts
-            # by more than a whole worker's run
-            yield from w.barrier_wait(start)
-            for r in range(ROUNDS):
-                got = yield from _round(w, kind, batched, slot, r, st, ld,
-                                        vol)
-                if got:
-                    loaded.append((w.tid, r, tuple(got)))
-
-        tids = []
-        for i in range(NWORKERS):
-            tid = yield from t.spawn(worker, f"w{i}")
-            tids.append(tid)
-        for tid in tids:
-            yield from t.join(tid)
-
-    return make_program(main, "hammer", nthreads=NWORKERS,
-                        binary=binary), loaded, block_box
+#: The shapes workloads lower to ``rmw_seq``: leveldb's counter bumps
+#: (no compute) and lu-ncb's daxpy body (cycling over the eight words
+#: of the slot's line).  Their rounds are ``rmw_seq`` rounds.
+LOWERED_OPS = {"rmw_seq_nocompute": 2 * RUN + 1,
+               "rmw_seq_line": 2 * RUN + 1}
 
 
 def _outcome(engine, loaded):
@@ -141,7 +48,7 @@ def _outcome(engine, loaded):
 
 
 @pytest.mark.parametrize("slots", sorted(STRIDES))
-@pytest.mark.parametrize("kind", sorted(ROUND_OPS))
+@pytest.mark.parametrize("kind", sorted(ROUND_OPS) + sorted(LOWERED_OPS))
 def test_batched_and_per_op_loops_are_cycle_identical(kind, slots):
     outcomes = {}
     for batched in (True, False):
@@ -150,7 +57,8 @@ def test_batched_and_per_op_loops_are_cycle_identical(kind, slots):
                                      loaded)
     assert outcomes[True] == outcomes[False]
     _cycles, hitm_loads, hitm_stores, data_ops = outcomes[True][:4]
-    assert data_ops == NWORKERS * ROUNDS * ROUND_OPS[kind]
+    assert data_ops == NWORKERS * ROUNDS * {**ROUND_OPS,
+                                            **LOWERED_OPS}[kind]
     if slots == "falsely_shared":
         assert hitm_loads + hitm_stores > 0, "packed slots must contend"
 

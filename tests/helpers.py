@@ -79,6 +79,123 @@ def fs_counter_program(iters=2000, stride=8, nworkers=4, compute=0,
     return program
 
 
+#: The access-run hammer (:func:`hammer_program`): its workers and
+#: rounds, the accesses per run (stores of the slot, or loads of
+#: consecutive words from the start of the slot's line, two lines'
+#: worth; sequence kinds run this many elements), and the compute
+#: cycles after each sequence element.
+HAMMER_WORKERS = 4
+HAMMER_ROUNDS = 40
+HAMMER_RUN = 16
+HAMMER_COMPUTE = 5
+
+
+def hammer_round(w, kind, batched, slot, r, st, ld, vol=False):
+    """One worker round of ``kind``; returns the values it loaded.
+
+    "store": ``HAMMER_RUN`` stores of the slot.  "load": one store of
+    the slot, then ``HAMMER_RUN`` loads of consecutive words from the
+    start of its line.  "rmw_seq": ``HAMMER_RUN``
+    load/add/store/compute increments of the slot, then one load of
+    it; "rmw_seq_nocompute" the same with no compute (leveldb's
+    counter bumps), and "rmw_seq_line" over the eight words of the
+    slot's line in turn (lu-ncb's daxpy body).  "store_seq":
+    ``HAMMER_RUN`` store/compute steps of distinct values to the slot,
+    then one load of it.  ``vol`` makes every access of the round
+    volatile.
+    """
+    run = HAMMER_RUN
+    value = w.tid * 1000 + r
+    if kind == "store":
+        if batched:
+            yield from w.store_run(slot, value, run, 0, site=st,
+                                   volatile=vol)
+        else:
+            for _ in range(run):
+                yield from w.store(slot, value, site=st, volatile=vol)
+        return []
+    if kind == "load":
+        yield from w.store(slot, value, site=st, volatile=vol)
+        line = slot & ~63
+        if batched:
+            got = yield from w.load_run(line, run, 8, site=ld,
+                                        volatile=vol)
+            return got
+        got = []
+        for i in range(run):
+            v = yield from w.load(line + i * 8, site=ld, volatile=vol)
+            got.append(v)
+        return got
+    if kind.startswith("rmw_seq"):
+        compute = 0 if kind == "rmw_seq_nocompute" else HAMMER_COMPUTE
+        if kind == "rmw_seq_line":
+            addrs = [(slot & ~63) + (i % 8) * 8 for i in range(run)]
+        else:
+            addrs = [slot] * run
+        if batched:
+            yield from w.rmw_seq(addrs, 8, w.tid, compute, load_site=ld,
+                                 store_site=st, volatile=vol)
+        else:
+            for addr in addrs:
+                v = yield from w.load(addr, site=ld, volatile=vol)
+                yield from w.store(addr, v + w.tid, site=st, volatile=vol)
+                if compute:
+                    yield from w.compute(compute)
+    else:
+        values = [value + i for i in range(run)]
+        if batched:
+            yield from w.store_seq(slot, values, 8, HAMMER_COMPUTE,
+                                   site=st, volatile=vol)
+        else:
+            for v in values:
+                yield from w.store(slot, v, site=st, volatile=vol)
+                yield from w.compute(HAMMER_COMPUTE)
+    got = yield from w.load(slot, site=ld, volatile=vol)
+    return [got]
+
+
+def hammer_program(slot_stride, kind, batched, volatile=False):
+    """Per round, each of ``HAMMER_WORKERS`` workers, released together
+    by a barrier, runs one ``kind`` round (see :func:`hammer_round`) on
+    its slot, ``slot_stride`` bytes from the last, as one batched op or
+    one op at a time; with ``volatile`` the odd workers' accesses are
+    volatile.  Returns the program, the list its workers append their
+    loaded values to, and the one-element list main puts the slots'
+    block in."""
+    binary = Binary("hammer")
+    st = binary.store_site("st", 8)
+    ld = binary.load_site("ld", 8)
+    loaded = []
+    block_box = []
+
+    def main(t):
+        block = yield from t.malloc(4096, align=64)
+        block_box.append(block)
+        start = yield from t.barrier(HAMMER_WORKERS, "start")
+
+        def worker(w):
+            slot = block + (w.tid - 1) * slot_stride
+            vol = volatile and w.tid % 2 == 1
+            # overlap the workers: pthread_create staggers their starts
+            # by more than a whole worker's run
+            yield from w.barrier_wait(start)
+            for r in range(HAMMER_ROUNDS):
+                got = yield from hammer_round(w, kind, batched, slot, r,
+                                              st, ld, vol)
+                if got:
+                    loaded.append((w.tid, r, tuple(got)))
+
+        tids = []
+        for i in range(HAMMER_WORKERS):
+            tid = yield from t.spawn(worker, f"w{i}")
+            tids.append(tid)
+        for tid in tids:
+            yield from t.join(tid)
+
+    return make_program(main, "hammer", nthreads=HAMMER_WORKERS,
+                        binary=binary), loaded, block_box
+
+
 _WORD = 0xFFFFFFFFFFFFFFFF
 
 

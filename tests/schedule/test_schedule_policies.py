@@ -2,10 +2,14 @@
 
 import pytest
 
-from helpers import fs_counter_program, random_program
+from helpers import (HAMMER_WORKERS, fs_counter_program, hammer_program,
+                     make_program, random_program)
+from repro.baselines import LaserRuntime
 from repro.baselines.pthreads import PthreadsRuntime
+from repro.core import TmiConfig, TmiRuntime
 from repro.engine import Engine
 from repro.errors import CycleBudgetError, SimulationError
+from repro.isa import Binary
 from repro.schedule import (POLICY_NAMES, DefaultPolicy, ReplayPolicy,
                             make_policy)
 
@@ -56,8 +60,171 @@ class TestMakePolicy:
         assert policy.decisions == [1, 0, 2]
 
 
+#: Runtimes of the identity property: LASER never runs the lockstep
+#: kernel, pthreads and TMI do, and TMI's ticks and T2P stop-the-world
+#: land inside runs.
+IDENTITY_SYSTEMS = ("pthreads", "laser", "tmi-protect")
+#: Rounds of the hand-off program.
+HANDOFF_ROUNDS = 6
+
+
+def identity_runtime(system):
+    if system == "laser":
+        return LaserRuntime()
+    if system == "tmi-protect":
+        return TmiRuntime("protect", TmiConfig())
+    return PthreadsRuntime()
+
+
+def handoff_program():
+    """Two workers and one mutex, per round: the holder locks it,
+    computes while the waiter blocks on it, unlocks it and stores to
+    one word; the waiter, woken by the unlock, stores to the next word
+    of the same line.  Under pthreads the waiter's wake time is exactly
+    the holder's clock at that next store: the waiter was queued
+    first, so it stores first.  Returns the program and a function of
+    the finished engine that reads the two words."""
+    binary = Binary("handoff")
+    st = binary.store_site("st", 8)
+    box = []
+
+    def main(t):
+        block = yield from t.malloc(4096, align=64)
+        box.append(block)
+        lock = yield from t.mutex("m")
+        start = yield from t.barrier(2, "round")
+
+        def holder(w):
+            for r in range(HANDOFF_ROUNDS):
+                yield from w.barrier_wait(start)
+                yield from w.lock(lock)
+                yield from w.compute(5_000)
+                yield from w.unlock(lock)
+                yield from w.store(block, r + 1, 8, site=st)
+
+        def waiter(w):
+            for r in range(HANDOFF_ROUNDS):
+                yield from w.barrier_wait(start)
+                yield from w.compute(500)
+                yield from w.lock(lock)
+                yield from w.store(block + 8, r + 1, 8, site=st)
+                yield from w.unlock(lock)
+
+        first = yield from t.spawn(holder, "holder")
+        second = yield from t.spawn(waiter, "waiter")
+        yield from t.join(first)
+        yield from t.join(second)
+
+    def final(engine):
+        return [engine.read_memory(box[0] + i * 8, 8) for i in range(2)]
+
+    return make_program(main, "handoff", nthreads=2, binary=binary), final
+
+
+def solo_tail_program():
+    """Four workers increment falsely shared counters, one op at a
+    time; then the first one goes on alone, storing to its counter
+    across several detector intervals.  Alone, its ops run on, and a
+    tick that falls due among them must still fire between two of
+    them, so a repair it starts lands before the next one.  Returns
+    the program and a function of the finished engine that reads the
+    counters."""
+    binary = Binary("solo")
+    ld = binary.load_site("ld", 8)
+    st = binary.store_site("st", 8)
+    box = []
+
+    def main(t):
+        block = yield from t.malloc(4096, align=64)
+        box.append(block)
+
+        def worker(w):
+            slot = block + (w.tid - 1) * 8
+            for _ in range(150):
+                value = yield from w.load(slot, 8, site=ld)
+                yield from w.store(slot, value + 1, 8, site=st)
+            if w.tid == 1:
+                for i in range(2_000):
+                    yield from w.store(slot, i, 8, site=st)
+                    yield from w.compute(100)
+
+        tids = []
+        for i in range(4):
+            tid = yield from t.spawn(worker, f"w{i}")
+            tids.append(tid)
+        for tid in tids:
+            yield from t.join(tid)
+
+    def final(engine):
+        return [engine.read_memory(box[0] + i * 8, 8) for i in range(4)]
+
+    return make_program(main, "solo", nthreads=4, binary=binary), final
+
+
+def identity_case(case):
+    """``(program, final)`` for one identity case: a fresh program and
+    a function of its finished engine that reads its final state."""
+    kind, arg = case
+    if kind == "handoff":
+        return handoff_program()
+    if kind == "solo-tail":
+        return solo_tail_program()
+    if kind == "hammer":
+        # the band pins' falsely shared hammer, odd workers volatile
+        program, loaded, block = hammer_program(8, arg, True,
+                                                volatile=True)
+        return program, lambda engine: (loaded, [
+            engine.read_memory(block[0] + i * 8, 8)
+            for i in range(HAMMER_WORKERS)])
+    env = {}
+    program = random_program(arg, env=env, batched=kind == "batched")
+
+    def final(engine):
+        private = []
+        if "priv" in env:
+            # the three workers' 512-byte private blocks
+            private = [engine.read_memory(env["priv"] + i * 8, 8)
+                       for i in range(3 * 512 // 8)]
+        return env["finals"], private
+    return program, final
+
+
+IDENTITY_CASES = ([("random", seed) for seed in (0, 3, 11)]
+                  + [("batched", seed) for seed in (0, 3, 11)]
+                  + [("hammer", kind) for kind in
+                     ("load", "rmw_seq", "store", "store_seq")]
+                  + [("handoff", None), ("solo-tail", None)])
+
+
 class TestDefaultPolicyIdentity:
-    """DefaultPolicy must reproduce the heap scheduler exactly."""
+    """DefaultPolicy must reproduce the heap scheduler exactly.
+
+    A run under the default policy takes neither run-on, the band nor
+    the lockstep kernel, and the policy picks in heap order, so it is
+    the reference for all three: the policy-less run must match it in
+    every simulated fact.
+    """
+
+    @pytest.mark.parametrize(
+        "case", IDENTITY_CASES,
+        ids=[f"{kind}-{arg}" if arg is not None else kind
+             for kind, arg in IDENTITY_CASES])
+    @pytest.mark.parametrize("system", IDENTITY_SYSTEMS)
+    def test_policy_less_run_matches_the_default_policy(self, system,
+                                                        case):
+        facts = []
+        for policy in (None, {"policy": "default"}):
+            program, final = identity_case(case)
+            engine = Engine(program, identity_runtime(system),
+                            policy=make_policy(policy))
+            result = engine.run()
+            assert result.validated, result.error
+            facts.append((result.cycles, result.hitm_loads,
+                          result.hitm_stores, result.data_ops,
+                          result.sync_ops,
+                          list(engine.machine.core_clock),
+                          final(engine)))
+        assert facts[0] == facts[1]
 
     def test_result_identical_to_fast_path(self):
         plain, _ = run_counter()
@@ -144,6 +311,20 @@ class TestCycleBudget:
         assert err.trace is not None
         assert err.trace["policy"] == "default"
         assert isinstance(err.trace["decisions"], list)
+
+    def test_budget_error_lands_where_the_default_policy_raises_it(self):
+        """A thread running on alone still meets the loop's budget
+        test after every op: it raises at the same clock as under the
+        default policy."""
+        nows = []
+        for policy in (None, {"policy": "default"}):
+            program, _final = solo_tail_program()
+            engine = Engine(program, PthreadsRuntime(), max_cycles=250_000,
+                            policy=make_policy(policy))
+            with pytest.raises(CycleBudgetError) as info:
+                engine.run()
+            nows.append(info.value.now)
+        assert nows[0] == nows[1]
 
     def test_budget_error_without_policy(self):
         with pytest.raises(CycleBudgetError) as info:

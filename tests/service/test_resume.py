@@ -124,6 +124,23 @@ class TestMalformedSpool:
         assert os.listdir(service.campaigns_dir) == ["good.json"]
         assert service.resilience.quarantine.digests() == []
 
+    def test_a_detection_interval_below_the_analysis_cost_is_rejected(
+            self, ok_pool, tmp_path):
+        """A spooled spec whose detection interval the detector cannot
+        keep up with is rejected at the inbox, with no state written."""
+        service = make_service(tmp_path)
+        spooled = dict(tiny_spec().to_dict(),
+                       configs=[{"detect_interval_cycles": 20_000,
+                                 "period": 5}])
+        with open(service._inbox_path("ticks"), "w") as fh:
+            json.dump(spooled, fh)
+
+        assert asyncio.run(service.serve(once=True)) == []
+        assert os.listdir(service.inbox_dir) == ["ticks.json.rejected"]
+        assert os.listdir(service.campaigns_dir) == []
+        assert service.status("ticks") is None
+        assert service.resilience.quarantine.digests() == []
+
 
 class TestOlderState:
     def test_state_with_an_event_log_still_resumes(self, ok_pool,

@@ -59,6 +59,15 @@ class TestValidation:
         with pytest.raises(CampaignSpecError, match=error):
             grid_spec(**overrides)
 
+    def test_detection_interval_the_detector_cannot_keep_up_with(self):
+        """Campaign cells run with the default cost model, whose
+        detector charges 50,000 cycles per interval."""
+        with pytest.raises(CampaignSpecError,
+                           match="20000 .*detect_fixed 50000"):
+            grid_spec(configs=({"detect_interval_cycles": 20_000},))
+        spec = grid_spec(configs=({"detect_interval_cycles": 50_001},))
+        assert spec.configs[0]["detect_interval_cycles"] == 50_001
+
     def test_error_is_value_error(self):
         # argparse/except ValueError call sites keep working
         with pytest.raises(ValueError):
