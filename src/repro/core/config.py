@@ -30,8 +30,6 @@ class TmiConfig:
     #: the line is considered *significant* sharing (the paper repairs
     #: structures producing >100k HITM events/second).
     repair_threshold_events: int = 100
-    #: Repair only lines whose sharing is mostly false (vs. true).
-    min_false_fraction: float = 0.5
     #: Use 2 MB huge pages for the process-shared application region
     #: (the paper's default; Figure 10 compares against 4 KB).
     huge_pages: bool = True
@@ -56,12 +54,6 @@ class TmiConfig:
     #: Retries granted to a faulting repair action (ptrace attach
     #: rounds, per-thread fork) before the episode counts as failed.
     fault_retry_limit: int = 3
-    #: Base backoff charged per retry in simulated cycles; doubles with
-    #: each attempt (retry n costs ``base * 2**n`` on top of the op).
-    fault_backoff_cycles: int = 25_000
-    #: PTSB commit conflicts tolerated per page before the page is
-    #: blacklisted (demoted to shared, never re-protected).
-    page_conflict_budget: int = 4
     #: Consecutive failed repair episodes before the ladder degrades
     #: ``protect`` -> ``detect``.
     episode_failure_budget: int = 3
@@ -71,12 +63,6 @@ class TmiConfig:
     #: Detection intervals a degraded ladder waits before re-arming
     #: one level up.
     ladder_cooldown_intervals: int = 8
-    #: Bound on undrained PEBS records queued for the detector; beyond
-    #: it records are dropped and counted (never reached fault-free).
-    perf_queue_limit: int = 65_536
-    #: Extra cycles a fault-injected ``ptsb.delayed_flush`` stalls a
-    #: consistency flush.
-    delayed_flush_cycles: int = 20_000
     #: Flush the PTSB on relaxed atomics too (False = code-centric
     #: consistency's relaxed fast path; True = the conservative policy
     #: the code-centric ablation compares against).

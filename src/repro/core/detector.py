@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 from repro.core.classify import FALSE_SHARING, LineStats, TRUE_SHARING
 from repro.sim.costs import LINE_SIZE
 
+#: Repair only lines whose sharing is mostly false (vs. true).
+MIN_FALSE_FRACTION = 0.5
+
 
 @dataclass
 class RepairTarget:
@@ -109,7 +112,7 @@ class FalseSharingDetector:
             if estimated < threshold or label != FALSE_SHARING:
                 continue
             total = false_w + true_w
-            if total and false_w / total < self.config.min_false_fraction:
+            if total and false_w / total < MIN_FALSE_FRACTION:
                 continue
             page_va, page_size = self.aspace.page_base(line_va)
             if line_va in self._targeted_pages:

@@ -16,13 +16,20 @@ conversion, PTSB commits hit conflicts.  Each action retries with
 exponential backoff in simulated cycles; an episode that exhausts its
 budget aborts cleanly — targets return to a pending queue and are
 re-attempted on a later detection tick — and a page that keeps
-conflicting past ``page_conflict_budget`` is demoted back to shared
+conflicting past ``PAGE_CONFLICT_BUDGET`` is demoted back to shared
 memory and blacklisted.  Repeated episode failures feed the
 degradation ladder (:mod:`repro.core.ladder`).
 """
 
 from repro.core.ptsb import PageTwinningStoreBuffer
 from repro.oskit.ptrace import PtraceMonitor
+
+#: Base backoff charged per retry in simulated cycles; doubles with
+#: each attempt (retry n costs ``base * 2**n`` on top of the op).
+FAULT_BACKOFF_CYCLES = 25_000
+#: PTSB commit conflicts tolerated per page before the page is
+#: blacklisted (demoted to shared, never re-protected).
+PAGE_CONFLICT_BUDGET = 4
 
 
 class RepairManager:
@@ -145,8 +152,7 @@ class RepairManager:
                                     cycle=stop_time, attempt=attempt):
                 return True
             penalty = (eng.costs.ptrace_attach
-                       + self.config.fault_backoff_cycles
-                       * (2 ** attempt))
+                       + FAULT_BACKOFF_CYCLES * (2 ** attempt))
             for thread in eng.threads.values():
                 if thread.state != "done":
                     thread.pending_penalty += penalty
@@ -178,7 +184,7 @@ class RepairManager:
         self.stats.commit_conflicts += 1
         count = self._conflict_counts.get(page_va, 0) + 1
         self._conflict_counts[page_va] = count
-        if count > self.config.page_conflict_budget \
+        if count > PAGE_CONFLICT_BUDGET \
                 and page_va not in self.blacklisted_pages:
             self.blacklisted_pages.add(page_va)
             self.pending_demotions.append(page_va)

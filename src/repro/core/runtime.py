@@ -35,6 +35,9 @@ _STAGES = (STAGE_ALLOC, STAGE_DETECT, STAGE_PROTECT)
 
 #: Maximum application threads whose stacks the shared region reserves.
 MAX_THREADS = 64
+#: Extra cycles a fault-injected ``ptsb.delayed_flush`` stalls a
+#: consistency flush.
+DELAYED_FLUSH_CYCLES = 20_000
 
 
 class TmiRuntime(RuntimeHooks):
@@ -106,8 +109,7 @@ class TmiRuntime(RuntimeHooks):
 
         if self.stage != STAGE_ALLOC:
             self.perf = PerfSession(
-                costs, period=self.config.period, faults=self.faults,
-                queue_limit=self.config.perf_queue_limit)
+                costs, period=self.config.period, faults=self.faults)
             machine.add_hitm_listener(self.perf.on_hitm)
             self.detector = FalseSharingDetector(
                 Disassembler(program.binary),
@@ -227,7 +229,7 @@ class TmiRuntime(RuntimeHooks):
                 "ptsb.delayed_flush", tid=thread.tid, reason=reason):
             # the commit path stalled (contended directory, write-back
             # pressure): the flush completes late but completes
-            cost += self.config.delayed_flush_cycles
+            cost += DELAYED_FLUSH_CYCLES
         self.stats.commit_cycles += cost
         self.stats.twin_bytes_peak = max(self.stats.twin_bytes_peak,
                                          ptsb.twin_bytes_peak)

@@ -30,7 +30,6 @@ Regenerate the paper, or any one artifact of it::
     python -m repro.eval.cli quarantine list
     python -m repro.eval.cli quarantine inspect <digest>
     python -m repro.eval.cli quarantine release <digest>
-    python -m repro.eval.cli resilience-chaos
     python -m repro.eval.cli list
 """
 
@@ -63,7 +62,6 @@ EXPERIMENTS = {
     "lint-accuracy": experiments.lint_accuracy,
     "repair-compare": experiments.repair_compare,
     "placement-repair": experiments.placement_repair,
-    "resilience-chaos": experiments.resilience_chaos,
 }
 
 #: Experiments whose signature takes no scale.

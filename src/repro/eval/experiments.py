@@ -703,168 +703,3 @@ def repair_compare(scale=0.1, workloads=None):
         title=("Planner validation vs simulated HITM ground truth "
                "(falsely-shared-line events, pthreads geometry)"))
     return ExperimentResult("repair_compare", data, text)
-
-
-def resilience_chaos(scale=0.05, jobs=None, root=None):
-    """SLO-gated chaos drill for the service's failure policy.
-
-    Runs the same campaign mix twice through a
-    :class:`~repro.service.CampaignService`: once *chaotic* — two
-    poison cells that fail deterministically on every attempt, one
-    cell whose pool worker is hard-killed mid-campaign, and one store
-    entry that is well-formed but whose payload fails its checksum —
-    and once fault-free.  The SLO gate then demands what the policy
-    promises:
-
-    - every campaign reaches ``completed`` and every non-quarantined
-      cell is harness-ok (the dead worker's cells ran in the parent,
-      the tampered entry was evicted and recomputed);
-    - every result the chaotic run cached is byte-identical to the
-      fault-free run's entry for the same digest;
-    - the quarantine contains *exactly* the injected poison cells;
-    - ``service.retry`` / ``service.quarantined`` match the injected
-      poison count (one replay each; the dead worker's recovery is not
-      a replay);
-    - the store evicted exactly the tampered entry (a positive
-      control: the integrity check really ran).
-
-    The supervision record (``repro-service-state/1``) is the sorted
-    quarantine set, and a poison cell's quarantine entry records the
-    same attempt and replay at any job count, so both are
-    byte-identical across ``REPRO_JOBS`` settings.
-    """
-    import asyncio
-    import hashlib
-    import os
-    import shutil
-
-    from repro.eval.report import results_dir
-    from repro.faults.harness import HARNESS_FAULTS_ENV, HarnessFaultPlan
-    from repro.service import CampaignService, CampaignSpec, cell_digest
-
-    base = root or os.path.join(results_dir(), "resilience-chaos")
-    chaotic_root = os.path.join(base, "chaotic")
-    clean_root = os.path.join(base, "fault-free")
-    for directory in (chaotic_root, clean_root):
-        shutil.rmtree(directory, ignore_errors=True)
-
-    specs = {
-        "acme-grid": CampaignSpec(
-            workloads=("histogram", "reverse"),
-            systems=("pthreads", "tmi-protect"), scale=scale,
-            name="acme-grid"),
-        "bolt-grid": CampaignSpec(
-            workloads=("histogramfs",),
-            systems=("pthreads", "tmi-protect"), scale=scale,
-            name="bolt-grid", priority=1),
-    }
-
-    # fault targets, named by cell digest (the store/quarantine key)
-    acme_cells = specs["acme-grid"].cells()
-    bolt_cells = specs["bolt-grid"].cells()
-    poison = {
-        cell_digest(acme_cells[3]):
-            "injected poison: reverse/tmi-protect",
-        cell_digest(bolt_cells[1]):
-            "injected poison: histogramfs/tmi-protect"}
-    kill = (cell_digest(acme_cells[1]),)
-    tampered = acme_cells[0]
-
-    def run_once(service_root, chaotic):
-        service = CampaignService(root=service_root, jobs=jobs)
-        for cid, spec in specs.items():
-            service.reserve_campaign_id(spec, campaign_id=cid)
-        if chaotic:
-            # a well-formed entry whose payload line no longer matches
-            # its checksum: the store must evict it and the cell re-run
-            path = service.store.put(tampered, "ok", {"cycles": 1})
-            with open(path, "rb") as fh:
-                entry = fh.read()
-            with open(path, "wb") as fh:
-                fh.write(entry.replace(b'"cycles":1}', b'"cycles":2}'))
-        asyncio.run(service.serve(once=True))
-        return service
-
-    plan_path = os.path.join(base, "harness-faults.json")
-    HarnessFaultPlan(poison=poison, kill=kill).save(plan_path)
-    os.environ[HARNESS_FAULTS_ENV] = plan_path
-    try:
-        chaotic = run_once(chaotic_root, chaotic=True)
-    finally:
-        os.environ.pop(HARNESS_FAULTS_ENV, None)
-    clean = run_once(clean_root, chaotic=False)
-
-    def entry_bytes(service, digest):
-        try:
-            with open(service.store.path(digest), "rb") as fh:
-                return fh.read()
-        except OSError:
-            return None
-
-    campaigns = {}
-    all_ok = True
-    for cid in sorted(specs):
-        state = chaotic.status(cid)
-        cells = state["cells"]
-        quarantined = sum(1 for e in cells.values()
-                          if e["status"] == "quarantined")
-        ok = sum(1 for e in cells.values() if e["status"] == "ok")
-        all_ok = all_ok and state["status"] == "completed" \
-            and ok + quarantined == len(cells)
-        campaigns[cid] = {"status": state["status"], "ok": ok,
-                          "quarantined": quarantined,
-                          "cells": len(cells)}
-
-    clean_digests = set()
-    for shard in os.listdir(clean.store.root):
-        shard_dir = os.path.join(clean.store.root, shard)
-        if os.path.isdir(shard_dir):
-            clean_digests.update(f[:-len(".json")]
-                                 for f in os.listdir(shard_dir)
-                                 if f.endswith(".json"))
-    expected = clean_digests - set(poison)
-    identical = all(entry_bytes(chaotic, d) == entry_bytes(clean, d)
-                    for d in sorted(expected))
-    payload_identical = identical and all(
-        entry_bytes(chaotic, d) is not None for d in expected)
-
-    quarantined_digests = chaotic.resilience.quarantine.digests()
-    counters = chaotic.metrics_snapshot()["counters"]
-
-    slo = {
-        "campaigns_completed_nonquarantined_ok": all_ok,
-        "payloads_byte_identical_to_fault_free": payload_identical,
-        "quarantine_exactly_poison":
-            quarantined_digests == sorted(poison),
-        "retry_metric_matches_poison":
-            counters.get("service.retry", 0) == len(poison),
-        "quarantined_metric_matches_poison":
-            counters.get("service.quarantined", 0) == len(poison),
-        "tampered_entry_evicted": chaotic.store.evictions == 1,
-    }
-    slo_ok = all(slo.values())
-
-    state_path = chaotic.resilience.state_path
-    with open(state_path, "rb") as fh:
-        state_sha = hashlib.sha256(fh.read()).hexdigest()
-
-    data = {"scale": scale, "campaigns": campaigns, "slo": slo,
-            "slo_ok": slo_ok, "poison": sorted(poison),
-            "killed": list(kill),
-            "quarantined": quarantined_digests,
-            "retries": counters.get("service.retry", 0),
-            "evictions": chaotic.store.evictions,
-            "supervision_state": state_path,
-            "supervision_state_sha256": state_sha,
-            "payload_bytes_checked": len(expected)}
-
-    rows = [(cid, c["status"], c["cells"], c["ok"], c["quarantined"])
-            for cid, c in sorted(campaigns.items())]
-    text = format_table(
-        ["campaign", "status", "cells", "ok", "quarantined"],
-        rows, title="Resilience chaos drill (chaotic run)")
-    text += "\n\nSLO gate:\n"
-    for key in sorted(slo):
-        text += f"  {'PASS' if slo[key] else 'FAIL':4}  {key}\n"
-    text += f"\noverall: {'PASS' if slo_ok else 'FAIL'}\n"
-    return ExperimentResult("resilience_chaos", data, text)

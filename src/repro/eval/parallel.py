@@ -101,13 +101,6 @@ class CellRecord:
 def _run_cell(kwargs):
     # imported here so worker processes resolve it after fork/spawn
     from repro.eval.runner import run_workload
-    if os.environ.get("REPRO_HARNESS_FAULTS"):
-        # chaos seam (see repro.faults.harness): may raise a poison
-        # failure or hard-exit a pool worker before the workload runs
-        from repro.faults.harness import active_plan
-        plan = active_plan()
-        if plan is not None:
-            plan.apply(kwargs)
     return run_workload(**kwargs)
 
 

@@ -7,19 +7,19 @@ run fault-plan campaigns over the repair suite against the pthreads
 final-state oracle, and save every plan as a
 :class:`~repro.eval.record.RunRecord` that replays it.  See
 ``docs/ROBUSTNESS.md``.
+
+These faults perturb the *simulated* substrate.  Harness faults
+(poison cells, dead workers) are the tests' to inject, by substituting
+``repro.eval.parallel._run_cell``, which forked pool workers inherit.
 """
 
 from repro.faults.chaos import (ChaosCell, ChaosReport,
                                 chaos_repair_suite, chaos_smoke,
                                 default_plans)
-from repro.faults.harness import (HARNESS_FAULTS_ENV,
-                                  HARNESS_FAULTS_FORMAT,
-                                  HarnessFaultPlan, PoisonError)
 from repro.faults.inject import FAULT_POINTS, FaultInjector, default_rates
 
 __all__ = [
-    "FAULT_POINTS", "HARNESS_FAULTS_ENV", "HARNESS_FAULTS_FORMAT",
-    "ChaosCell", "ChaosReport", "FaultInjector", "HarnessFaultPlan",
-    "PoisonError", "chaos_repair_suite", "chaos_smoke", "default_plans",
+    "FAULT_POINTS", "ChaosCell", "ChaosReport", "FaultInjector",
+    "chaos_repair_suite", "chaos_smoke", "default_plans",
     "default_rates",
 ]

@@ -3,11 +3,11 @@
 The client and the service share nothing but a directory tree (see
 :mod:`repro.service.service` for the layout), which is what lets
 campaigns survive process restarts on either side: a submission is an
-atomic spec-file rename into ``<root>/inbox/``, status is a read of
-``<root>/campaigns/<id>.json``, and results come straight out of the
-content-addressed store.  A client can therefore submit while the
-service is down — the spec waits in the inbox until the next
-``serve`` pass.
+atomic ``link(2)`` of the spec file into ``<root>/inbox/``, status is
+a read of ``<root>/campaigns/<id>.json``, and results come straight
+out of the content-addressed store.  A client can therefore submit
+while the service is down — the spec waits in the inbox until the
+next ``serve`` pass.
 """
 
 import os

@@ -3,8 +3,10 @@
 Uses the grid harness' fake-runner seam (monkeypatching
 ``repro.eval.parallel._run_cell``) like the scheduler tests, so
 replays and quarantine decisions are deterministic and instant.  The
-restart test at the bottom is fork-gated: it SIGKILLs a forked service
-mid-campaign and proves the quarantine and the store survive.
+two classes at the bottom are fork-gated: the restart test SIGKILLs a
+forked service mid-campaign and proves the quarantine and the store
+survive, and the chaos drill serves real cells past poison cells, a
+killed pool worker and a tampered store entry.
 """
 
 import asyncio
@@ -13,6 +15,8 @@ import multiprocessing
 import os
 import signal
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -343,3 +347,129 @@ class TestKillRestart:
         assert by_name["histogram"]["source"] == "cache"
         assert ran == ["lreg"]
         assert not os.path.exists(os.path.join(root, "checkpoints"))
+
+
+#: The real cell runner, for the drill's faulty stand-in to call.
+_real_run_cell = parallel._run_cell
+
+
+class DrillFaults:
+    """``_run_cell`` with the drill's harness faults: a poison cell
+    raises in every process, and the kill cell's pool worker exits
+    hard (in this process it runs, so its re-run is the true result).
+    Every other cell runs for real."""
+
+    def __init__(self, poison, kill):
+        self.poison, self.kill = poison, kill
+
+    def __call__(self, cell):
+        digest = cell_digest(cell)
+        if digest in self.poison:
+            raise RuntimeError("injected poison")
+        if digest == self.kill and os.getpid() != _MAIN_PID:
+            os._exit(13)
+        return _real_run_cell(cell)
+
+
+def drill_specs():
+    """Two campaigns of real cells: 4 at priority 0, 2 at 1."""
+    systems = ("pthreads", "tmi-protect")
+    return {
+        "acme-grid": CampaignSpec(workloads=("histogram", "reverse"),
+                                  systems=systems, scale=0.05,
+                                  name="acme-grid"),
+        "bolt-grid": CampaignSpec(workloads=("histogramfs",),
+                                  systems=systems, scale=0.05,
+                                  name="bolt-grid", priority=1)}
+
+
+def serve_drill(root, jobs, tamper=None):
+    """Spool both campaigns through the inbox, then serve one pass."""
+    service = CampaignService(root=root, jobs=jobs)
+    for cid, spec in drill_specs().items():
+        service.reserve_campaign_id(spec, campaign_id=cid)
+    if tamper is not None:
+        # a well-formed entry whose payload line no longer matches
+        # its checksum
+        path = Path(service.store.put(tamper, CELL_OK, {"cycles": 1}))
+        entry = path.read_bytes()
+        forged = entry.replace(b'"cycles":1}', b'"cycles":2}')
+        assert forged != entry
+        path.write_bytes(forged)
+    asyncio.run(service.serve(once=True))
+    return service
+
+
+def store_entries(service):
+    """Every store entry's bytes, by digest."""
+    return {path.stem: path.read_bytes()
+            for path in Path(service.store.root).glob("*/*.json")}
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the drill's faults reach pool workers through fork")
+class TestChaosDrill:
+    """Two poison cells, a killed worker and a tampered store entry,
+    served in one pass at jobs=1 and jobs=2 and held to a fault-free
+    root: the failure policy changes no result."""
+
+    @pytest.fixture(scope="class")
+    def drill(self, tmp_path_factory):
+        specs = drill_specs()
+        acme, bolt = specs["acme-grid"].cells(), specs["bolt-grid"].cells()
+        poison = {cell_digest(acme[3]), cell_digest(bolt[1])}
+        kill = cell_digest(acme[1])
+        base = tmp_path_factory.mktemp("drill")
+        clean = serve_drill(str(base / "fault-free"), jobs=1)
+        chaotic = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "_run_cell", DrillFaults(poison, kill))
+            for jobs in (1, 2):
+                chaotic[jobs] = serve_drill(str(base / f"jobs{jobs}"),
+                                            jobs, tamper=acme[0])
+        return SimpleNamespace(poison=sorted(poison), kill=kill,
+                               clean=clean, chaotic=chaotic)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_equal_the_fault_free_run(self, drill, jobs):
+        service = drill.chaotic[jobs]
+        for cid in drill_specs():
+            state = service.status(cid)
+            assert state["status"] == COMPLETED
+            assert {e["status"] for e in state["cells"].values()} \
+                <= {CELL_OK, CELL_QUARANTINED}
+        # every stored payload, the tampered cell's recomputed one
+        # included, is the fault-free run's, byte for byte
+        expected = store_entries(drill.clean)
+        for digest in drill.poison:
+            del expected[digest]
+        assert store_entries(service) == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_only_the_poison_is_held(self, drill, jobs):
+        service = drill.chaotic[jobs]
+        assert service.resilience.quarantine.digests() == drill.poison
+        # one replay per poison cell: the dead worker's recovery is
+        # not a replay
+        counters = service.metrics_snapshot()["counters"]
+        assert counters.get("service.retry") == len(drill.poison)
+        assert counters.get("service.quarantined") == len(drill.poison)
+        assert service.store.evictions == 1
+
+    def test_supervision_record_identical_across_job_counts(self,
+                                                            drill):
+        def record(service):
+            paths = [service.resilience.state_path] + [
+                service.resilience.quarantine.path(digest)
+                for digest in drill.poison]
+            return [Path(path).read_bytes() for path in paths]
+        assert record(drill.chaotic[1]) == record(drill.chaotic[2])
+
+    def test_kill_fires_only_in_a_pool_worker(self, drill):
+        def entry(jobs):
+            state = drill.chaotic[jobs].status("acme-grid")
+            return state["cells"][drill.kill]
+        assert entry(1)["status"] == entry(2)["status"] == CELL_OK
+        assert not entry(1)["retried"]
+        assert entry(2)["retried"] and not entry(2)["replayed"]

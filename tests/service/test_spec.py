@@ -25,9 +25,11 @@ class TestValidation:
         with pytest.raises(CampaignSpecError, match="unknown system"):
             grid_spec(systems=("pthreads", "xen"))
 
-    def test_unknown_config_key_rejected(self):
+    # a misspelt key, and a perf knob that is not a TmiConfig field
+    @pytest.mark.parametrize("key", ["perod", "perf_queue_limit"])
+    def test_unknown_config_key_rejected(self, key):
         with pytest.raises(CampaignSpecError, match="config key"):
-            grid_spec(configs=({"perod": 100},))
+            grid_spec(configs=({key: 100},))
 
     def test_known_config_keys_accepted(self):
         spec = grid_spec(configs=({"period": 50, "huge_pages": False},))
