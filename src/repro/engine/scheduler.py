@@ -116,11 +116,11 @@ class Engine:
         # Type-keyed dispatch: one dict probe on the op's exact class
         # instead of walking an isinstance chain per op.  Op classes are
         # final (slotted dataclasses, never subclassed), so exact-class
-        # keying is sound.
+        # keying is sound.  A Compute op has no handler: the scheduling
+        # loop charges its cycles itself.
         self._exec_table = {
-            O.Compute: self._exec_compute,
-            O.Load: self._exec_access,
-            O.Store: self._exec_access,
+            O.Load: self._exec_load_store,
+            O.Store: self._exec_load_store,
             O.AccessRun: self._exec_seq_op,
             O.RmwSeq: self._exec_seq_op,
             O.StoreSeq: self._exec_seq_op,
@@ -232,7 +232,8 @@ class Engine:
         A dispatch first brings the thread's core clock up to its ready
         time and charges its pending penalty.  A thread mid-way through
         a batched op then resumes it (:meth:`_run_seq`); any other
-        thread's generator yields its next op, which runs through the
+        thread's generator yields its next op.  A ``Compute`` op's
+        cycles are charged here; every other op runs through the
         type-keyed handler table.
 
         Run-on: after a generator op that did not block, the loop would
@@ -242,8 +243,12 @@ class Engine:
         below every ready time on the heap.  Then the generator is sent
         its next value at once, with no heap entry and no ``seq``: only
         the relative order of heap entries matters, and it does not
-        change."""
+        change.  After an op that does not run on, the loop writes the
+        thread's heap entry itself, as :meth:`_schedule` would (the
+        thread is READY already)."""
         heap = self._heap
+        heappush = heapq.heappush
+        compute_op = O.Compute
         threads = self.threads
         core_clock = self.machine.core_clock
         max_cycles = self.max_cycles
@@ -288,19 +293,23 @@ class Engine:
                         break
                     thread.pending_value = None
                     thread.ops += 1
+                    cls = op.__class__
                     if policy_notify:
-                        policy.notify_op(tid, op.__class__.__name__)
-                    handler = exec_table.get(op.__class__)
-                    if handler is None:
-                        raise SimulationError(f"unknown op {op!r}")
-                    cost, value, blocked = handler(thread, op)
-                    if blocked:
-                        break
+                        policy.notify_op(tid, cls.__name__)
+                    if cls is compute_op:
+                        cost = op.cycles
+                        value = None
+                    else:
+                        handler = exec_table.get(cls)
+                        if handler is None:
+                            raise SimulationError(f"unknown op {op!r}")
+                        cost, value, blocked = handler(thread, op)
+                        if blocked:
+                            break
                     # handlers may advance the clock themselves: add to
                     # the live one
                     clock = core_clock[core] + cost
                     core_clock[core] = clock
-                    thread.cycles += cost
                     thread.pending_value = value
                     # run on: when this thread's clock is strictly before
                     # every ready time on the heap (a stale head only
@@ -315,7 +324,11 @@ class Engine:
                         if (next_tick is None or now < next_tick) \
                                 and now <= max_cycles:
                             continue
-                    self._schedule(thread, clock)
+                    thread.ready_time = clock
+                    seq = self._seq + 1
+                    self._seq = seq
+                    thread.seq = seq
+                    heappush(heap, (clock, seq, tid))
                     break
             if vector is not None and vector.hint:
                 vector.hint = False
@@ -514,9 +527,6 @@ class Engine:
     # ------------------------------------------------------------------
     # op execution
     # ------------------------------------------------------------------
-    def _exec_compute(self, thread, op):
-        return op.cycles, None, False
-
     def _exec_region_begin(self, thread, op):
         thread.region_stack.append((op.kind, op.ordering))
         cost = self.runtime.on_region_begin(self, thread, op.kind,
@@ -577,35 +587,74 @@ class Engine:
     # ------------------------------------------------------------------
     # data accesses
     # ------------------------------------------------------------------
-    def _exec_access(self, thread, op):
-        """One single data access: a plain or atomic load, a store, or
-        an atomic RMW.
+    def _exec_load_store(self, thread, op):
+        """One plain load or store.
 
         The translation-cache lane runs inline; the runtime's
         ``translate`` runs only for an access its process routes
-        (:attr:`~repro.engine.thread.SimProcess.routed`): an atomic,
-        or a volatile or in-region load or store.
+        (:attr:`~repro.engine.thread.SimProcess.routed`): a volatile or
+        in-region one (:meth:`~repro.engine.thread.SimThread.routes`).
         """
-        cls = op.__class__
-        atomic = cls is not O.Load and cls is not O.Store
-        is_rmw = cls is O.AtomicRMW
-        is_write = is_rmw or cls is O.Store or cls is O.AtomicStore
+        is_write = op.__class__ is O.Store
         addr = op.addr
         width = op.width
-        observer = self._observer
-        if observer is not None:
-            if atomic:
-                observer.on_atomic(thread.tid, op.site, addr, width,
-                                   is_write, is_rmw, op.ordering)
-            else:
-                observer.on_access(thread.tid, op.site, addr, width,
-                                   is_write, op.volatile)
+        if self._observer is not None:
+            self._observer.on_access(thread.tid, op.site, addr, width,
+                                     is_write, op.volatile)
         if self._rt_override:
             override = self.runtime.exec_access_override(self, thread, op)
             if override is not None:
                 return override[0], override[1], False
         process = thread.process
-        if process.routed and (atomic or thread.routes(op)):
+        if process.routed and thread.routes(op):
+            translation = self.runtime.translate(self, thread, op, addr,
+                                                 width, is_write)
+            pa = translation.pa
+            cost = translation.cost
+        else:
+            entry = process.aspace._tcache.get(addr >> 12)
+            if entry is not None and addr + width <= entry[1]:
+                pa = addr + entry[0]
+                cost = 0
+            else:
+                translation = process.aspace.translate(addr, width,
+                                                       is_write)
+                pa = translation.pa
+                cost = translation.cost
+        if is_write:
+            thread.stores += 1
+            value = op.value
+        else:
+            thread.loads += 1
+            value = None
+        traffic, value = self.machine.mem_access(
+            thread.core, thread.tid, op.site.pc, addr, pa, width, is_write,
+            value)
+        return cost + traffic, value, False
+
+    def _exec_access(self, thread, op):
+        """One atomic access: a load, a store or an RMW.
+
+        Its process's PTSB, if routed
+        (:attr:`~repro.engine.thread.SimProcess.routed`), is always
+        bypassed through the runtime's ``translate``; otherwise the
+        translation-cache lane runs inline.
+        """
+        cls = op.__class__
+        is_rmw = cls is O.AtomicRMW
+        is_write = is_rmw or cls is O.AtomicStore
+        addr = op.addr
+        width = op.width
+        observer = self._observer
+        if observer is not None:
+            observer.on_atomic(thread.tid, op.site, addr, width, is_write,
+                               is_rmw, op.ordering)
+        if self._rt_override:
+            override = self.runtime.exec_access_override(self, thread, op)
+            if override is not None:
+                return override[0], override[1], False
+        process = thread.process
+        if process.routed:
             translation = self.runtime.translate(self, thread, op, addr,
                                                  width, is_write)
             pa = translation.pa
@@ -622,8 +671,8 @@ class Engine:
                 cost = translation.cost
         machine = self.machine
         pc = op.site.pc
+        thread.atomics += 1
         if is_rmw:
-            thread.atomics += 1
             old = machine.physmem.read_int(pa, width)
             if op.op == "add":
                 new = old + op.operand
@@ -636,14 +685,8 @@ class Engine:
             traffic, _ = machine.mem_access(
                 thread.core, thread.tid, pc, addr, pa, width, True, new)
             return cost + traffic + self.costs.atomic_extra, old, False
-        if atomic:
-            thread.atomics += 1
-            if is_write and op.ordering == O.SEQ_CST:
-                cost += self.costs.fence
-        elif is_write:
-            thread.stores += 1
-        else:
-            thread.loads += 1
+        if is_write and op.ordering == O.SEQ_CST:
+            cost += self.costs.fence
         traffic, value = machine.mem_access(
             thread.core, thread.tid, pc, addr, pa, width, is_write,
             op.value if is_write else None)
@@ -658,23 +701,56 @@ class Engine:
 
         The op executes sub-op by sub-op (:meth:`_run_seq`): each load
         and store with the single-access semantics of
-        :meth:`_exec_access` — observer callbacks, runtime hooks,
+        :meth:`_exec_load_store` — observer callbacks, runtime hooks,
         coherence — and each compute step as pure clock advance.  It
         yields the core at exactly the points where the unbatched loop
         would have context-switched: another runnable thread's ready
         time reaching this core's clock, a pending stop-the-world, a
         due runtime tick, or the cycle budget (under a schedule policy,
         after every sub-op).  The continuation lives on the thread
-        (``run_op``/``run_index``/``run_values``), so resuming does not
-        touch the workload generator.
+        (``run_op``/``run_plan``/``run_index``/``run_values``), so
+        resuming does not touch the workload generator.
+
+        The op is decoded here, once: ``run_plan`` is the tuple
+        ``(is_rmw, is_run, width, nphases, compute, site0, site1,
+        addrs, base, stride, write0, value, values, delta, deltas,
+        mask, total)``.  Phase 0 is an RMW's load (``site0`` at
+        ``addrs[element]``) or a run's or store sequence's access
+        (``site0`` at ``base + element * stride``, a store when
+        ``write0``, of ``value`` or ``values[element]``); an RMW's
+        phase 1 stores at ``site1`` the carried load plus ``delta`` or
+        ``deltas[element]``, masked to the width; the last phase of an
+        op that computes charges ``compute``.  ``total`` counts the
+        sub-ops.
         """
-        if op.__class__ is O.AccessRun:
+        cls = op.__class__
+        if cls is O.RmwSeq:
+            deltas = op.deltas
+            delta = None
+            if isinstance(deltas, int):
+                delta, deltas = deltas, None
+            nphases = 3 if op.compute else 2
+            thread.run_plan = (
+                True, False, op.width, nphases, op.compute, op.load_site,
+                op.store_site, op.addrs, 0, 0, False, None, None, delta,
+                deltas, (1 << (8 * op.width)) - 1, len(op.addrs) * nphases)
+            thread.run_values = None
+        elif cls is O.AccessRun:
             # reject malformed shapes before a single access executes,
             # so the run fails with a typed error at the cycle it was
             # issued
             validate_run(op)
+            thread.run_plan = (
+                False, True, op.width, 1, 0, op.site, None, None, op.addr,
+                op.stride, op.is_write, op.value, None, None, None, 0,
+                op.count)
             thread.run_values = None if op.is_write else []
         else:
+            nphases = 2 if op.compute else 1
+            thread.run_plan = (
+                False, False, op.width, nphases, op.compute, op.site, None,
+                None, op.addr, 0, True, None, op.values, None, None, 0,
+                len(op.values) * nphases)
             thread.run_values = None
         thread.run_op = op
         thread.run_index = 0
@@ -691,7 +767,19 @@ class Engine:
         compute; an AccessRun's element is its one access, at ``addr +
         element * stride``.  ``run_index`` counts sub-ops, so a break
         can land between an element's load and its store.  The phases
-        come from the op, never from its lowered shape.
+        come from the op, never from its lowered shape.  Each dispatch
+        and band switch unpacks the thread's ``run_plan``, the op
+        decoded once by :meth:`_exec_seq_op`, and reads the
+        process-side fields (address space, translation cache,
+        whether the op is routed) afresh: a stop-the-world between two
+        dispatches may have re-homed the thread.
+
+        Each dispatch computes the first clock at which a break test
+        could fire: the next tick, the cycle budget and the ready-heap
+        head's ready time, or every clock when a tick or the budget is
+        already due.  Below that bound, with no stop-the-world pending,
+        the next sub-op runs at once; at or past it the ordered ladder
+        runs: stop-the-world, tick, budget, then the head.
 
         A thread that yields only because the earliest live ready-heap
         entry is due hands the core to that entry's thread without a
@@ -719,6 +807,9 @@ class Engine:
         threads = self.threads
         max_cycles = self.max_cycles
         next_tick = self._next_tick
+        # requests append to this list, and only the scheduling loop
+        # replaces it (when it runs them), so the binding stays live
+        stop_world = self._stop_world
         # a head-ready break after a fast hit is the round-robin steady
         # state the lockstep kernel extrapolates; it runs sequences only,
         # and says when it would try a window
@@ -734,55 +825,30 @@ class Engine:
         mem_access = machine.mem_access
         # under a schedule policy every access is a decision point
         band = self.policy is None
+        # machine.now, read once: while a thread runs only its own
+        # core's clock moves, and it only grows; a band switch leaves
+        # the clock it moved below the next tick and within the budget
+        # (the ladder tests both before the head), so max(clock, now0)
+        # meets the tick and budget tests exactly as machine.now would
+        now0 = max(core_clock)
         while True:
             op = thread.run_op
+            (is_rmw, is_run, width, nphases, compute, site0, site1, addrs,
+             base, stride, write0, value, values, delta, deltas, mask,
+             total) = thread.run_plan
             core = thread.core
             tid = thread.tid
-            cls = op.__class__
-            is_rmw = cls is O.RmwSeq
-            is_run = cls is O.AccessRun
-            width = op.width
-            volatile = op.volatile
-            compute = 0 if is_run else op.compute
-            value = None
-            if is_rmw:
-                addrs = op.addrs
-                deltas = op.deltas
-                const_delta = deltas if isinstance(deltas, int) else None
-                count = len(addrs)
-                nphases = 3 if compute else 2
-                mask = (1 << (8 * width)) - 1
-                load_site = op.load_site
-                store_site = op.store_site
-            else:
-                # one access per element, at base + element * stride
-                access_site = op.site
-                base = op.addr
-                if is_run:
-                    seq_values = None
-                    count = op.count
-                    stride = op.stride
-                    run_write = op.is_write
-                    value = op.value
-                    nphases = 1
-                else:
-                    seq_values = op.values
-                    count = len(seq_values)
-                    stride = 0
-                    run_write = True
-                    nphases = 2 if compute else 1
-            total = count * nphases
             vector = None if is_run else seq_vector
-            aspace = thread.process.aspace
+            process = thread.process
+            aspace = process.aspace
             # a bound object, not a snapshot: _tcache is mutated in
             # place (cleared, never reassigned) so the binding stays live
             tcache = aspace._tcache
-            routed = thread.routes(op)
+            routed = process.routed and thread.routes(op)
+            # an RMW's carried load, or an AccessRun's loads so far
+            carried = thread.run_values
             # whether the latest access was hit-priced
             fastish = False
-            # only this core's clock moves while the thread runs, and it
-            # only grows, so machine.now is max(clock, now0) throughout
-            now0 = max(core_clock)
             index = thread.run_index
             if band:
                 # nothing is pushed to or popped from the ready heap
@@ -801,28 +867,36 @@ class Engine:
                 # every clock is past this bound, so the thread yields
                 # after each sub-op
                 head_ready = 0
+            # below this clock no test of the ladder can fire
+            if now0 > max_cycles or (next_tick is not None
+                                     and now0 >= next_tick):
+                bound = 0
+            else:
+                bound = max_cycles
+                if next_tick is not None and next_tick < bound:
+                    bound = next_tick
+                if head_ready is not None and head_ready < bound:
+                    bound = head_ready
             clock = core_clock[core]
             head = None
             while True:
                 element, phase = divmod(index, nphases)
                 if phase == 0:
+                    site = site0
                     if is_rmw:
-                        site = load_site
                         addr = addrs[element]
                         is_write = False
                     else:
-                        site = access_site
                         addr = base + element * stride
-                        is_write = run_write
-                        if seq_values is not None:
-                            value = seq_values[element]
+                        is_write = write0
+                        if values is not None:
+                            value = values[element]
                 elif phase == 1 and is_rmw:
-                    site = store_site
+                    site = site1
                     addr = addrs[element]
                     is_write = True
-                    value = (thread.run_values
-                             + (const_delta if const_delta is not None
-                                else deltas[element])) & mask
+                    value = (carried + (delta if deltas is None
+                                        else deltas[element])) & mask
                 else:
                     site = None
                 if site is None:
@@ -830,14 +904,14 @@ class Engine:
                 else:
                     if observer is not None:
                         observer.on_access(tid, site, addr, width,
-                                           is_write, volatile)
+                                           is_write, op.volatile)
                     handled = None
                     if override is not None:
                         handled = override(
                             self, thread,
-                            O.Store(site, addr, value, width, volatile)
+                            O.Store(site, addr, value, width, op.volatile)
                             if is_write else
-                            O.Load(site, addr, width, volatile))
+                            O.Load(site, addr, width, op.volatile))
                     if handled is not None:
                         cost, loaded = handled
                     else:
@@ -868,21 +942,22 @@ class Engine:
                     fastish = cost <= (store_hit if is_write else load_hit)
                     if is_rmw:
                         # an RMW carries its loaded value to its store
-                        thread.run_values = loaded
+                        carried = loaded
                     elif not is_write:
                         # an AccessRun's loads go back to the generator
-                        thread.run_values.append(loaded)
+                        carried.append(loaded)
                 # handlers may advance the core clock internally (e.g. a
                 # store-buffer drain), so add the returned cost on top of
                 # the live clock exactly as a dispatch does
-                core_clock[core] += cost
-                clock = core_clock[core]
-                thread.cycles += cost
+                clock = core_clock[core] + cost
+                core_clock[core] = clock
                 index += 1
                 if index >= total:
                     break
+                if clock < bound and not stop_world:
+                    continue
                 # --- would the serial engine have switched away here? ---
-                if self._stop_world:
+                if stop_world:
                     break
                 now = clock if clock > now0 else now0
                 if next_tick is not None and now >= next_tick:
@@ -903,11 +978,12 @@ class Engine:
                             head = None
                     break
             thread.run_index = index
+            thread.run_values = carried
             if head is None:
                 if index >= total:
                     thread.run_op = None
-                    thread.pending_value = (thread.run_values if is_run
-                                            else None)
+                    thread.run_plan = None
+                    thread.pending_value = carried if is_run else None
                     thread.run_values = None
                 self._schedule(thread, clock)
                 return
@@ -986,7 +1062,6 @@ class Engine:
         thread.state = BLOCKED
         thread.blocked_on = mutex
         self.machine.advance(thread.core, cost + self.costs.mutex_slow)
-        thread.cycles += cost + self.costs.mutex_slow
         return 0, None, True
 
     def _exec_unlock(self, thread, op):
@@ -1034,7 +1109,6 @@ class Engine:
             thread.state = BLOCKED
             thread.blocked_on = barrier
             self.machine.advance(thread.core, cost)
-            thread.cycles += cost
             return 0, None, True
         release = max(at for _, at in barrier.arrived)
         if self._observer is not None:
@@ -1051,7 +1125,6 @@ class Engine:
         extra = self.runtime.on_sync_acquired(self, thread, barrier,
                                               "barrier")
         self.machine.core_clock[thread.core] = release + extra
-        thread.cycles += cost + extra
         self._schedule(thread, release + extra)
         # value already charged via explicit clock writes
         return 0, None, True
@@ -1077,7 +1150,6 @@ class Engine:
         thread.state = BLOCKED
         thread.blocked_on = condvar
         self.machine.advance(thread.core, cost)
-        thread.cycles += cost
         return 0, None, True
 
     def _exec_cond_signal(self, thread, op):

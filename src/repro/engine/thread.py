@@ -60,6 +60,7 @@ class SimThread:
         # thread becomes runnable, then resumes here instead of
         # re-entering the generator
         self.run_op = None              # the run being executed
+        self.run_plan = None            # run_op decoded (_exec_seq_op)
         self.run_index = 0              # next access (sequence: sub-op)
         self.run_values = None          # loads so far (RMW: carried load)
         # statistics
@@ -68,7 +69,6 @@ class SimThread:
         self.stores = 0
         self.atomics = 0
         self.sync_ops = 0
-        self.cycles = 0
 
     # ------------------------------------------------------------------
     @property

@@ -47,6 +47,10 @@ from repro.sim.cache_batch import apply_fast_mixed
 
 #: Smallest lockstep window worth committing, in sub-ops.
 MIN_LOCKSTEP = 16
+#: Smallest committed window that pays for its attempt, in sub-ops: an
+#: attempt costs about as much as 30-40 serial sub-ops, so a shorter
+#: window backs off as a declined one does.
+LOCKSTEP_PAYOFF = 64
 
 
 class VectorExecutor:
@@ -108,10 +112,13 @@ class VectorExecutor:
         dispatch is ``head``, a thread mid-run.
 
         An ``AccessRun`` head gets no window.  Otherwise this is where
-        the backoff lives: a cool-down after a declined window skips the
-        next ``2**streak`` offers, and a declined window stays declined
-        until the thread it rejected progresses past the rejection point
-        serially.  A ``False`` leaves the break to the band.
+        the backoff lives: a cool-down after a declined window, or after
+        a committed one shorter than :data:`LOCKSTEP_PAYOFF` sub-ops,
+        skips the next ``2**streak`` offers (only a window at or over
+        the payoff clears the streak), and a declined window stays
+        declined until the thread it rejected progresses past the
+        rejection point serially.  A ``False`` leaves the break to the
+        band.
         """
         if head.run_op.__class__ is AccessRun:
             return False
@@ -344,7 +351,10 @@ class VectorExecutor:
             engine._schedule(band[i], finals[i])
         self.batched_ops += total
         self.lockstep_batches += 1
-        self._seq_streak = 0
+        if total < LOCKSTEP_PAYOFF:
+            self._seq_decline()
+        else:
+            self._seq_streak = 0
 
     def _seq_decline(self):
         """Back off after a failed/declined window attempt."""
@@ -457,6 +467,5 @@ class VectorExecutor:
         thread.run_values = carried
         thread.loads += loads
         thread.stores += stores
-        thread.cycles += clock - rt
         machine.core_clock[thread.core] = clock
         self.batches += 1

@@ -95,24 +95,29 @@ class CampaignJob:
                 counts["retried"] += 1
         return counts
 
-    def cache_hit_fraction(self):
-        """Fraction of the campaign's cells served from the store."""
-        if not self.cells:
+    def cache_hit_fraction(self, counts=None):
+        """Fraction of the campaign's cells served from the store;
+        ``counts`` is :meth:`counts` when the caller has it."""
+        if counts is None:
+            counts = self.counts()
+        if not counts["total"]:
             return 0.0
-        counts = self.counts()
         return counts["cache_hits"] / counts["total"]
 
-    def to_dict(self):
-        """The campaign state as a ``repro-campaign/1`` document."""
+    def to_dict(self, counts=None):
+        """The campaign state as a ``repro-campaign/1`` document; the
+        cells are counted once, unless the caller passes ``counts``."""
+        if counts is None:
+            counts = self.counts()
         return {"format": CAMPAIGN_FORMAT, "id": self.id,
                 "status": self.status, "spec": self.spec.to_dict(),
-                "counts": self.counts(),
-                "cache_hit_fraction": self.cache_hit_fraction(),
+                "counts": counts,
+                "cache_hit_fraction": self.cache_hit_fraction(counts),
                 "cells": self.cells}
 
-    def write_state(self):
+    def write_state(self, counts=None):
         """Atomically persist the state file; returns its path."""
-        return write_json(self.state_path, self.to_dict())
+        return write_json(self.state_path, self.to_dict(counts))
 
 
 class CampaignScheduler:
@@ -212,7 +217,7 @@ class CampaignScheduler:
         metrics.counter("campaign.executed").inc(counts["executed"])
         done = counts["ok"] + counts.get(CELL_QUARANTINED, 0)
         job.status = COMPLETED if done == counts["total"] else FAILED
-        job.write_state()
+        job.write_state(counts)
         metrics.counter("campaign.jobs_" + job.status).inc()
         metrics.gauge("campaign.active").add(-1)
         return job

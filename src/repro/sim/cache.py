@@ -42,18 +42,21 @@ class CoherenceDirectory:
     line it already owns in M/E with no other core in the line's recent
     contention history.  ``_fast`` is an *owner micro-cache* for exactly
     that case: line -> (owner core, holders dict, owner's ``_recent``
-    timestamp cell).  The hit itself is
-    :meth:`~repro.sim.machine.Machine.mem_access`'s: it charges
-    ``load_hit``/``store_hit``, performs the E->M upgrade in place, and
-    refreshes the owner's contention timestamps — byte-for-byte what
-    :meth:`access` would compute — without walking
-    ``_lines``/``_recent``.  :meth:`access` itself always runs the
-    protocol: it drops the line's entry first, and a single-line access
-    reinstalls it when the sole-owner condition holds after the step,
-    so a fast-owned line costs and ends the same either way (PTSB
-    commit probes call :meth:`access` directly).  Entries are evicted
-    whenever the line takes the protocol (any other core touching it,
-    or a multi-line access) and on :meth:`flush_range`.
+    timestamp cell).  A single-line access is
+    :meth:`~repro.sim.machine.Machine.mem_access`'s, in one frame.  The
+    fast hit charges ``load_hit``/``store_hit``, performs the E->M
+    upgrade in place, and refreshes the owner's contention timestamps —
+    byte-for-byte what the protocol would compute — without walking
+    ``_lines``/``_recent``.  Any other single-line access is the
+    protocol step: the machine drops another core's entry, resets the
+    pooled outcome (``_pool``) and calls :meth:`_line`, which
+    reinstalls an entry when the sole-owner condition holds after the
+    step.  :meth:`access` keeps multi-line accesses and PTSB commit
+    probes and always runs the protocol: it drops the line's entry
+    first, and a single-line probe reinstalls it the same way, so a
+    fast-owned line costs and ends the same either way.  Entries are
+    evicted whenever the line takes the protocol (any other core
+    touching it, or a multi-line access) and on :meth:`flush_range`.
     ``ReferenceDirectory`` in ``cache_ref.py`` keeps the unoptimized
     model for differential testing.
     """

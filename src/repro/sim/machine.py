@@ -10,7 +10,7 @@ from repro.errors import SimulationError
 from repro.sim.cache import EXCLUSIVE, MODIFIED, CoherenceDirectory
 from repro.sim.costs import DEFAULT_COSTS, LINE_SIZE
 from repro.sim.events import HitmEvent
-# the fast hit moves its word through physical memory's own codecs
+# a single-line access moves its word through physical memory's codecs
 from repro.sim.physmem import (_CHUNK, _CHUNK_MASK, _INT_CODEC, _INT_MASK,
                                PhysicalMemory)
 from repro.sim.topology import Topology
@@ -55,9 +55,11 @@ class Machine:
         self.core_clock = [0] * n_cores
         self._hitm_listeners = []
         self.hitm_events = 0
-        # bound containers, never reassigned (the micro-cache is
-        # cleared in place), and cost constants, never mutated
+        # bound containers and the pooled outcome, never reassigned
+        # (the micro-cache is cleared in place), and cost constants,
+        # never mutated
         self._fast = self.directory._fast
+        self._outcome = self.directory._pool
         self._chunks = self.physmem._chunks
         self._load_hit = self.costs.load_hit
         self._store_hit = self.costs.store_hit
@@ -95,47 +97,64 @@ class Machine:
         Returns ``(cost, loaded_value)``; ``loaded_value`` is None for
         stores.  Fires HITM listeners and accumulates their costs.
 
-        The fast hit is this one frame: a single-line access of a
-        power-of-two width to a line ``core`` owns in the directory's
-        owner micro-cache.  It makes exactly the directory's own update
-        for that case (the owner's timestamps, the one E->M upgrade,
-        ``access_count``), charges the hit price, which can raise no
-        HITM, and moves the word to or from its 4 KB chunk.  Every
-        other access goes through :meth:`CoherenceDirectory.access`.
+        A single-line access is one frame below the caller.  On a line
+        ``core`` owns in the directory's owner micro-cache it is the
+        fast hit: exactly the directory's own update for that case (the
+        owner's timestamps, the one E->M upgrade), the hit price, which
+        can raise no HITM.  On any other line it is the protocol step:
+        it drops another core's micro-cache entry, resets the
+        directory's pooled outcome and runs
+        :meth:`CoherenceDirectory._line`, which may install an entry
+        for ``core``.  Both count the access and share one tail that
+        moves the word to or from its 4 KB chunk through physical
+        memory's width codec (a line never crosses a chunk); a width
+        with no codec goes through :meth:`PhysicalMemory.read_int` /
+        :meth:`~PhysicalMemory.write_int`.  An access that straddles a
+        line goes through :meth:`CoherenceDirectory.access`.
         """
         now = self.core_clock[core]
-        entry = self._fast.get(pa & _LINE_BASE)
-        if entry is not None and entry[0] == core \
-                and (pa & _LINE_OFFSET) + width <= LINE_SIZE:
-            codec = _INT_CODEC.get(width)
-            if codec is not None:
+        directory = self.directory
+        if (pa & _LINE_OFFSET) + width <= LINE_SIZE:
+            line = pa & _LINE_BASE
+            fast = self._fast
+            entry = fast.get(line)
+            if entry is not None and entry[0] == core:
                 mine = entry[2]
                 mine[0] = now
-                self.directory.access_count += 1
-                off = pa & _CHUNK_MASK
-                chunk = self._chunks.get(pa - off)
                 if is_write:
                     mine[1] = now
                     holders = entry[1]
                     if holders[core] is EXCLUSIVE:
                         holders[core] = MODIFIED
-                    if chunk is None:
-                        chunk = self._chunks[pa - off] = bytearray(_CHUNK)
-                    codec.pack_into(chunk, off, value & _INT_MASK[width])
-                    return self._store_hit, None
-                if chunk is None:
-                    return self._load_hit, 0
-                return self._load_hit, codec.unpack_from(chunk, off)[0]
-        outcome = self.directory.access(core, pa, width, is_write, now=now)
-        cost = outcome.cost
-        if outcome.hitm_remotes:
+                    cost = self._store_hit
+                else:
+                    cost = self._load_hit
+                remotes = None
+            else:
+                if entry is not None:
+                    del fast[line]
+                outcome = self._outcome
+                outcome.cost = 0
+                if outcome.hitm_remotes:
+                    outcome.hitm_remotes = []
+                directory._line(core, line, is_write, now, outcome, fast)
+                cost = outcome.cost
+                remotes = outcome.hitm_remotes
+            directory.access_count += 1
+            codec = _INT_CODEC.get(width)
+        else:
+            outcome = directory.access(core, pa, width, is_write, now)
+            cost = outcome.cost
+            remotes = outcome.hitm_remotes
+            codec = None
+        if remotes:
             if not self._hitm_listeners:
-                self.hitm_events += len(outcome.hitm_remotes)
+                self.hitm_events += len(remotes)
             else:
                 # snapshot: the outcome is pooled, and listeners may
                 # re-enter mem_access (runtime instrumentation issuing
                 # its own probes)
-                for remote in tuple(outcome.hitm_remotes):
+                for remote in tuple(remotes):
                     self.hitm_events += 1
                     event = HitmEvent(
                         cycle=now, core=core, tid=tid, pc=pc,
@@ -146,10 +165,21 @@ class Machine:
                         extra = listener(event)
                         if extra:
                             cost += extra
+        if codec is None:
+            if is_write:
+                self.physmem.write_int(pa, value, width)
+                return cost, None
+            return cost, self.physmem.read_int(pa, width)
+        off = pa & _CHUNK_MASK
+        chunk = self._chunks.get(pa - off)
         if is_write:
-            self.physmem.write_int(pa, value, width)
+            if chunk is None:
+                chunk = self._chunks[pa - off] = bytearray(_CHUNK)
+            codec.pack_into(chunk, off, value & _INT_MASK[width])
             return cost, None
-        return cost, self.physmem.read_int(pa, width)
+        if chunk is None:
+            return cost, 0
+        return cost, codec.unpack_from(chunk, off)[0]
 
     def advance(self, core, cycles):
         """Advance one core's clock."""

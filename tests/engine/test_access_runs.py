@@ -13,7 +13,10 @@ Contended runs take turns inside one engine call (the band: a thread
 that yields to a mid-run thread hands it the core without a trip
 through the scheduling loop).  The band pins run the falsely shared
 hammer without the vector core, under LASER and under TMI, and check
-that every way a band ends leaves the per-op results unchanged.
+that every way a band ends leaves the per-op results unchanged.  A run
+with no other thread ready stops only at a runtime tick or at the
+cycle budget, and the lone-run pins check that it stops at both
+exactly where the per-op loop does.
 """
 
 import pytest
@@ -22,11 +25,12 @@ from helpers import HAMMER_ROUNDS as ROUNDS
 from helpers import HAMMER_RUN as RUN
 from helpers import HAMMER_WORKERS as NWORKERS
 from helpers import hammer_program as _hammer
-from helpers import make_program
+from helpers import hammer_round, make_program
 from repro.baselines import LaserRuntime
 from repro.baselines.pthreads import PthreadsRuntime
 from repro.core import TmiConfig, TmiRuntime
 from repro.engine import Engine
+from repro.errors import CycleBudgetError
 from repro.isa import Binary
 
 #: Slot spacing: one line per worker, or four slots on one line.
@@ -120,6 +124,81 @@ def test_contended_bands_match_per_op_loops(system, kind):
         # round reads its neighbours' slots: true sharing, which
         # neither runtime repairs)
         assert outcomes[True][-1]
+
+
+def _lone(kind, batched):
+    """One worker, alone while main waits in join, runs ``ROUNDS``
+    rounds of ``kind`` (see :func:`helpers.hammer_round`) on one slot,
+    as batched ops or one op at a time."""
+    binary = Binary("lone")
+    st = binary.store_site("st", 8)
+    ld = binary.load_site("ld", 8)
+    loaded = []
+
+    def main(t):
+        block = yield from t.malloc(4096, align=64)
+
+        def worker(w):
+            for r in range(ROUNDS):
+                got = yield from hammer_round(w, kind, batched, block, r,
+                                              st, ld)
+                loaded.append(tuple(got))
+
+        tid = yield from t.spawn(worker, "w")
+        yield from t.join(tid)
+
+    return make_program(main, "lone", nthreads=1, binary=binary), loaded
+
+
+class _TickLog(PthreadsRuntime):
+    """pthreads plus a tick every ``tick_cycles`` that records when it
+    fired and every core's clock at that point, and counts the ticks
+    that found a thread mid-way through a batched op."""
+
+    tick_cycles = 50
+
+    def __init__(self):
+        super().__init__()
+        self.ticks = []
+        self.mid_run = 0
+
+    def on_tick(self, engine, now):
+        self.ticks.append((now, tuple(engine.machine.core_clock)))
+        self.mid_run += any(thread.run_op is not None
+                            for thread in engine.threads.values())
+
+
+#: Simulated cycles after which the lone runs exhaust their budget:
+#: past the worker's start (``pthread_create`` costs 16,000, its first
+#: access faults its page in), inside a run of every kind.
+LONE_BUDGET = 21_101
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_OPS))
+def test_lone_runs_stop_at_ticks_and_budget_like_per_op_loops(kind):
+    """With nothing else ready a run is never at a head-ready break, so
+    only the tick or the budget can stop it mid-way.  Every tick fires
+    at the same clocks, with the same outcome, and the budget runs out
+    at the same cycle, as in the per-op loop."""
+    ticked, budget = {}, {}
+    for batched in (True, False):
+        program, loaded = _lone(kind, batched)
+        runtime = _TickLog()
+        ticked[batched] = (_outcome(Engine(program, runtime), loaded),
+                           runtime.ticks)
+        if batched:
+            assert runtime.mid_run > 0, "no tick landed inside a run"
+        program, _loaded = _lone(kind, batched)
+        engine = Engine(program, PthreadsRuntime(), max_cycles=LONE_BUDGET)
+        with pytest.raises(CycleBudgetError) as excinfo:
+            engine.run()
+        budget[batched] = (excinfo.value.args[:2],
+                           list(engine.machine.core_clock))
+        if batched:
+            assert engine.threads[1].run_op is not None, \
+                "the budget must run out inside a run"
+    assert ticked[True] == ticked[False]
+    assert budget[True] == budget[False]
 
 
 #: Rounds of the LASER alias case.

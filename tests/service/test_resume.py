@@ -7,10 +7,10 @@ not re-read the state files of campaigns this process has already seen
 finish.  An inbox spec leaves the inbox only after its campaign's
 state is written, so a service killed between the two loses nothing
 and runs nothing twice.  A warm serve does no work the service already
-did: two state writes per campaign, one store read per distinct cell,
-and a constant number of id probes however often a spec was
-submitted.  Cells run on the fake-runner seam (monkeypatched
-``repro.eval.parallel._run_cell``).
+did: two state writes per campaign, each counting its cells once, one
+store read per distinct cell, and a constant number of id probes
+however often a spec was submitted.  Cells run on the fake-runner seam
+(monkeypatched ``repro.eval.parallel._run_cell``).
 """
 
 import asyncio
@@ -271,7 +271,7 @@ class TestWarmWork:
         asyncio.run(service.serve(once=True))
 
         writes = count_calls(monkeypatch, CampaignJob, "write_state",
-                             lambda job: job.id)
+                             lambda job, counts=None: job.id)
         reads = count_calls(monkeypatch, ResultStore, "get",
                             lambda store, digest: digest)
         ids = [client.submit(spec) for spec in specs]
@@ -284,6 +284,25 @@ class TestWarmWork:
                     for cell in spec.cells()}
         assert len(distinct) == 5
         assert reads == {digest: 1 for digest in distinct}
+
+    def test_all_hit_resubmission_counts_once_per_write(
+            self, ok_pool, tmp_path, monkeypatch):
+        """A warm campaign counts its cells once for each of its two
+        state writes: the final write reuses the counts that decided
+        its status."""
+        service = make_service(tmp_path)
+        client = ServiceClient(service.root)
+        spec = CampaignSpec(workloads=("histogram", "lreg"),
+                            systems=("pthreads", "laser"), scale=0.05)
+        client.submit(spec)
+        asyncio.run(service.serve(once=True))
+
+        counted = count_calls(monkeypatch, CampaignJob, "counts",
+                              lambda job: job.id)
+        campaign_id = client.submit(spec)
+        asyncio.run(service.serve(once=True))
+        assert counted == {campaign_id: 2}
+        assert service.status(campaign_id)["counts"]["cache_hits"] == 4
 
     def test_nth_resubmission_probes_two_ids(self, tmp_path,
                                              monkeypatch):

@@ -8,11 +8,14 @@ path is an implementation detail, never a semantic one.  Two-socket
 traces compare the socket-aware branches too: QPI hops, remote fills
 under first-touch and interleaved page homes, and cross-socket HITMs.
 
-The fast hit itself lives in ``Machine.mem_access``, so the same
-traces also run through a whole :class:`Machine` against the reference
-directory plus a plain byte-array memory: costs with a HITM listener's
-charge, loaded values, the HITMs the listener saw, every counter, the
-final MESI state and the final memory.
+A single-line access is one frame in ``Machine.mem_access``: the fast
+hit, or the protocol step it runs through ``CoherenceDirectory._line``
+itself.  So the same traces also run through a whole :class:`Machine`
+against the reference directory plus a plain byte-array memory: costs
+with a HITM listener's charge, loaded values, the HITMs the listener
+saw, every counter, the final MESI state and the final memory.  Their
+3-byte accesses have no width codec, so they pin the machine's
+fallback to ``PhysicalMemory.read_int``/``write_int``.
 """
 
 import random
@@ -107,8 +110,9 @@ MEMORY_BYTES = 6 * PAGE_4K
 def replay_machine(steps, pages=None):
     """Run one trace through ``Machine.mem_access`` and through the
     reference directory plus a byte-array memory, comparing as we go;
-    returns the machine and the number of fast hits (accesses that
-    never reached ``CoherenceDirectory.access``).
+    returns the machine, the number of fast hits (accesses that reached
+    neither ``CoherenceDirectory.access`` nor its protocol step
+    ``_line``) and the number of accesses that took the protocol.
 
     Each access runs at its step's ``now`` on the core's clock, the
     machine's HITM listener records every event it sees and charges
@@ -126,13 +130,16 @@ def replay_machine(steps, pages=None):
 
     machine.add_hitm_listener(listener)
     calls = []
-    slow = directory.access
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return slow(*args, **kwargs)
+    def counted(method):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return method(*args, **kwargs)
+        return call
 
-    directory.access = counted
+    directory.access = counted(directory.access)
+    directory._line = counted(directory._line)
+    fast_hits = protocol = 0
     for index, step in enumerate(steps):
         if step[0] == "flush":
             _, pa, nbytes = step
@@ -146,8 +153,13 @@ def replay_machine(steps, pages=None):
         value = (index * 0x9E3779B97F4A7C15) >> 3 if is_write else None
         machine.core_clock[core] = now
         before = len(seen)
+        called = len(calls)
         cost, loaded = machine.mem_access(core, 100 + core, 0x4000, pa,
                                           pa, width, is_write, value)
+        if len(calls) == called:
+            fast_hits += 1
+        else:
+            protocol += 1
         want = ref.access(core, pa, width, is_write, now=now)
         remotes = list(want.hitm_remotes)
         assert cost == want.cost + LISTENER_CHARGE * len(remotes), step
@@ -171,7 +183,8 @@ def replay_machine(steps, pages=None):
     assert machine.hitm_events == len(seen)
     assert len(seen) == ref.hitm_load_count + ref.hitm_store_count
     assert machine.physmem.read(BASE, MEMORY_BYTES) == bytes(memory)
-    return machine, directory.access_count - len(calls)
+    assert fast_hits + protocol == directory.access_count
+    return machine, fast_hits, protocol
 
 
 def random_trace(seed, length=3000, frames=1, widths=(1, 4, 8),
@@ -179,7 +192,8 @@ def random_trace(seed, length=3000, frames=1, widths=(1, 4, 8),
     """Mixed trace biased toward fast-path installs and evictions, over
     six lines in each of ``frames`` 4 KB frames; ``chunk_edge`` adds
     each frame's last line, whose straddling accesses cross into the
-    next 4 KB chunk."""
+    next 4 KB chunk.  A 3-byte access sits two bytes past its offset,
+    so at the line's last offset it straddles too."""
     rng = random.Random(seed)
     steps = []
     now = 0
@@ -210,6 +224,8 @@ def random_trace(seed, length=3000, frames=1, widths=(1, 4, 8),
         line = pick_line()
         offset = rng.choice((0, 8, 56, 60))        # 60 straddles lines
         width = rng.choice(widths)
+        if width == 3:
+            offset += 2
         is_write = rng.random() < 0.5
         steps.append(("access", core, BASE + line + offset, width,
                       is_write, now))
@@ -236,17 +252,23 @@ def test_two_socket_traces_match_reference(seed, pages):
 @pytest.mark.parametrize("pages", (None,) + PAGE_POLICIES)
 @pytest.mark.parametrize("seed", range(4))
 def test_machine_traces_match_reference(seed, pages):
-    """Loads and stores of widths 1, 2, 4 and 8, single-line and
+    """Loads and stores of widths 1, 2, 3, 4 and 8, single-line and
     straddling, some across a 4 KB chunk, with flushes and micro-cache
     drops, through ``Machine.mem_access`` on one socket (one frame)
     and on two (four frames)."""
     steps = random_trace(seed, frames=1 if pages is None else 4,
-                         widths=(1, 2, 4, 8), chunk_edge=True)
-    assert any(step[0] == "access"
-               and (step[2] & 4095) + step[3] > PAGE_4K
-               for step in steps), "no access crosses a 4 KB chunk"
-    machine, fast_hits = replay_machine(steps, pages)
+                         widths=(1, 2, 3, 4, 8), chunk_edge=True)
+    accesses = [step for step in steps if step[0] == "access"]
+    assert any((pa & 4095) + width > PAGE_4K
+               for _, _, pa, width, _, _ in accesses), \
+        "no access crosses a 4 KB chunk"
+    ends = {((pa & 63) + 3 > LINE_SIZE, (pa & 4095) + 3 > PAGE_4K)
+            for _, _, pa, width, _, _ in accesses if width == 3}
+    assert ends == {(False, False), (True, False), (True, True)}, \
+        "3-byte accesses must be single-line, straddling and cross chunks"
+    machine, fast_hits, protocol = replay_machine(steps, pages)
     assert fast_hits > 0
+    assert protocol > 0
     assert machine.directory.hitm_load_count > 0
     assert machine.directory.hitm_store_count > 0
     if pages is not None:
@@ -321,5 +343,6 @@ SHAPED_TRACES = (owner_hammer, exclusive_to_modified, flush_then_reaccess,
 @pytest.mark.parametrize("trace", SHAPED_TRACES,
                          ids=[trace.__name__ for trace in SHAPED_TRACES])
 def test_shaped_traces_match_reference_through_the_machine(trace):
-    _machine, fast_hits = replay_machine(trace())
+    _machine, fast_hits, protocol = replay_machine(trace())
     assert fast_hits > 0
+    assert protocol > 0
