@@ -157,7 +157,6 @@ class TraceExtractor:
             O.BulkTouch: self._op_bulk,
             O.Load: self._op_load,
             O.Store: self._op_store,
-            O.AccessRun: self._op_run,
             O.RmwSeq: self._op_rmw_seq,
             O.StoreSeq: self._op_store_seq,
             O.AtomicLoad: self._op_atomic_load,
@@ -434,20 +433,6 @@ class TraceExtractor:
         self._record(thread.tid, op.site, op.addr, op.width, True)
         self._memory[op.addr] = op.value
         return None, False
-
-    def _op_run(self, thread, op):
-        addr = op.addr
-        values = None if op.is_write else []
-        for _ in range(op.count):
-            self._record(thread.tid, op.site, addr, op.width,
-                         op.is_write)
-            if op.is_write:
-                self._memory[addr] = op.value
-            else:
-                values.append(self._memory.get(addr, 0))
-            addr += op.stride
-        self._result.ops += max(0, op.count - 1)
-        return values, False
 
     def _op_rmw_seq(self, thread, op):
         if op.volatile:

@@ -12,11 +12,7 @@ of any access that falls inside a relocated span.  The wrapper:
   binds the plan's allocation-relative spans to the addresses actually
   returned (pthreads and TMI place the same ordinal differently);
 - rewrites ``ThreadCreate`` bodies recursively so worker threads remap
-  through the same span table;
-- splits an ``AccessRun`` whose stride walks across differently-mapped
-  (or unmapped) bytes into sub-runs of constant remap delta,
-  re-concatenating load results, which is cycle-neutral -- runs are
-  priced per access, not per generator round-trip.
+  through the same span table.
 
 Accesses that only *partially* overlap a span are forwarded unmapped
 and counted (``stats.partial``); the planner's atom construction
@@ -47,7 +43,6 @@ class RewriteStats:
     """Counters a rewrite accumulates while the program runs."""
 
     remapped_ops: int = 0
-    split_runs: int = 0
     partial: int = 0
     spans_bound: int = 0
     arena_base: int = 0
@@ -191,42 +186,9 @@ class LayoutRewriter:
                 self.stats.remapped_ops += 1
                 op = replace(op, addr=mapped)
             return (yield op)
-        if cls is O.AccessRun:
-            return (yield from self._run(op))
         if cls is O.RmwSeq:
             return (yield self._rmw_seq(op))
         return (yield op)
-
-    def _run(self, op: O.AccessRun) -> Generator:
-        first, last = op.addr, op.addr + (op.count - 1) * op.stride
-        lo, hi = min(first, last), max(first, last) + op.width
-        if hi <= self._lo or lo >= self._hi:
-            return (yield op)
-        segments = []              # (start_index, count, delta)
-        seg_start, seg_delta = 0, None
-        for index in range(op.count):
-            addr = op.addr + index * op.stride
-            delta = self._map(addr, op.width) - addr
-            if seg_delta is None:
-                seg_start, seg_delta = index, delta
-            elif delta != seg_delta:
-                segments.append((seg_start, index - seg_start, seg_delta))
-                seg_start, seg_delta = index, delta
-        segments.append((seg_start, op.count - seg_start, seg_delta))
-        if len(segments) == 1 and segments[0][2] == 0:
-            return (yield op)
-        if len(segments) > 1:
-            self.stats.split_runs += 1
-        values = None if op.is_write else []
-        for start, count, delta in segments:
-            if delta:
-                self.stats.remapped_ops += 1
-            sub = replace(op, addr=op.addr + start * op.stride + delta,
-                          count=count)
-            result = yield sub
-            if not op.is_write:
-                values.extend(result)
-        return values
 
     def _rmw_seq(self, op: O.RmwSeq) -> O.RmwSeq:
         addrs = op.addrs

@@ -65,27 +65,20 @@ class ThreadCtx:
 
     def load_run(self, addr, count, stride, width=8, site=None,
                  volatile=False):
-        """``count`` loads at ``addr, addr+stride, ...`` in one op.
+        """``count`` loads at ``addr, addr+stride, ...``, one op each.
 
-        Returns the list of loaded values.  Cycle-for-cycle identical to
-        a ``load`` loop over the same addresses — use it for pure stride
-        loops with no per-iteration side effects between accesses.
+        Returns the list of loaded values: the ``load`` loop over the
+        same addresses, for reads with nothing to do between them.
         """
         if count <= 0:
             return []
         site = site or self._auto_site("load", width)
-        values = yield O.AccessRun(site, addr, count, stride, width,
-                                   False, 0, volatile)
+        values = []
+        for index in range(count):
+            value = yield O.Load(site, addr + index * stride, width,
+                                 volatile)
+            values.append(value)
         return values
-
-    def store_run(self, addr, value, count, stride, width=8, site=None,
-                  volatile=False):
-        """``count`` stores of ``value`` at ``addr, addr+stride, ...``."""
-        if count <= 0:
-            return
-        site = site or self._auto_site("store", width)
-        yield O.AccessRun(site, addr, count, stride, width, True,
-                          value, volatile)
 
     def rmw_seq(self, addrs, width, deltas, compute, load_site=None,
                 store_site=None, volatile=False):

@@ -13,7 +13,7 @@ attach) park every thread at its next op boundary — exactly where a
 real signal stop would land.  When the thread that just ran would be
 popped next anyway, with nothing due in between, its generator is sent
 its next value at once (run-on, in :meth:`Engine._run_loop`), without
-a trip through the heap.  A batched op (``AccessRun``, ``RmwSeq``,
+a trip through the heap.  A batched op (a sequence: ``RmwSeq`` or
 ``StoreSeq``) runs as a continuation on the thread, sub-op by sub-op,
 and yields the core wherever the unbatched loop would have.  When it
 yields only to another mid-run thread, the continuation makes the
@@ -41,7 +41,6 @@ from repro.engine.thread import (BLOCKED, DONE, PARKED, READY, SimProcess,
                                  SimThread)
 from repro.errors import CycleBudgetError, DeadlockError, SimulationError
 from repro.isa import ops as O
-from repro.isa.lowering import validate_run
 from repro.mapping.placement import CompactPlacement
 from repro.sync.objects import Barrier, Condvar, Mutex
 
@@ -121,7 +120,6 @@ class Engine:
         self._exec_table = {
             O.Load: self._exec_load_store,
             O.Store: self._exec_load_store,
-            O.AccessRun: self._exec_seq_op,
             O.RmwSeq: self._exec_seq_op,
             O.StoreSeq: self._exec_seq_op,
             O.AtomicLoad: self._exec_access,
@@ -278,7 +276,7 @@ class Engine:
             core_clock[core] = clock + thread.pending_penalty
             thread.pending_penalty = 0
             if thread.run_op is not None:
-                # resume an in-flight AccessRun/RmwSeq/StoreSeq without
+                # resume an in-flight RmwSeq/StoreSeq without
                 # re-entering the generator
                 if policy_notify:
                     policy.notify_op(tid, thread.run_op.__class__.__name__)
@@ -696,8 +694,8 @@ class Engine:
     # batched ops
     # ------------------------------------------------------------------
     def _exec_seq_op(self, thread, op):
-        """Begin an :class:`~repro.isa.ops.AccessRun`,
-        :class:`~repro.isa.ops.RmwSeq` or :class:`~repro.isa.ops.StoreSeq`.
+        """Begin an :class:`~repro.isa.ops.RmwSeq` or
+        :class:`~repro.isa.ops.StoreSeq`.
 
         The op executes sub-op by sub-op (:meth:`_run_seq`): each load
         and store with the single-access semantics of
@@ -708,52 +706,38 @@ class Engine:
         time reaching this core's clock, a pending stop-the-world, a
         due runtime tick, or the cycle budget (under a schedule policy,
         after every sub-op).  The continuation lives on the thread
-        (``run_op``/``run_plan``/``run_index``/``run_values``), so
+        (``run_op``/``run_plan``/``run_index``/``run_carried``), so
         resuming does not touch the workload generator.
 
         The op is decoded here, once: ``run_plan`` is the tuple
-        ``(is_rmw, is_run, width, nphases, compute, site0, site1,
-        addrs, base, stride, write0, value, values, delta, deltas,
-        mask, total)``.  Phase 0 is an RMW's load (``site0`` at
-        ``addrs[element]``) or a run's or store sequence's access
-        (``site0`` at ``base + element * stride``, a store when
-        ``write0``, of ``value`` or ``values[element]``); an RMW's
+        ``(is_rmw, width, nphases, compute, site0, site1, addrs, base,
+        values, delta, deltas, mask, total)``.  Phase 0 is an RMW's
+        load (``site0`` at ``addrs[element]``) or a store sequence's
+        store (``site0`` of ``values[element]`` at ``base``); an RMW's
         phase 1 stores at ``site1`` the carried load plus ``delta`` or
         ``deltas[element]``, masked to the width; the last phase of an
         op that computes charges ``compute``.  ``total`` counts the
         sub-ops.
         """
-        cls = op.__class__
-        if cls is O.RmwSeq:
+        if op.__class__ is O.RmwSeq:
             deltas = op.deltas
             delta = None
             if isinstance(deltas, int):
                 delta, deltas = deltas, None
             nphases = 3 if op.compute else 2
             thread.run_plan = (
-                True, False, op.width, nphases, op.compute, op.load_site,
-                op.store_site, op.addrs, 0, 0, False, None, None, delta,
-                deltas, (1 << (8 * op.width)) - 1, len(op.addrs) * nphases)
-            thread.run_values = None
-        elif cls is O.AccessRun:
-            # reject malformed shapes before a single access executes,
-            # so the run fails with a typed error at the cycle it was
-            # issued
-            validate_run(op)
-            thread.run_plan = (
-                False, True, op.width, 1, 0, op.site, None, None, op.addr,
-                op.stride, op.is_write, op.value, None, None, None, 0,
-                op.count)
-            thread.run_values = None if op.is_write else []
+                True, op.width, nphases, op.compute, op.load_site,
+                op.store_site, op.addrs, 0, None, delta, deltas,
+                (1 << (8 * op.width)) - 1, len(op.addrs) * nphases)
         else:
             nphases = 2 if op.compute else 1
             thread.run_plan = (
-                False, False, op.width, nphases, op.compute, op.site, None,
-                None, op.addr, 0, True, None, op.values, None, None, 0,
+                False, op.width, nphases, op.compute, op.site, None, None,
+                op.addr, op.values, None, None, 0,
                 len(op.values) * nphases)
-            thread.run_values = None
         thread.run_op = op
         thread.run_index = 0
+        thread.run_carried = None
         self._run_seq(thread)
         return 0, None, True
 
@@ -764,15 +748,14 @@ class Engine:
         Sub-op ``i`` is phase ``i % nphases`` of element ``i //
         nphases``.  An RMW element's phases are load, store and (when
         the op computes) compute; a store sequence's are store and
-        compute; an AccessRun's element is its one access, at ``addr +
-        element * stride``.  ``run_index`` counts sub-ops, so a break
-        can land between an element's load and its store.  The phases
-        come from the op, never from its lowered shape.  Each dispatch
-        and band switch unpacks the thread's ``run_plan``, the op
-        decoded once by :meth:`_exec_seq_op`, and reads the
-        process-side fields (address space, translation cache,
-        whether the op is routed) afresh: a stop-the-world between two
-        dispatches may have re-homed the thread.
+        compute.  ``run_index`` counts sub-ops, so a break can land
+        between an element's load and its store.  The phases come from
+        the op, never from its lowered shape.  Each dispatch and band
+        switch unpacks the thread's ``run_plan``, the op decoded once by
+        :meth:`_exec_seq_op`, and reads the process-side fields (address
+        space, translation cache, whether the op is routed) afresh: a
+        stop-the-world between two dispatches may have re-homed the
+        thread.
 
         Each dispatch computes the first clock at which a break test
         could fire: the next tick, the cycle budget and the ready-heap
@@ -794,12 +777,12 @@ class Engine:
         vector window, so the band makes the same calls in the same
         order at the same clocks.
 
-        A break after a fast hit in a sequence is a lockstep hint only
-        when :meth:`~repro.engine.vector.VectorExecutor.window_due` says
-        the kernel would try a window now (it keeps the kernel's
-        backoff); the break then returns to the loop, which offers the
-        window.  Every break that is no band switch returns to the
-        loop, and under a schedule policy there is no band.
+        A break after a fast hit is a lockstep hint only when
+        :meth:`~repro.engine.vector.VectorExecutor.window_due` says the
+        kernel would try a window now (it keeps the kernel's backoff);
+        the break then returns to the loop, which offers the window.
+        Every break that is no band switch returns to the loop, and
+        under a schedule policy there is no band.
         """
         machine = self.machine
         core_clock = machine.core_clock
@@ -811,9 +794,9 @@ class Engine:
         # replaces it (when it runs them), so the binding stays live
         stop_world = self._stop_world
         # a head-ready break after a fast hit is the round-robin steady
-        # state the lockstep kernel extrapolates; it runs sequences only,
-        # and says when it would try a window
-        seq_vector = self._vector
+        # state the lockstep kernel extrapolates; it says when it would
+        # try a window
+        vector = self._vector
         load_hit = self.costs.load_hit
         store_hit = self.costs.store_hit
         observer = self._observer
@@ -833,20 +816,20 @@ class Engine:
         now0 = max(core_clock)
         while True:
             op = thread.run_op
-            (is_rmw, is_run, width, nphases, compute, site0, site1, addrs,
-             base, stride, write0, value, values, delta, deltas, mask,
-             total) = thread.run_plan
+            (is_rmw, width, nphases, compute, site0, site1, addrs, base,
+             values, delta, deltas, mask, total) = thread.run_plan
             core = thread.core
             tid = thread.tid
-            vector = None if is_run else seq_vector
             process = thread.process
             aspace = process.aspace
             # a bound object, not a snapshot: _tcache is mutated in
             # place (cleared, never reassigned) so the binding stays live
             tcache = aspace._tcache
             routed = process.routed and thread.routes(op)
-            # an RMW's carried load, or an AccessRun's loads so far
-            carried = thread.run_values
+            # an RMW's carried load
+            carried = thread.run_carried
+            # the value of the sub-op's store (an RMW's load passes none)
+            value = None
             # whether the latest access was hit-priced
             fastish = False
             index = thread.run_index
@@ -887,10 +870,9 @@ class Engine:
                         addr = addrs[element]
                         is_write = False
                     else:
-                        addr = base + element * stride
-                        is_write = write0
-                        if values is not None:
-                            value = values[element]
+                        addr = base
+                        is_write = True
+                        value = values[element]
                 elif phase == 1 and is_rmw:
                     site = site1
                     addr = addrs[element]
@@ -940,12 +922,9 @@ class Engine:
                         else:
                             thread.loads += 1
                     fastish = cost <= (store_hit if is_write else load_hit)
-                    if is_rmw:
+                    if not is_write:
                         # an RMW carries its loaded value to its store
                         carried = loaded
-                    elif not is_write:
-                        # an AccessRun's loads go back to the generator
-                        carried.append(loaded)
                 # handlers may advance the core clock internally (e.g. a
                 # store-buffer drain), so add the returned cost on top of
                 # the live clock exactly as a dispatch does
@@ -971,20 +950,18 @@ class Engine:
                         if head.run_op is None:
                             head = None
                         elif fastish and vector is not None \
-                                and vector.window_due(head):
+                                and vector.window_due():
                             # the loop offers the lockstep kernel a
                             # window instead
                             vector.hint = True
                             head = None
                     break
             thread.run_index = index
-            thread.run_values = carried
+            thread.run_carried = carried
             if head is None:
                 if index >= total:
                     thread.run_op = None
                     thread.run_plan = None
-                    thread.pending_value = carried if is_run else None
-                    thread.run_values = None
                 self._schedule(thread, clock)
                 return
             # the band: the loop's next dispatch, made here (a running

@@ -55,14 +55,14 @@ class SimThread:
         self.joiners = []               # tids blocked in join on us
         self.blocked_on = None          # sync object or ('join', tid)
         self.seq = 0                    # scheduler tiebreaker
-        # in-flight AccessRun/RmwSeq/StoreSeq continuation (engine-
-        # owned): the engine yields the core mid-run whenever another
-        # thread becomes runnable, then resumes here instead of
-        # re-entering the generator
-        self.run_op = None              # the run being executed
+        # in-flight RmwSeq/StoreSeq continuation (engine-owned): the
+        # engine yields the core mid-run whenever another thread
+        # becomes runnable, then resumes here instead of re-entering
+        # the generator
+        self.run_op = None              # the sequence being executed
         self.run_plan = None            # run_op decoded (_exec_seq_op)
-        self.run_index = 0              # next access (sequence: sub-op)
-        self.run_values = None          # loads so far (RMW: carried load)
+        self.run_index = 0              # next sub-op
+        self.run_carried = None         # an RMW's load, until its store
         # statistics
         self.ops = 0
         self.loads = 0
@@ -77,12 +77,12 @@ class SimThread:
         return any(kind == "asm" for kind, _ in self.region_stack)
 
     def routes(self, op):
-        """Whether the load, store or run ``op`` goes around this
+        """Whether the load, store or sequence ``op`` goes around this
         thread's PTSB through the runtime's ``translate``: the process
         is :attr:`~SimProcess.routed` and ``op`` is volatile or inside
         an atomic or asm region (atomics of a routed process always
         are).  Region boundaries are separate ops, so the answer holds
-        for a whole dispatch of a run."""
+        for a whole dispatch of a sequence."""
         return self.process.routed and (op.volatile
                                         or bool(self.region_stack))
 

@@ -30,7 +30,7 @@ class RunCompiler:
     def lookup(self, op):
         """Return the :class:`~repro.isa.lowering.SeqShape` of the
         sequence op ``op`` (lowering it on first sight of its shape),
-        or ``None`` for any other op, an ``AccessRun`` included."""
+        or ``None`` for any other op."""
         key = seq_key(op)
         if key is None:
             return None

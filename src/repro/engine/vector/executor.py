@@ -24,8 +24,6 @@ and re-enqueues the threads in their replayed dispatch order.  The
 per-shape constants it reads come from the
 :class:`~repro.engine.vector.compiler.RunCompiler`.
 
-``AccessRun`` ops always run on the serial interpreter.
-
 Fallback boundaries (where a window ends and the serial path runs) are
 the contract in docs/ARCHITECTURE.md: sync ops and region boundaries
 (separate ops, never in a band), cross-thread contention on a line
@@ -42,7 +40,6 @@ import heapq
 
 from repro.engine.thread import READY
 from repro.engine.vector.compiler import RunCompiler
-from repro.isa.ops import AccessRun, RmwSeq, StoreSeq
 from repro.sim.cache_batch import apply_fast_mixed
 
 #: Smallest lockstep window worth committing, in sub-ops.
@@ -106,22 +103,19 @@ class VectorExecutor:
         return False
 
     # ------------------------------------------------------------------
-    def window_due(self, head):
+    def window_due(self):
         """Whether :meth:`try_lockstep` should try a window now, asked
         by ``Engine._run_seq`` at a break after a fast hit whose next
-        dispatch is ``head``, a thread mid-run.
+        dispatch is a thread mid-run.
 
-        An ``AccessRun`` head gets no window.  Otherwise this is where
-        the backoff lives: a cool-down after a declined window, or after
-        a committed one shorter than :data:`LOCKSTEP_PAYOFF` sub-ops,
-        skips the next ``2**streak`` offers (only a window at or over
-        the payoff clears the streak), and a declined window stays
-        declined until the thread it rejected progresses past the
-        rejection point serially.  A ``False`` leaves the break to the
-        band.
+        This is where the backoff lives: a cool-down after a declined
+        window, or after a committed one shorter than
+        :data:`LOCKSTEP_PAYOFF` sub-ops, skips the next ``2**streak``
+        offers (only a window at or over the payoff clears the streak),
+        and a declined window stays declined until the thread it
+        rejected progresses past the rejection point serially.  A
+        ``False`` leaves the break to the band.
         """
-        if head.run_op.__class__ is AccessRun:
-            return False
         if self._seq_cool > 0:
             self._seq_cool -= 1
             return False
@@ -167,8 +161,7 @@ class VectorExecutor:
         if len(ready) < 2:
             return
         ready.sort(key=lambda t: t.ready_time)
-        first_op = ready[0].run_op
-        if first_op is None or first_op.__class__ is AccessRun:
+        if ready[0].run_op is None:
             return
         max_cycles = engine.max_cycles
         band = []
@@ -178,8 +171,7 @@ class VectorExecutor:
             hard_stop = next_tick - 1
         for t in ready:
             op = t.run_op
-            cls = op.__class__ if op is not None else None
-            if ((cls is RmwSeq or cls is StoreSeq)
+            if (op is not None
                     and not t.pending_penalty
                     and t.core not in cores
                     and t.ready_time == core_clock[t.core]
@@ -393,7 +385,7 @@ class VectorExecutor:
         earlier pending stores, timestamps are the pre-cost clocks of
         each line's final access/write, and a window ending between an
         RMW's load and store carries the loaded value in
-        ``run_values`` exactly as the serial break does."""
+        ``run_carried`` exactly as the serial break does."""
         machine = self.engine.machine
         physmem = machine.physmem
         read_int = physmem.read_int
@@ -414,7 +406,7 @@ class VectorExecutor:
             line0 = pa0 & ~63
         idx = thread.run_index
         clock = rt
-        carried = thread.run_values
+        carried = thread.run_carried
         pending = {}
         lines = {}
         loads = 0
@@ -464,7 +456,7 @@ class VectorExecutor:
         apply_fast_mixed(machine.directory, thread.core, lines,
                          loads + stores)
         thread.run_index = idx
-        thread.run_values = carried
+        thread.run_carried = carried
         thread.loads += loads
         thread.stores += stores
         machine.core_clock[thread.core] = clock

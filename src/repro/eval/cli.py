@@ -671,8 +671,6 @@ def main(argv=None):
 
     if args.command == "fuzz":
         from repro.schedule import fuzz_workload, smoke_fuzz
-        if args.jobs is not None:
-            os.environ["REPRO_JOBS"] = str(args.jobs)
         if args.workload is None:
             result = smoke_fuzz(seeds=args.seeds,
                                 budget=args.budget or 60.0,
@@ -690,8 +688,6 @@ def main(argv=None):
 
     if args.command == "chaos":
         from repro.faults import chaos_repair_suite, chaos_smoke
-        if args.jobs is not None:
-            os.environ["REPRO_JOBS"] = str(args.jobs)
         if args.smoke:
             smoke = chaos_smoke(seeds=min(args.seeds, 8),
                                 scale=min(args.scale, 0.05),

@@ -1,21 +1,15 @@
-"""Lowering of batched ISA ops.
+"""Lowering of sequence ops for the lockstep kernel.
 
-Two pieces of shape-level work happen before a batched op's first
-access, and neither touches simulated state:
-
-* :func:`validate_run` rejects malformed
-  :class:`~repro.isa.ops.AccessRun` shapes, so the serial interpreter
-  fails with a typed error before a single access executes.
-* :func:`lower_seq` lowers an :class:`~repro.isa.ops.RmwSeq` or
-  :class:`~repro.isa.ops.StoreSeq` to the :class:`SeqShape` the vector
-  core's lockstep kernel (:mod:`repro.engine.vector`) reads: the phase
-  cost cycle, the element count, the shared RMW delta and the width
-  mask.  The per-element addresses, deltas and values stay on the op.
+:func:`lower_seq` lowers an :class:`~repro.isa.ops.RmwSeq` or
+:class:`~repro.isa.ops.StoreSeq` to the :class:`SeqShape` the vector
+core's lockstep kernel (:mod:`repro.engine.vector`) reads: the phase
+cost cycle, the element count, the shared RMW delta and the width
+mask.  The per-element addresses, deltas and values stay on the op.
+Lowering touches no simulated state.
 """
 
 from typing import NamedTuple, Optional
 
-from repro.errors import InvalidProgramError
 from repro.isa.ops import RmwSeq, StoreSeq
 
 
@@ -38,21 +32,6 @@ class SeqShape(NamedTuple):
     delta: Optional[int]
     #: ``2**(8*width) - 1``: a stored RMW result wraps to the width.
     mask: int
-
-
-def validate_run(op):
-    """Reject op shapes the Program layer must never emit.
-
-    Raises :class:`InvalidProgramError` exactly where the serial
-    interpreter would fail (a non-positive count or width produces a
-    malformed op stream before a single cycle is simulated).
-    """
-    if op.count <= 0:
-        raise InvalidProgramError(
-            f"AccessRun with non-positive count {op.count}")
-    if op.width <= 0:
-        raise InvalidProgramError(
-            f"AccessRun with non-positive width {op.width}")
 
 
 def seq_key(op):

@@ -97,30 +97,6 @@ class AtomicStore:
 
 
 @dataclass(slots=True)
-class AccessRun:
-    """A run of ``count`` same-site plain accesses ``stride`` bytes apart.
-
-    Semantically identical to yielding ``count`` individual
-    :class:`Load`/:class:`Store` ops at ``addr, addr+stride, ...`` — the
-    engine still translates, charges coherence, and fires HITM listeners
-    per access, and still yields the core between accesses whenever
-    another thread becomes runnable — but the whole run costs one
-    generator round-trip instead of ``count``.  Loads send the list of
-    loaded values back into the generator; stores write ``value`` to
-    every slot.
-    """
-
-    site: InstrSite
-    addr: int
-    count: int
-    stride: int
-    width: int
-    is_write: bool
-    value: int = 0
-    volatile: bool = False
-
-
-@dataclass(slots=True)
 class RmwSeq:
     """A sequence of plain load/store/compute read-modify-write steps.
 

@@ -129,13 +129,12 @@ class CampaignScheduler:
     forks at its first miss and closes when the pass ends.
     """
 
-    def __init__(self, root, jobs=None, timeout=None, metrics=None):
+    def __init__(self, root, jobs=None, timeout=None):
         self.state_dir = os.path.join(root, "campaigns")
         self.store = ResultStore(os.path.join(root, "store"))
         self.jobs = jobs
         self.timeout = timeout
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.resilience = ResilienceSupervisor(root, self.metrics)
         self._heap = []
         self._seq = 0

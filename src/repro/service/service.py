@@ -48,14 +48,13 @@ class CampaignService:
 
     ``root`` defaults under ``results/`` (``REPRO_RESULTS_DIR`` aware);
     tests point it at a tmpdir.  ``jobs``/``timeout`` forward to the
-    hardened worker pool, one per serve pass; ``metrics`` is an
-    optional shared :class:`~repro.obs.MetricsRegistry`.  The one
-    failure policy (one replay, then quarantine) is always on:
-    ``resilience`` accepts only ``True``, because the mode a falsy
-    value selected no longer exists.
+    hardened worker pool, one per serve pass.  The one failure policy
+    (one replay, then quarantine) is always on: ``resilience`` accepts
+    only ``True``, because the mode a falsy value selected no longer
+    exists.
     """
 
-    def __init__(self, root=None, jobs=None, timeout=None, metrics=None,
+    def __init__(self, root=None, jobs=None, timeout=None,
                  resilience=True):
         if resilience is not True:
             raise TypeError(
@@ -65,8 +64,7 @@ class CampaignService:
         self.root = root or os.path.join(results_dir(), "service")
         self.inbox_dir = os.path.join(self.root, "inbox")
         self.scheduler = CampaignScheduler(self.root, jobs=jobs,
-                                           timeout=timeout,
-                                           metrics=metrics)
+                                           timeout=timeout)
         self.campaigns_dir = self.scheduler.state_dir
         self.store = self.scheduler.store
         self.resilience = self.scheduler.resilience

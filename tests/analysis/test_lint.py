@@ -132,3 +132,22 @@ class TestJsonReport:
         assert meets_severity(findings, "info")
         assert not meets_severity(findings, "error")
         assert not meets_severity([], "info")
+
+
+class TestLintAccuracyExperiment:
+    """The ``lint-accuracy`` experiment at its default scale over the
+    repair suite: the linter predicts exactly the false-sharing lines
+    the simulated HITM ground truth finds (DESIGN.md's 1.00/1.00)."""
+
+    def test_default_scale_is_exact(self):
+        from repro.eval.experiments import lint_accuracy
+        from repro.workloads import repair_suite_names
+
+        result = lint_accuracy()
+        data = result.data
+        assert data["scale"] == 0.1
+        assert list(data["workloads"]) == list(repair_suite_names())
+        for name, row in data["workloads"].items():
+            assert row["ground_truth"] > 0, name
+            assert row["fp"] == row["fn"] == 0, (name, row)
+        assert data["precision"] == data["recall"] == 1.0

@@ -1,13 +1,13 @@
 """Pin: a batched op is the op-at-a-time loop it stands for.
 
-``load_run``/``store_run``/``rmw_seq``/``store_seq`` cost one generator
-round-trip per op, but the engine executes them access-by-access and
-yields the core exactly where the unbatched loop would.  Four workers,
-released together by a barrier, hammer one 8-byte slot each, on
-private lines and on one falsely shared line, once through the batched
-op and once one op at a time; cycles, HITM counts, data ops, every
-core's clock and every loaded value must match.  The same holds under
-LASER, whose store buffer intercepts every access of a run.
+``rmw_seq``/``store_seq`` cost one generator round-trip per op, but the
+engine executes them access-by-access and yields the core exactly
+where the unbatched loop would.  Four workers, released together by a
+barrier, hammer one 8-byte slot each, on private lines and on one
+falsely shared line, once through the batched op and once one op at a
+time; cycles, HITM counts, data ops, every core's clock and every
+loaded value must match.  The same holds under LASER, whose store
+buffer intercepts every access of a sequence.
 
 Contended runs take turns inside one engine call (the band: a thread
 that yields to a mid-run thread hands it the core without a trip
@@ -36,8 +36,7 @@ from repro.isa import Binary
 #: Slot spacing: one line per worker, or four slots on one line.
 STRIDES = {"private": 256, "falsely_shared": 8}
 #: Data ops per worker round, by kind.
-ROUND_OPS = {"store": RUN, "load": RUN + 1, "rmw_seq": 2 * RUN + 1,
-             "store_seq": RUN + 1}
+ROUND_OPS = {"rmw_seq": 2 * RUN + 1, "store_seq": RUN + 1}
 #: The shapes workloads lower to ``rmw_seq``: leveldb's counter bumps
 #: (no compute) and lu-ncb's daxpy body (cycling over the eight words
 #: of the slot's line).  Their rounds are ``rmw_seq`` rounds.
@@ -101,8 +100,8 @@ def _repaired(engine):
 def test_contended_bands_match_per_op_loops(system, kind):
     """Four workers' runs on one falsely shared line form bands.  A
     band ends at a run's last sub-op, at a generator thread's ready
-    time (the "load" round's store and each round's closing load are
-    single ops), at a detector tick, and at TMI's T2P stop-the-world.
+    time (each round's closing load is a single op), at a detector
+    tick, and at TMI's T2P stop-the-world.
     Cycles, HITMs, data ops, core clocks, loaded values and the slots'
     final contents all match the per-op loops."""
     stride = STRIDES["falsely_shared"]
@@ -119,10 +118,8 @@ def test_contended_bands_match_per_op_loops(system, kind):
     _cycles, hitm_loads, hitm_stores, data_ops = outcomes[True][:4]
     assert data_ops == NWORKERS * ROUNDS * ROUND_OPS[kind]
     assert hitm_loads + hitm_stores > 0, "packed slots must contend"
-    if system != "pthreads-serial" and kind != "load":
-        # the repair landed while the workers still ran (the load
-        # round reads its neighbours' slots: true sharing, which
-        # neither runtime repairs)
+    if system != "pthreads-serial":
+        # the repair landed while the workers still ran
         assert outcomes[True][-1]
 
 
@@ -203,18 +200,20 @@ def test_lone_runs_stop_at_ticks_and_budget_like_per_op_loops(kind):
 
 #: Rounds of the LASER alias case.
 ALIAS_ROUNDS = 5
-#: Words per load run in the LASER alias case.
+#: Words each round's ``rmw_seq`` increments in the LASER alias case.
 ALIAS_WORDS = 4
 
 
 def _laser_alias(batched):
     """One worker, per round: a 4-byte store at an instrumented site,
-    then ``ALIAS_WORDS`` 8-byte loads from the same address on, as one
-    ``load_run`` or one op at a time.  The first load aliases the
-    buffered store at a different width, so LASER drains its store
-    buffer first and charges the drain to the core clock itself."""
+    then an increment of ``ALIAS_WORDS`` 8-byte words from the same
+    address on, as one ``rmw_seq`` or one op at a time, then a load of
+    each word.  The increment's first load aliases the buffered store
+    at a different width, so LASER drains its store buffer first and
+    charges the drain to the core clock itself."""
     binary = Binary("alias")
-    st = binary.store_site("st4", 4)
+    st4 = binary.store_site("st4", 4)
+    st = binary.store_site("st", 8)
     ld = binary.load_site("ld", 8)
     loaded = []
 
@@ -222,33 +221,35 @@ def _laser_alias(batched):
         block = yield from t.malloc(4096, align=64)
 
         def worker(w):
+            addrs = [block + i * 8 for i in range(ALIAS_WORDS)]
             for r in range(ALIAS_ROUNDS):
-                yield from w.store(block, r + 1, 4, site=st)
+                yield from w.store(block, r + 1, 4, site=st4)
                 if batched:
-                    got = yield from w.load_run(block, ALIAS_WORDS, 8,
-                                                site=ld)
+                    yield from w.rmw_seq(addrs, 8, r + 1, 0, load_site=ld,
+                                         store_site=st)
                 else:
-                    got = []
-                    for i in range(ALIAS_WORDS):
-                        v = yield from w.load(block + i * 8, site=ld)
-                        got.append(v)
+                    for addr in addrs:
+                        v = yield from w.load(addr, site=ld)
+                        yield from w.store(addr, v + r + 1, site=st)
+                got = yield from w.load_run(block, ALIAS_WORDS, 8,
+                                            site=ld)
                 loaded.append(tuple(got))
 
         tid = yield from t.spawn(worker, "w")
         yield from t.join(tid)
 
     return make_program(main, "alias", nthreads=1, binary=binary), \
-        loaded, st
+        loaded, st4
 
 
 def test_laser_alias_drain_inside_a_run_is_charged():
-    """A LASER drain that an access inside a load run triggers is
+    """A LASER drain that the first load of an ``rmw_seq`` triggers is
     charged to the core clock, as it is one op at a time."""
     outcomes = {}
     for batched in (True, False):
-        program, loaded, st = _laser_alias(batched)
+        program, loaded, st4 = _laser_alias(batched)
         runtime = LaserRuntime()
-        runtime.instrumented_pcs.add(st.pc)
+        runtime.instrumented_pcs.add(st4.pc)
         engine = Engine(program, runtime)
         outcomes[batched] = _outcome(engine, loaded) + (runtime.drains,)
     assert outcomes[True] == outcomes[False]

@@ -40,8 +40,8 @@ def _offers(program, monkeypatch):
             events.append(("window", self.batched_ops - batched,
                            self._seq_streak))
 
-    def recorded_due(self, head):
-        answer = window_due(self, head)
+    def recorded_due(self):
+        answer = window_due(self)
         events.append(("offer", answer))
         return answer
 

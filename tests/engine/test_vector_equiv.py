@@ -2,10 +2,10 @@
 
 The vector core is a host-speed optimization with a hard exactness
 contract: simulated cycles, HITM counts, final-state digests, metrics
-snapshots, and typed failures (``CycleBudgetError``,
-``InvalidProgramError``) must not move by a single cycle.  These tests
-run representative repair-suite cells and targeted failure, tick and
-routing shapes both ways and compare everything observable.
+snapshots, and typed failures (``CycleBudgetError``) must not move by
+a single cycle.  These tests run representative repair-suite cells and
+targeted failure, tick and routing shapes both ways and compare
+everything observable.
 """
 
 import pytest
@@ -15,13 +15,12 @@ from repro.baselines.pthreads import PthreadsRuntime
 from repro.core.ptsb import PageTwinningStoreBuffer
 from repro.core.runtime import TmiRuntime
 from repro.engine import Engine
-from repro.errors import CycleBudgetError, InvalidProgramError
+from repro.errors import CycleBudgetError
 from repro.eval.runner import run_workload
 from repro.isa import Binary
-from repro.isa import ops as O
 
 #: Representative repair-suite cells: seq-heavy kernels (histogram,
-#: lreg), AccessRun-heavy (stringmatch), repaired layouts where long
+#: lreg), store-sequence-heavy (stringmatch), repaired layouts where long
 #: uncontended windows form (manual), a sync-heavy cell
 #: (spinlockpool), and TMI: a cell that repairs and then batches its
 #: PTSB pages (lreg/tmi-protect), one whose detector tick bounds every
@@ -78,9 +77,9 @@ def test_repair_cell_identical_both_ways(name, system):
 # typed-error parity
 # ----------------------------------------------------------------------
 def _budget_program(shape):
-    """Two workers hammering private lines through batched ops (an
-    AccessRun runs serially, a sequence in lockstep windows); long
-    enough that a small budget runs out mid-batch."""
+    """Two workers hammering private lines through batched ops (store
+    sequences of 512 values to one word, or RMW sequences over 64
+    words); long enough that a small budget runs out mid-batch."""
     binary = Binary("budget")
     st = binary.store_site("st", 8)
     ld = binary.load_site("ld", 8)
@@ -92,8 +91,8 @@ def _budget_program(shape):
             base = block + (w.tid - 1) * 1024
             for _ in range(40):
                 if shape == "run":
-                    yield from w.store_run(base, 7, count=512,
-                                           stride=0, width=8, site=st)
+                    yield from w.store_seq(base, (7,) * 512, 8, 0,
+                                           site=st)
                 else:
                     addrs = tuple(base + (i % 64) * 8
                                   for i in range(256))
@@ -125,6 +124,9 @@ def test_budget_exhaustion_mid_batch_same_cycle(shape):
         outcomes[vector] = (excinfo.value.args[:2],
                             engine.machine.now,
                             list(engine.machine.core_clock))
+        assert any(thread.run_op is not None
+                   for thread in engine.threads.values()), \
+            "the budget must run out inside a sequence"
     assert outcomes[True] == outcomes[False]
 
 
@@ -205,8 +207,8 @@ def _routed_program(env, nworkers):
             slot = block + (w.tid - 1) * 512
             addrs = tuple(slot + (i % 8) * 8 for i in range(4096))
             for volatile in (False, True):
-                yield from w.store_run(slot, 1, count=2048, stride=0,
-                                       width=8, site=st, volatile=volatile)
+                yield from w.store_seq(slot, (1,) * 2048, 8, 0, site=st,
+                                       volatile=volatile)
                 yield from w.rmw_seq(addrs, 8, 1, 5, load_site=ld,
                                      store_site=st, volatile=volatile)
 
@@ -237,29 +239,3 @@ def test_routed_runs_match_serial(nworkers):
         if vector and nworkers > 1:
             assert engine._vector.batched_ops > 0
     assert outcomes[True] == outcomes[False]
-
-
-@pytest.mark.parametrize("field", ["count", "width"])
-def test_malformed_run_same_typed_error(field):
-    """A malformed AccessRun raises InvalidProgramError before a
-    single access executes, with or without the vector core."""
-    binary = Binary("malformed")
-    site = binary.store_site("st", 8)
-    bad = O.AccessRun(site, 0x1000, count=0, stride=8, width=8,
-                      is_write=True, value=1) if field == "count" \
-        else O.AccessRun(site, 0x1000, count=4, stride=8, width=0,
-                         is_write=True, value=1)
-
-    def main(t):
-        yield from t.compute(10)
-        yield bad
-
-    cycles = {}
-    for vector in (True, False):
-        engine = Engine(make_program(main, "malformed", nthreads=1,
-                                     binary=binary),
-                        PthreadsRuntime(), vector=vector)
-        with pytest.raises(InvalidProgramError):
-            engine.run()
-        cycles[vector] = engine.machine.now
-    assert cycles[True] == cycles[False]

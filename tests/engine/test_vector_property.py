@@ -1,11 +1,11 @@
 """Property test: the vector executor is semantically invisible.
 
-The seeded ``random_program`` family (extended with private batched
-stretches — ``load_run``/``store_run``/``rmw_seq``/``store_seq`` over
-per-thread blocks, with the workers started together so their
-sequence ops overlap in lockstep windows) must produce identical final
-memory, cycle counts, HITM counts, op counts, and metrics snapshots
-with the vector core forced on and forced off.
+The seeded ``random_program`` family (extended with private stretches
+over per-thread blocks — plain load and store loops and batched
+``rmw_seq``/``store_seq`` ops, with the workers started together so
+their sequence ops overlap in lockstep windows) must produce identical
+final memory, cycle counts, HITM counts, op counts, and metrics
+snapshots with the vector core forced on and forced off.
 Hypothesis drives >= 50 generated programs; any divergence shrinks to
 a minimal seed.
 """

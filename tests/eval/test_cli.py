@@ -1,5 +1,7 @@
 """CLI argument handling (no heavy experiments run here)."""
 
+import os
+
 import pytest
 
 from repro.eval.cli import EXPERIMENTS, build_parser, main
@@ -86,9 +88,7 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "ok" in out and "runtime" in out
 
-    def test_fuzz_then_replay_round_trip(self, capsys, tmp_path,
-                                         monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "1")
+    def test_fuzz_then_replay_round_trip(self, capsys, tmp_path):
         # a racy workload exits nonzero (findings are failures)...
         assert main(["fuzz", "racy-flag", "--seeds", "1",
                      "--scale", "1.0", "--jobs", "1",
@@ -103,11 +103,9 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "reproduced" in out
 
-    def test_replay_failure_prints_artifact_path(self, capsys, tmp_path,
-                                                 monkeypatch):
+    def test_replay_failure_prints_artifact_path(self, capsys, tmp_path):
         import json
 
-        monkeypatch.setenv("REPRO_JOBS", "1")
         assert main(["fuzz", "racy-flag", "--seeds", "1",
                      "--scale", "1.0", "--jobs", "1",
                      "--out-dir", str(tmp_path)]) == 1
@@ -123,6 +121,16 @@ class TestExecution:
         assert "DID NOT reproduce" in out
         # the non-reproducing artifact's path is the actionable handle
         assert str(artifact) in out
+
+    def test_fuzz_jobs_leaves_the_environment_unchanged(self, tmp_path,
+                                                        monkeypatch):
+        # --jobs reaches the fuzzer as an argument; a REPRO_JOBS write
+        # would outlive the call and steer every later grid in-process
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        before = dict(os.environ)
+        main(["fuzz", "racy-flag", "--seeds", "1", "--scale", "1.0",
+              "--jobs", "1", "--out-dir", str(tmp_path)])
+        assert dict(os.environ) == before
 
     def test_trace_subcommand_writes_chrome_trace(self, capsys,
                                                   tmp_path):

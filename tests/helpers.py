@@ -79,11 +79,9 @@ def fs_counter_program(iters=2000, stride=8, nworkers=4, compute=0,
     return program
 
 
-#: The access-run hammer (:func:`hammer_program`): its workers and
-#: rounds, the accesses per run (stores of the slot, or loads of
-#: consecutive words from the start of the slot's line, two lines'
-#: worth; sequence kinds run this many elements), and the compute
-#: cycles after each sequence element.
+#: The sequence hammer (:func:`hammer_program`): its workers and
+#: rounds, the elements per sequence, and the compute cycles after each
+#: sequence element.
 HAMMER_WORKERS = 4
 HAMMER_ROUNDS = 40
 HAMMER_RUN = 16
@@ -93,39 +91,15 @@ HAMMER_COMPUTE = 5
 def hammer_round(w, kind, batched, slot, r, st, ld, vol=False):
     """One worker round of ``kind``; returns the values it loaded.
 
-    "store": ``HAMMER_RUN`` stores of the slot.  "load": one store of
-    the slot, then ``HAMMER_RUN`` loads of consecutive words from the
-    start of its line.  "rmw_seq": ``HAMMER_RUN``
-    load/add/store/compute increments of the slot, then one load of
-    it; "rmw_seq_nocompute" the same with no compute (leveldb's
-    counter bumps), and "rmw_seq_line" over the eight words of the
-    slot's line in turn (lu-ncb's daxpy body).  "store_seq":
-    ``HAMMER_RUN`` store/compute steps of distinct values to the slot,
-    then one load of it.  ``vol`` makes every access of the round
-    volatile.
+    "rmw_seq": ``HAMMER_RUN`` load/add/store/compute increments of the
+    slot, then one load of it; "rmw_seq_nocompute" the same with no
+    compute (leveldb's counter bumps), and "rmw_seq_line" over the
+    eight words of the slot's line in turn (lu-ncb's daxpy body).
+    "store_seq": ``HAMMER_RUN`` store/compute steps of distinct values
+    to the slot, then one load of it.  ``vol`` makes every access of
+    the round volatile.
     """
     run = HAMMER_RUN
-    value = w.tid * 1000 + r
-    if kind == "store":
-        if batched:
-            yield from w.store_run(slot, value, run, 0, site=st,
-                                   volatile=vol)
-        else:
-            for _ in range(run):
-                yield from w.store(slot, value, site=st, volatile=vol)
-        return []
-    if kind == "load":
-        yield from w.store(slot, value, site=st, volatile=vol)
-        line = slot & ~63
-        if batched:
-            got = yield from w.load_run(line, run, 8, site=ld,
-                                        volatile=vol)
-            return got
-        got = []
-        for i in range(run):
-            v = yield from w.load(line + i * 8, site=ld, volatile=vol)
-            got.append(v)
-        return got
     if kind.startswith("rmw_seq"):
         compute = 0 if kind == "rmw_seq_nocompute" else HAMMER_COMPUTE
         if kind == "rmw_seq_line":
@@ -142,7 +116,7 @@ def hammer_round(w, kind, batched, slot, r, st, ld, vol=False):
                 if compute:
                     yield from w.compute(compute)
     else:
-        values = [value + i for i in range(run)]
+        values = [w.tid * 1000 + r + i for i in range(run)]
         if batched:
             yield from w.store_seq(slot, values, 8, HAMMER_COMPUTE,
                                    site=st, volatile=vol)
@@ -211,9 +185,10 @@ def random_program(seed, nthreads=3, nlocks=2, nlines=4,
     family a schedule-fuzzing oracle — ``env["finals"]`` must equal
     ``env["expected"]`` under every policy and seed.
 
-    ``batched=True`` additionally interleaves private batched
-    stretches (``load_run``/``store_run``/``rmw_seq``/``store_seq``
-    over a per-thread block) between the locked shared updates —
+    ``batched=True`` additionally interleaves private stretches over a
+    per-thread block — a ``load_run`` or a store loop (plain loads or
+    stores, one op each), or a batched ``rmw_seq`` or ``store_seq`` —
+    between the locked shared updates —
     without touching the shared-line oracle — and starts the workers
     together at a barrier, so their sequence ops overlap in time and
     the vector executor's lockstep windows form.  The default stays
@@ -235,7 +210,7 @@ def random_program(seed, nthreads=3, nlocks=2, nlines=4,
         steps = []
         for _ in range(ops_per_thread):
             if batched and rng.random() < 0.4:
-                kind = rng.choice(("load_run", "store_run",
+                kind = rng.choice(("load_run", "store_loop",
                                    "rmw_seq", "store_seq"))
                 count = rng.randrange(4, 48)
                 off = rng.randrange(0, 8) * 8
@@ -293,9 +268,10 @@ def random_program(seed, nthreads=3, nlocks=2, nlines=4,
                     if kind == "load_run":
                         yield from w.load_run(addr, count, 8, width=8,
                                               site=ld)
-                    elif kind == "store_run":
-                        yield from w.store_run(addr, operand, count, 8,
-                                               width=8, site=st)
+                    elif kind == "store_loop":
+                        for i in range(count):
+                            yield from w.store(addr + i * 8, operand, 8,
+                                               site=st)
                     elif kind == "rmw_seq":
                         addrs = tuple(base + (i % 48) * 8
                                       for i in range(count))

@@ -5,7 +5,7 @@ counters for one small workload per suite family (phoenix, parsec,
 splash2x, boost, apps/leveldb), each under plain pthreads and full
 tmi-protect.  The numbers were captured *before* the interpreter fast
 paths landed (owner micro-cache, type-keyed dispatch, batched
-``AccessRun``, translation cache, parallel grid runner), so this test
+sequence ops, translation cache, parallel grid runner), so this test
 pins the property those optimizations promised: they change how fast
 the simulator runs, never what it computes.
 
